@@ -239,7 +239,8 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
     gens = elementary_generators(n)
     if negative_control:
         gamma = _padded_fibonacci(n)
-        # exact integer powers overflow float eigensolvers around 1e308
+        # a fixed cap keeps the control's report rows the same for every
+        # power_max; the exact spectral route itself has no range limit
         cap = min(power_max, 256)
     else:
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -21,9 +21,11 @@ import numpy as np
 
 from .errors import (
     DimensionUnsupported,
+    EigenFailure,
     IdentityInput,
     NoModulusFound,
     ResourceExceeded,
+    SingularInput,
     TorsionInput,
     ZeroScale,
 )
@@ -39,6 +41,7 @@ __all__ = [
     "det_exact",
     "inverse_unimodular",
     "char_poly",
+    "log_eigenvalue_moduli",
     "GeneratorSet",
     "elementary_generators",
     "BallTable",
@@ -148,48 +151,45 @@ def det_exact(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a det +-1 integer matrix (again integer)."""
+def _shift(a: IntMatrix, c: int) -> IntMatrix:
+    """a + c I."""
+    return tuple(tuple(x + c if i == j else x for j, x in enumerate(row))
+                 for i, row in enumerate(a))
+
+
+def _faddeev_leverrier(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """Characteristic polynomial (highest degree first) and M_n, where
+    M_1 = I, c_k = -tr(a M_k) / k, M_(k+1) = a M_k + c_k I.
+
+    a M_n = -c_n I, so M_n is (-1)^(n+1) adj(a).  Each c_k is an integer
+    for integer a, so every division is exact over Z.
+    """
     n = len(a)
-    det = det_exact(a)
-    if det not in (1, -1):
-        raise ValueError(f"determinant {det} is not a unit")
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j))
-            for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    inv = tuple(tuple(work[i][n + j] for j in range(n)) for i in range(n))
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    coeffs = [1]
+    m = identity(n)
+    am = a
+    for k in range(1, n + 1):
+        ck = -(sum(am[i][i] for i in range(n)) // k)
+        coeffs.append(ck)
+        if k < n:
+            m = _shift(am, ck)
+            am = mat_mul(a, m)
+    return tuple(coeffs), m
+
+
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of a det +-1 integer matrix (again integer): -M_n / c_n
+    from the Faddeev-LeVerrier loop, where c_n = (-1)^n det(a)."""
+    coeffs, m = _faddeev_leverrier(a)
+    cn = coeffs[-1]
+    if cn not in (1, -1):
+        raise ValueError(f"determinant {(-1) ** len(a) * cn} is not a unit")
+    return tuple(tuple(-cn * x for x in row) for row in m)
 
 
 def char_poly(a: IntMatrix) -> tuple[int, ...]:
-    """Characteristic polynomial coefficients, highest degree first.
-
-    Faddeev-LeVerrier; all divisions are exact for integer input.
-    """
-    n = len(a)
-    coeffs: list[Fraction] = [Fraction(1)]
-    m = a
-    for k in range(1, n + 1):
-        ck = Fraction(-sum(m[i][i] for i in range(n)), k)
-        coeffs.append(ck)
-        if k < n:
-            shifted = tuple(
-                tuple(Fraction(m[i][j]) + (ck if i == j else 0)
-                      for j in range(n)) for i in range(n))
-            m = tuple(
-                tuple(sum(a[i][l] * shifted[l][j] for l in range(n))
-                      for j in range(n)) for i in range(n))
-    assert all(c.denominator == 1 for c in coeffs)
-    return tuple(int(c) for c in coeffs)
+    """Characteristic polynomial coefficients, highest degree first."""
+    return _faddeev_leverrier(a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +383,10 @@ def translation_length_lower(m, gens: GeneratorSet) -> float:
     entry of size >= d forces operator norm >= d, while words of length L
     have operator norm <= c^L.  Vacuous (0.0) when the gcd is 1.
     """
-    mm = as_int_matrix(m)
-    n = len(mm)
-    diff = [mm[i][j] - (1 if i == j else 0) for i in range(n)
-            for j in range(n)]
-    if all(x == 0 for x in diff):
+    d = math.gcd(*(x for row in _shift(as_int_matrix(m), -1) for x in row))
+    if d == 0:
         raise IdentityInput("translation length lower bound needs m != I")
-    d = 0
-    for x in diff:
-        d = math.gcd(d, abs(x))
-    if d <= 1:
+    if d == 1:
         return 0.0
     return math.log(d) / math.log(gens.norm_bound)
 
@@ -442,12 +436,11 @@ def has_trivial_hyperbolic_part(m) -> bool:
     a = as_int_matrix(m)
     n = len(a)
     power = mat_pow(a, unipotence_exponent(n))
-    nil = tuple(tuple(power[i][j] - (1 if i == j else 0) for j in range(n))
-                for i in range(n))
-    return _is_nilpotent_power(nil, n)
+    return _is_nilpotent_power(_shift(power, -1), n)
 
 
 def _is_nilpotent_power(nil: IntMatrix, n: int) -> bool:
+    """nil^n == 0, exactly."""
     power = nil
     for _ in range(n - 1):
         power = mat_mul(power, nil)
@@ -486,7 +479,8 @@ def _poly_divmod(p: tuple[int, ...], d: tuple[int, ...]):
 
 
 def _strip_cyclotomic(poly: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Remove all cyclotomic factors of order m with totient(m) <= n."""
+    """Remove every tabulated cyclotomic factor (the orders m with
+    totient(m) <= 2) as often as it divides, exactly over Z."""
     factors = [f for m, f in sorted(_CYCLOTOMIC.items())
                if _totient(m) <= n]
     changed = True
@@ -499,6 +493,41 @@ def _strip_cyclotomic(poly: tuple[int, ...], n: int) -> tuple[int, ...]:
                     poly = q
                     changed = True
     return poly
+
+
+def log_eigenvalue_moduli(a) -> tuple[float, ...]:
+    """Sorted (non-increasing) log eigenvalue moduli of an integer matrix.
+
+    Cyclotomic factors of the exact characteristic polynomial contribute
+    exactly 0.0 each, so unipotents give the exact zero vector.  The rest
+    are eigenvalues of the remainder's companion matrix by mpmath QR at
+    max(60, 2 bits/3 + 40) digits (a root pair spanning 2^bits needs ~0.6
+    bits digits).  Raises SingularInput at determinant 0 and EigenFailure
+    when QR does not converge; there is no lower-precision fallback.
+    """
+    mat = as_int_matrix(a)
+    poly = char_poly(mat)
+    if poly[-1] == 0:
+        raise SingularInput("integer matrix is singular")
+    rest = _strip_cyclotomic(poly, len(mat))
+    d = len(rest) - 1
+    logs = [0.0] * (len(mat) - d)
+    if d == 1:  # x + r has the integer root -r
+        logs.append(math.log(abs(rest[1])))
+    elif d > 1:
+        from mpmath import mp
+
+        bits = max(abs(c) for c in rest).bit_length()
+        with mp.workdps(max(60, 2 * bits // 3 + 40)):
+            companion = mp.matrix([[-c for c in rest[1:]]] + [
+                [int(j == i) for j in range(d)] for i in range(d - 1)])
+            try:
+                roots = mp.eig(companion, left=False, right=False)
+            except RuntimeError as exc:  # QR ran out of iterations
+                raise EigenFailure(f"QR did not converge on a degree {d} "
+                                   "factor") from exc
+            logs += [float(mp.log(abs(r))) for r in roots]
+    return tuple(sorted(logs, reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -690,8 +719,7 @@ def depth_root_bound(a, box_bound: int | None = None,
         b = None
         q = None
         u = mat_pow(mat, m_exp)
-        nil = tuple(tuple(u[i][j] - (1 if i == j else 0) for j in range(n))
-                    for i in range(n))
+        nil = _shift(u, -1)
         nil2 = mat_mul(nil, nil)
         # 2 log(U) = 2 N - N^2 for (U - I) = N nilpotent of order <= 3
         w1 = tuple(tuple(2 * nil[i][j] - nil2[i][j] for j in range(n))

@@ -7,9 +7,12 @@ Their Euclidean norms are the symmetric-space norm and displacement, and
 their difference measures how far an element is from acting like a
 diagonal one.
 
-All numerics use dense LAPACK solvers through numpy.  Integer unipotents
-short-circuit to exactly zero displacement, which the lattice experiments
-rely on.
+Float input goes through dense LAPACK solvers in numpy.  Integer input
+takes its Jordan projection from ``lattice.log_eigenvalue_moduli``: exact
+characteristic polynomial, cyclotomic factors divided out exactly (so
+integer unipotents have displacement exactly 0.0, which the lattice
+experiments rely on), mpmath QR for the rest, and an error, never a float
+fallback, if QR fails.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ from .errors import (
     SeparationFailed,
     SingularInput,
     ZeroVector,
+)
+from .lattice import (
+    _is_nilpotent_power,
+    _shift,
+    as_int_matrix,
+    det_exact,
+    log_eigenvalue_moduli,
 )
 
 __all__ = [
@@ -114,8 +124,6 @@ def _cartan_from_integer_rows(rows: list[list[int]]) -> np.ndarray:
     exceed double-precision dynamic range (e.g. large exact powers)."""
     from mpmath import mp, svd_r
 
-    from .lattice import det_exact
-
     mat = tuple(tuple(r) for r in rows)
     if det_exact(mat) == 0:
         raise SingularInput("integer matrix is singular")
@@ -148,18 +156,6 @@ def cartan_projection(g) -> np.ndarray:
     return np.sort(np.log(sv))[::-1]
 
 
-def _int_nilpotency(rows: list[list[int]]) -> bool:
-    """(A - I)^n == 0 in exact integer arithmetic."""
-    n = len(rows)
-    nil = [[rows[i][j] - (1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    power = nil
-    for _ in range(n - 1):
-        power = [[sum(power[i][k] * nil[k][j] for k in range(n))
-                  for j in range(n)] for i in range(n)]
-    return all(x == 0 for row in power for x in row)
-
-
 def is_unipotent(g) -> bool:
     """(g - I)^n == 0; exact for integer input, tolerance otherwise.
 
@@ -168,9 +164,8 @@ def is_unipotent(g) -> bool:
     """
     rows = _integer_entries(g)
     if rows is not None:
-        if len(rows) != len(rows[0]):
-            raise ValueError("expected a square matrix")
-        return _int_nilpotency(rows)
+        a = as_int_matrix(rows)
+        return _is_nilpotent_power(_shift(a, -1), len(a))
     m = _as_matrix(g)
     n = m.shape[0]
     power = np.linalg.matrix_power(m - np.eye(n), n)
@@ -178,52 +173,16 @@ def is_unipotent(g) -> bool:
     return float(np.max(np.abs(power))) <= 1e-8 * scale ** n
 
 
-def _jordan_from_integer_rows(rows: list[list[int]]) -> np.ndarray:
-    """Exact route for integer matrices: characteristic polynomial over Z,
-    then high-precision roots.
-
-    Keeps the projection meaningful for huge-entry powers, where float
-    eigensolvers lose the small eigenvalues entirely.
-    """
-    from mpmath import mp
-
-    from .lattice import char_poly, det_exact
-
-    mat = tuple(tuple(r) for r in rows)
-    if det_exact(mat) == 0:
-        raise SingularInput("integer matrix is singular")
-    coeffs = list(char_poly(mat))
-    bits = max(abs(c) for c in coeffs).bit_length()
-    try:
-        with mp.workdps(max(60, bits // 3 + 40)):
-            roots = mp.polyroots(coeffs, maxsteps=500, extraprec=300)
-            logs = sorted((float(mp.log(abs(r))) for r in roots),
-                          reverse=True)
-    except mp.NoConvergence as exc:  # heavily repeated roots
-        if bits > 900:
-            raise EigenFailure(
-                "root finding did not converge and coefficients exceed "
-                "float range") from exc
-        moduli = np.abs(np.roots(np.array(coeffs, dtype=float)))
-        if np.any(moduli == 0.0):
-            raise SingularInput("zero eigenvalue modulus") from exc
-        logs = sorted(np.log(moduli), reverse=True)
-    return np.array(logs)
-
-
 def jordan_projection(g) -> np.ndarray:
     """Sorted (non-increasing) log eigenvalue moduli.
 
-    Equals lim cartan_projection(g^m)/m.  Integer unipotent input returns
-    the exact zero vector so downstream displacement is exactly 0; other
-    integer input goes through the exact characteristic polynomial, so
-    arbitrarily large entries stay accurate.
+    Equals lim cartan_projection(g^m)/m.  Integer input goes through
+    ``lattice.log_eigenvalue_moduli``, so integer unipotents give the
+    exact zero vector and arbitrarily large entries stay accurate.
     """
     rows = _integer_entries(g)
     if rows is not None:
-        if _int_nilpotency(rows):
-            return np.zeros(len(rows))
-        return _jordan_from_integer_rows(rows)
+        return np.array(log_eigenvalue_moduli(rows))
     m = _as_matrix(g)
     if abs(np.linalg.det(m)) < 1e-300:
         raise SingularInput("matrix is numerically singular")
@@ -413,9 +372,9 @@ def renormalized_cartan_average(g, squarings: int,
     factors accumulate exactly once per level.  The singular values of g^m
     span a dynamic range of order exp(m * spectral spread), far beyond
     double precision already for m ~ 100, so the squaring runs in
-    arbitrary precision (gmpy2-backed mpmath); ``dps`` overrides the
-    automatically chosen working precision.  Converges to the Jordan
-    projection as the number of squarings grows.
+    arbitrary precision (pure-Python mpmath: gmpy2 is not a dependency);
+    ``dps`` overrides the automatically chosen working precision.
+    Converges to the Jordan projection as the number of squarings grows.
     """
     from mpmath import mp, mpf, matrix as mp_matrix, svd_r
 

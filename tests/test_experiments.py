@@ -123,11 +123,21 @@ class TestProp507Runner:
         assert len(rep.rows) == 1 and rep.passed
 
     def test_negative_control_positive_displacement(self):
-        rep = X.run_prop507(power_max=2 ** 6, negative_control=True)
-        assert rep.passed
-        assert rep.summary["displacement_column"] == "all_positive"
-        assert all(float(row[1]) > 0 for row in rep.rows)
-        assert rep.summary["well_displacing_falsified"] == "false"
+        # the default power_max runs the powers to the cap of 256, where the
+        # entries are far beyond float range; word radius 4 would spend
+        # ~10 s in the n = 4 BFS
+        for n, word_radius in ((2, 4), (3, 4), (4, 2)):
+            rep = X.run_prop507(n=n, negative_control=True,
+                                word_radius=word_radius)
+            assert rep.passed
+            assert rep.summary["displacement_column"] == "all_positive"
+            assert rep.summary["well_displacing_falsified"] == "false"
+            powers = [int(row[0]) for row in rep.rows]
+            assert powers[-1] == 256
+            disp = [float(row[1]) for row in rep.rows]
+            assert disp[0] > 0
+            for p, d in zip(powers, disp):
+                assert d == pytest.approx(p * disp[0], rel=1e-6)
 
 
 class TestGapRunner:

@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dispgeo.errors import (
+    EigenFailure,
     IdentityInput,
     NoModulusFound,
     ResourceExceeded,
+    SingularInput,
     TorsionInput,
     ZeroScale,
 )
@@ -29,6 +31,7 @@ from dispgeo.lattice import (
     inverse_unimodular,
     is_p_unit_denominator,
     is_torsion,
+    log_eigenvalue_moduli,
     mat_mod,
     mat_mul,
     mat_pow,
@@ -113,6 +116,38 @@ class TestExactHelpers:
         assert mat_mul(FIB, inverse_unimodular(FIB)) == identity(2)
         big = mat_pow(FIB, 9)
         assert mat_mul(inverse_unimodular(big), big) == identity(2)
+
+    def test_inverse_det_minus_one_and_non_units(self):
+        swap = ((0, 1), (1, 0))
+        assert inverse_unimodular(swap) == swap
+        signed = ((0, 0, -1), (1, 0, 0), (0, 1, 0))
+        assert det_exact(signed) == -1
+        assert mat_mul(signed, inverse_unimodular(signed)) == identity(3)
+        with pytest.raises(ValueError, match="determinant 2"):
+            inverse_unimodular(((2, 0), (0, 1)))
+        with pytest.raises(ValueError, match="determinant 0"):
+            inverse_unimodular(((1, 2), (2, 4)))
+
+    def test_log_eigenvalue_moduli(self):
+        top = math.log((3 + math.sqrt(5)) / 2)
+        assert np.allclose(log_eigenvalue_moduli(FIB), (top, -top))
+        # the cyclotomic factor x - 1 contributes an exact 0.0
+        assert log_eigenvalue_moduli(((2, 0), (0, 1))) == (math.log(2), 0.0)
+        assert log_eigenvalue_moduli(E(4, 0, 3, 7)) == (0.0,) * 4
+        with pytest.raises(SingularInput):
+            log_eigenvalue_moduli(((1, 2), (2, 4)))
+
+    def test_log_eigenvalue_moduli_raises_without_fallback(self, monkeypatch):
+        from mpmath import mp
+
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("qr: failed to converge")
+
+        monkeypatch.setattr(mp, "eig", no_convergence)
+        with pytest.raises(EigenFailure):
+            log_eigenvalue_moduli(((2, 1, 0), (1, 1, 0), (0, 0, 1)))
+        # a fully cyclotomic polynomial never reaches QR
+        assert log_eigenvalue_moduli(E(3, 0, 2, 5)) == (0.0,) * 3
 
     def test_as_int_matrix_rejects(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispgeo.errors import (
     ContractionFailed,
@@ -9,6 +11,13 @@ from dispgeo.errors import (
     SeparationFailed,
     SingularInput,
     ZeroVector,
+)
+from dispgeo.lattice import (
+    elementary_generators,
+    identity,
+    inverse_unimodular,
+    mat_mul,
+    mat_pow,
 )
 from dispgeo.matgeo import (
     cartan_jordan_gap,
@@ -78,6 +87,32 @@ class TestJordanProjection:
     def test_unipotent_exact_zero(self):
         lam = jordan_projection([[1, 5], [0, 1]])
         assert lam.tolist() == [0.0, 0.0]
+        # conjugated unipotents with entries far beyond float range
+        for n in (3, 4):
+            gens = elementary_generators(n).elements
+            h = mat_mul(mat_mul(gens[0], gens[-1]), gens[3])
+            jordan_block = tuple(tuple(int(j in (i, i + 1)) for j in range(n))
+                                 for i in range(n))
+            u = mat_pow(jordan_block, 10 ** 40)
+            g = mat_mul(mat_mul(h, u), inverse_unimodular(h))
+            assert max(abs(x) for row in g for x in row) > 10 ** 60
+            assert jordan_projection(g).tolist() == [0.0] * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_integer_homogeneity(self, data):
+        # lambda(g^p) = p lambda(g) on elementary products in SL(n, Z)
+        n = data.draw(st.integers(2, 4), label="n")
+        gens = elementary_generators(n).elements
+        picks = data.draw(st.lists(st.integers(0, len(gens) - 1),
+                                   min_size=1, max_size=8), label="word")
+        p = data.draw(st.integers(1, 256), label="p")
+        g = identity(n)
+        for i in picks:
+            g = mat_mul(g, gens[i])
+        lam = jordan_projection(g)
+        assert np.allclose(jordan_projection(mat_pow(g, p)), p * lam,
+                           rtol=1e-12, atol=1e-12)
 
     def test_diagonal(self):
         lam = jordan_projection(np.diag([2.0, 0.5]))
