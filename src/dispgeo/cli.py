@@ -37,6 +37,7 @@ from .serialize import (
     load_matrix_file,
     parse_int_matrix_text,
     parse_matrix_text,
+    parse_rational,
     render_rational,
     render_real,
     write_atomic,
@@ -64,10 +65,6 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "report"), default="csv")
 
 
-def _delta(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dispgeo",
@@ -83,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=12)
     p.add_argument("--u", default="aab")
     p.add_argument("--v", default="bba")
-    p.add_argument("--delta", type=_delta, default=Fraction(0))
-    p.add_argument("--alpha-override", type=_delta, default=None,
+    p.add_argument("--delta", type=parse_rational, default=Fraction(0))
+    p.add_argument("--alpha-override", type=parse_rational, default=None,
                    help="negative-control hook: replace the derived "
                         "additive offset")
     p.add_argument("--max-ball", type=int, default=2_000_000,
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--find-conjugator", default="a",
                    help="generator a for the pair (f^N, a f^N a^-1)")
     p.add_argument("--n-max", type=int, default=32)
-    p.add_argument("--delta", type=_delta, default=Fraction(0))
+    p.add_argument("--delta", type=parse_rational, default=Fraction(0))
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--out")
 
@@ -147,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("args", nargs="*", help="word arguments in a..z/A..Z "
                                            "notation")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--delta", type=_delta, default=Fraction(0))
+    p.add_argument("--delta", type=parse_rational, default=Fraction(0))
     p.add_argument("--out")
 
     p = sub.add_parser("matgeo", help="ad-hoc matrix projections")

@@ -23,15 +23,13 @@ from .errors import (
     ContractionFailed,
     NoDominantEigenvalue,
     ResourceExceeded,
-    SelectionFailed,
     SeparationFailed,
 )
 from .hyperbolic import (
+    _excess,
+    _first_acr,
     certify_ping_pong,
-    is_almost_cyclically_reduced,
     pair_offset,
-    select_acr,
-    stable_norm_length_bound,
 )
 from .lattice import (
     TorsionInput,
@@ -47,7 +45,7 @@ from .matgeo import (
     symmetric_space_displacement,
 )
 from .serialize import render_rational, render_real, write_atomic
-from .words import Word, ball, ball_size, parse_word, word_length
+from .words import Word, _product, ball, ball_size, parse_word
 
 __all__ = [
     "ExperimentReport",
@@ -137,67 +135,51 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
             count=size)
     delta = Fraction(delta)
     pair = certify_ping_pong(uw, vw, delta)
-    threshold = 3 * max(word_length(uw), word_length(vw)) + 100 * delta
+    offset = pair_offset(pair)
+    alpha = offset if alpha_override is None else Fraction(alpha_override)
 
     config = {
         "radius": str(radius), "u": uw.to_str(), "v": vw.to_str(),
         "delta": render_rational(delta),
-        "alpha": render_rational(pair_offset(pair)
-                                 if alpha_override is None
-                                 else Fraction(alpha_override)),
+        "alpha": render_rational(alpha),
         "alpha_overridden": "true" if alpha_override is not None else "false",
     }
+    # the bound holds iff excess = |g| - 3 best <= alpha, so min_slack is
+    # alpha minus the largest excess; the selector hypothesis |g| >= offset
+    # depends on the length alone
     per_length = {
-        L: {"count": 0, "violations": 0, "min_slack": None,
-            "sel_g": 0, "sel_gu": 0, "sel_gv": 0, "sel_skipped": 0,
-            "falsified": 0}
+        L: {"count": 0, "violations": 0, "max_excess": -math.inf,
+            "selects": offset.denominator * L >= offset.numerator,
+            "sel_g": 0, "sel_gu": 0, "sel_gv": 0, "falsified": 0}
         for L in range(radius + 1)}
+    selected = ("sel_g", "sel_gu", "sel_gv", "falsified")
     example_violations: list[str] = []
 
     for g in ball(2, radius):
-        L = word_length(g)
+        ls = g.letters
+        L = len(ls)
         stats = per_length[L]
         stats["count"] += 1
-        res = stable_norm_length_bound(g, pair, alpha=alpha_override)
-        slack = res.rhs - res.lhs
-        if stats["min_slack"] is None or slack < stats["min_slack"]:
-            stats["min_slack"] = slack
-        if not res.holds:
+        words = (ls, _product(ls, uw.letters), _product(ls, vw.letters))
+        excess = _excess(words)
+        if excess > stats["max_excess"]:
+            stats["max_excess"] = excess
+        if alpha.denominator * excess > alpha.numerator:
             stats["violations"] += 1
             if len(example_violations) < max_violations:
                 example_violations.append(
-                    f"{g.to_str()}:lhs={res.lhs}:rhs="
-                    f"{render_rational(res.rhs)}")
-        if L >= threshold:
-            try:
-                chosen = select_acr(g, pair)
-            except SelectionFailed:
-                stats["falsified"] += 1
-                continue
-            verdict = is_almost_cyclically_reduced(chosen, delta)
-            if not verdict.is_acr:
-                stats["falsified"] += 1
-            elif chosen == g:
-                stats["sel_g"] += 1
-            elif chosen == g * pair.u:
-                stats["sel_gu"] += 1
-            else:
-                stats["sel_gv"] += 1
-        else:
-            stats["sel_skipped"] += 1
+                    f"{g.to_str()}:lhs={L}:rhs="
+                    f"{render_rational(L - excess + alpha)}")
+        if stats["selects"]:
+            stats[selected[_first_acr(words, delta)]] += 1
 
-    rows = []
-    total_violations = 0
-    total_falsified = 0
-    for L in range(radius + 1):
-        s = per_length[L]
-        total_violations += s["violations"]
-        total_falsified += s["falsified"]
-        rows.append((str(L), str(s["count"]), str(s["violations"]),
-                     render_rational(s["min_slack"])
-                     if s["min_slack"] is not None else "",
-                     str(s["sel_g"]), str(s["sel_gu"]), str(s["sel_gv"]),
-                     str(s["sel_skipped"]), str(s["falsified"])))
+    rows = [(str(L), str(s["count"]), str(s["violations"]),
+             render_rational(alpha - s["max_excess"]),
+             str(s["sel_g"]), str(s["sel_gu"]), str(s["sel_gv"]),
+             str(0 if s["selects"] else s["count"]), str(s["falsified"]))
+            for L, s in per_length.items()]
+    total_violations = sum(s["violations"] for s in per_length.values())
+    total_falsified = sum(s["falsified"] for s in per_length.values())
     passed = total_violations == 0 and total_falsified == 0
     summary = {
         "total_words": str(sum(s["count"] for s in per_length.values())),

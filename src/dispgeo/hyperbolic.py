@@ -6,6 +6,10 @@ where every inequality below is a theorem.  The three ping-pong conditions,
 the almost-cyclically-reduced predicate, the selector that repairs a
 non-ACR element by right-multiplying with a pair element, and the resulting
 word-length bound in terms of stable norms all live here.
+
+Thresholds are exact rationals compared as den-scaled integers (with
+delta = num/den; 3 den for the ACR test); Fraction is built only for the
+fields the functions return.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from .errors import (
 )
 from .words import (
     Word,
+    _peel,
     ball,
     distance,
     gromov_product,
     multiply,
-    stable_norm,
     translation_length,
     word_length,
 )
@@ -55,6 +59,21 @@ def _as_delta(delta) -> Fraction:
     return d
 
 
+def _first_acr(words: Sequence[tuple[int, ...]], delta: Fraction) -> int:
+    """Index of the first ACR letter tuple (len(words) if none), testing
+    <w, w^-1> <= |w|/3 - num/den as 3 den peel <= den |w| - 3 num."""
+    num, den = delta.numerator, delta.denominator
+    for i, w in enumerate(words):
+        if 3 * den * _peel(w) <= den * len(w) - 3 * num:
+            return i
+    return len(words)
+
+
+def _excess(words: Sequence[tuple[int, ...]]) -> int:
+    """|g| - 3 max stable norm over the letter tuples of g, g*u and g*v."""
+    return len(words[0]) - 3 * max(len(w) - 2 * _peel(w) for w in words)
+
+
 @dataclass(frozen=True)
 class AcrVerdict:
     """Outcome of the almost-cyclically-reduced test.
@@ -77,10 +96,9 @@ def is_almost_cyclically_reduced(g: Word, delta=0) -> AcrVerdict:
     delta = 0 unless it is empty with delta > 0.
     """
     d = _as_delta(delta)
-    product = gromov_product(g, g.inverse()).value
-    threshold = Fraction(len(g), 3) - d
-    return AcrVerdict(element=g, product=product, threshold=threshold,
-                      is_acr=product <= threshold)
+    return AcrVerdict(element=g, product=Fraction(_peel(g.letters)),
+                      threshold=Fraction(len(g), 3) - d,
+                      is_acr=_first_acr((g.letters,), d) == 0)
 
 
 def stable_length_lower_bound(g: Word, delta=0) -> Fraction:
@@ -156,21 +174,14 @@ def certify_ping_pong(u: Word, v: Word, delta=0) -> PingPongCertificate:
     if margin1 < 0:
         raise NotPingPong(1, margin1)
 
-    ui, vi = u.inverse(), v.inverse()
-    cross = max(
-        gromov_product(u, v).value,
-        gromov_product(u, vi).value,
-        gromov_product(ui, v).value,
-        gromov_product(ui, vi).value,
-    )
-    margin2 = shorter / 2 - 20 * d - cross
+    cross = max(gromov_product(x, y).doubled
+                for x in (u, u.inverse()) for y in (v, v.inverse()))
+    margin2 = shorter / 2 - 20 * d - Fraction(cross, 2)
     if margin2 < 0:
         raise NotPingPong(2, margin2)
 
-    margin3 = min(
-        Fraction(lu, 2) - 20 * d - gromov_product(u, ui).value,
-        Fraction(lv, 2) - 20 * d - gromov_product(v, vi).value,
-    )
+    margin3 = min(Fraction(lu, 2) - 20 * d - _peel(u.letters),
+                  Fraction(lv, 2) - 20 * d - _peel(v.letters))
     if margin3 < 0:
         raise NotPingPong(3, margin3)
 
@@ -210,19 +221,18 @@ def find_ping_pong_pair(f: Word, a: Word, delta=0,
 def select_acr(g: Word, pair: PingPongCertificate) -> Word:
     """Return the first of g, g*u, g*v that is almost cyclically reduced.
 
-    Requires |g| >= 3 max(|u|, |v|) + 100 delta.  With a valid certificate
-    one of the three is always ACR; SelectionFailed therefore signals a
-    bug, not bad input (at delta = 0 on a free group it is a theorem).
+    Requires |g| >= pair_offset(pair).  With a valid certificate one of the
+    three is always ACR; SelectionFailed therefore signals a bug, not bad
+    input (at delta = 0 on a free group it is a theorem).
     """
-    d = pair.delta
-    needed = 3 * max(word_length(pair.u), word_length(pair.v)) + 100 * d
-    if word_length(g) < needed:
-        raise HypothesisViolated(
-            f"|g| = {word_length(g)} < 3 max(|u|,|v|) + 100 delta = {needed}")
-    for candidate in (g, multiply(g, pair.u), multiply(g, pair.v)):
-        if is_almost_cyclically_reduced(candidate, d).is_acr:
-            return candidate
-    raise SelectionFailed(f"no ACR candidate for {g!r}")
+    offset = pair_offset(pair)
+    if offset.denominator * len(g) < offset.numerator:
+        raise HypothesisViolated(f"|g| = {len(g)} < pair_offset = {offset}")
+    candidates = (g, multiply(g, pair.u), multiply(g, pair.v))
+    choice = _first_acr([w.letters for w in candidates], pair.delta)
+    if choice == len(candidates):
+        raise SelectionFailed(f"no ACR candidate for {g!r}")
+    return candidates[choice]
 
 
 def pair_offset(pair: PingPongCertificate) -> Fraction:
@@ -247,12 +257,10 @@ def stable_norm_length_bound(g: Word, pair: PingPongCertificate,
     controls); leave None for real use.
     """
     offset = pair_offset(pair) if alpha is None else Fraction(alpha)
-    best = max(stable_norm(g),
-               stable_norm(multiply(g, pair.u)),
-               stable_norm(multiply(g, pair.v)))
-    lhs = word_length(g)
-    rhs = 3 * best + offset
-    return LengthBound(lhs=lhs, rhs=rhs, holds=lhs <= rhs)
+    excess = _excess((g.letters, multiply(g, pair.u).letters,
+                      multiply(g, pair.v).letters))
+    return LengthBound(lhs=len(g), rhs=len(g) - excess + offset,
+                       holds=offset.denominator * excess <= offset.numerator)
 
 
 def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
@@ -271,8 +279,10 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     B = Fraction(B)
     if A <= 0 or B < 0:
         raise ValueError("need A > 0 and B >= 0")
+    den = A.denominator * B.denominator  # |g| <= A best + B, times den
+    a, b = A.numerator * B.denominator, B.numerator * A.denominator
     for g in ball(rank, radius):
         best = max(translation_length(multiply(w, g)) for w in ws)
-        if word_length(g) > A * best + B:
+        if den * len(g) > a * best + b:
             return False
     return True

@@ -411,6 +411,13 @@ def _totient(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _orders(n: int) -> tuple[int, ...]:
+    """All m with Euler totient(m) <= n: the orders of the roots of unity
+    of degree <= n.  totient(m) >= sqrt(m/2), so m <= 2 n^2 suffices."""
+    return tuple(m for m in range(1, 2 * n * n + 1) if _totient(m) <= n)
+
+
+@lru_cache(maxsize=None)
 def unipotence_exponent(n: int) -> int:
     """lcm of all m with Euler totient(m) <= n.
 
@@ -422,9 +429,7 @@ def unipotence_exponent(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    # totient(m) >= sqrt(m/2), so m <= 2 n^2 suffices
-    orders = [m for m in range(1, 2 * n * n + 1) if _totient(m) <= n]
-    return math.lcm(*orders)
+    return math.lcm(*_orders(n))
 
 
 def has_trivial_hyperbolic_part(m) -> bool:
@@ -455,15 +460,6 @@ def is_torsion(m) -> bool:
     return mat_pow(a, unipotence_exponent(len(a))) == identity(len(a))
 
 
-_CYCLOTOMIC = {
-    1: (1, -1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    6: (1, -1, 1),
-}
-
-
 def _poly_divmod(p: tuple[int, ...], d: tuple[int, ...]):
     """Division of integer polynomials with monic divisor (exact)."""
     p = list(p)
@@ -478,11 +474,24 @@ def _poly_divmod(p: tuple[int, ...], d: tuple[int, ...]):
     return tuple(out), tuple(p)
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
+    """Phi_m exactly: x^m - 1 divided by Phi_d for each proper divisor d.
+
+    >>> _cyclotomic(8), _cyclotomic(12)
+    ((1, 0, 0, 0, 1), (1, 0, -1, 0, 1))
+    """
+    poly = (1,) + (0,) * (m - 1) + (-1,)
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _poly_divmod(poly, _cyclotomic(d))[0]
+    return poly
+
+
 def _strip_cyclotomic(poly: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Remove every tabulated cyclotomic factor (the orders m with
-    totient(m) <= 2) as often as it divides, exactly over Z."""
-    factors = [f for m, f in sorted(_CYCLOTOMIC.items())
-               if _totient(m) <= n]
+    """Remove every cyclotomic factor of degree <= n (the orders m with
+    totient(m) <= n) as often as it divides, exactly over Z."""
+    factors = [_cyclotomic(m) for m in _orders(n)]
     changed = True
     while changed and len(poly) > 1:
         changed = False

@@ -160,17 +160,21 @@ def reduce_word(letters: Sequence[int], rank: int) -> Word:
     return Word(letters, rank)
 
 
-def multiply(g: Word, h: Word) -> Word:
-    """Reduced product g*h; only boundary cancellation can occur."""
-    if g.rank != h.rank:
-        raise RankMismatch(f"rank {g.rank} vs {h.rank}")
-    a, b = g.letters, h.letters
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of a*b for reduced a, b: only the boundary cancels."""
     i, j = len(a), 0
     nb = len(b)
     while i > 0 and j < nb and a[i - 1] == -b[j]:
         i -= 1
         j += 1
-    return Word._trusted(a[:i] + b[j:], g.rank)
+    return a[:i] + b[j:]
+
+
+def multiply(g: Word, h: Word) -> Word:
+    """Reduced product g*h."""
+    if g.rank != h.rank:
+        raise RankMismatch(f"rank {g.rank} vs {h.rank}")
+    return Word._trusted(_product(g.letters, h.letters), g.rank)
 
 
 def word_length(g: Word) -> int:
@@ -251,6 +255,16 @@ class CyclicDecomposition:
     original: Word
 
 
+def _peel(letters: tuple[int, ...]) -> int:
+    """Matching first/last letter pairs peeled off by cyclic reduction; for
+    a reduced word this is <g, g^-1>, the common prefix of g and g^-1."""
+    n = len(letters)
+    i = 0
+    while n - 2 * i >= 2 and letters[i] == -letters[n - 1 - i]:
+        i += 1
+    return i
+
+
 def cyclic_reduce(g: Word) -> CyclicDecomposition:
     """Peel matching first/last letters until the core is cyclically reduced.
 
@@ -258,11 +272,8 @@ def cyclic_reduce(g: Word) -> CyclicDecomposition:
     'a'
     """
     ls = g.letters
-    n = len(ls)
-    i = 0
-    while n - 2 * i >= 2 and ls[i] == -ls[n - 1 - i]:
-        i += 1
-    core = Word._trusted(ls[i:n - i], g.rank)
+    i = _peel(ls)
+    core = Word._trusted(ls[i:len(ls) - i], g.rank)
     conjugator = Word._trusted(ls[:i], g.rank)
     return CyclicDecomposition(core=core, conjugator=conjugator, original=g)
 
@@ -272,12 +283,7 @@ def translation_length(g: Word) -> int:
 
     In a free group this is the cyclically reduced length.
     """
-    ls = g.letters
-    n = len(ls)
-    i = 0
-    while n - 2 * i >= 2 and ls[i] == -ls[n - 1 - i]:
-        i += 1
-    return n - 2 * i
+    return len(g.letters) - 2 * _peel(g.letters)
 
 
 def stable_norm(g: Word) -> int:

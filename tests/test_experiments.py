@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -107,6 +108,40 @@ class TestProp422Runner:
             X.run_prop422(radius=20)
         with pytest.raises(ResourceExceeded):
             X.run_prop422(radius=8, max_ball=100)
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (dict(radius=8),
+         "2bb00cf0cc048dbe80a7dc882bd570f36f1d5881aa699cc15339c8467cc4ce1d"),
+        # the selector is active and the ACR threshold is not an integer
+        (dict(radius=7, u="a", v="b", delta=Fraction(1, 200)),
+         "6f8a396c176b425fa9d522ad6119300cf86b4828bb098de667d981c4485c4b5c"),
+        (dict(radius=6, alpha_override=-100),
+         "a25842b07641ccc46bfd1485b742a71a3a926554d2175f9ef36c78bc39478549"),
+        (dict(radius=7, u="a", v="b", delta=Fraction(1, 300),
+              alpha_override=Fraction(5, 2)),
+         "1769055ed8399c1046f85557e26a2339cdc131734ba43356e44cf824005de1bf"),
+    ])
+    def test_pinned_report_bytes(self, cfg, digest):
+        # digests of the reports of the Fraction-based scan this one replaced
+        text = X.render_report(X.run_prop422(**cfg), "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_no_fraction_per_word(self, monkeypatch):
+        # thresholds are compared as scaled integers, so the Fractions built
+        # are a fixed few per run and per length, not per word (1457 words)
+        built = 0
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        rep = X.run_prop422(radius=6, u="a", v="b", delta=Fraction(1, 200))
+        monkeypatch.undo()
+        assert rep.passed
+        assert 0 < built < 200
 
 
 class TestProp507Runner:
@@ -262,6 +297,19 @@ class TestCli:
         f = tmp_path / "bad.json"
         f.write_text("[[1, 2], [3]]")
         assert main(["depth-roots", "--file", str(f)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["prop422", "--delta", "1/0"],
+        ["prop422", "--alpha-override", "1/0"],
+        ["word", "acr", "ab", "--delta", "1/0"],
+    ])
+    def test_zero_denominator_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid parse_rational value: '1/0'" in err
+        assert "Traceback" not in err
 
     def test_seed_required_for_gap(self, capsys):
         with pytest.raises(SystemExit) as exc:

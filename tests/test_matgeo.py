@@ -13,9 +13,11 @@ from dispgeo.errors import (
     ZeroVector,
 )
 from dispgeo.lattice import (
+    char_poly,
     elementary_generators,
     identity,
     inverse_unimodular,
+    log_eigenvalue_moduli,
     mat_mul,
     mat_pow,
 )
@@ -163,6 +165,22 @@ class TestNorms:
 class TestDisplacement:
     def test_unipotent_exactly_zero(self):
         assert symmetric_space_displacement([[1, 7], [0, 1]]) == 0.0
+
+    @pytest.mark.parametrize("poly", [
+        (1, 1, 1, 1, 1),    # Phi_5
+        (1, 0, 0, 0, 1),    # Phi_8
+        (1, -1, 1, -1, 1),  # Phi_10
+        (1, 0, -1, 0, 1),   # Phi_12
+    ])
+    def test_torsion_companion_exactly_zero(self, poly):
+        # the cyclotomic factors of degree 4 are stripped exactly, so their
+        # roots never reach QR and cannot come back as ~1e-60
+        companion = tuple(
+            tuple(int(j == i - 1) for j in range(3)) + (-poly[4 - i],)
+            for i in range(4))
+        assert char_poly(companion) == poly
+        assert log_eigenvalue_moduli(companion) == (0.0,) * 4
+        assert symmetric_space_displacement(companion) == 0.0
 
     def test_diagonal(self):
         assert np.isclose(symmetric_space_displacement(np.diag([2.0, 0.5])),
