@@ -35,9 +35,9 @@ from .lattice import (
     TorsionInput,
     depth_root_bound,
     elementary_generators,
+    enumerate_ball,
     mat_pow,
     translation_length_lower,
-    word_length_bfs,
 )
 from .matgeo import (
     cartan_jordan_gap,
@@ -219,6 +219,7 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
     if power_max < 1:
         raise ValueError("power_max must be >= 1")
     gens = elementary_generators(n)
+    table = enumerate_ball(gens, word_radius, max_size=max_ball)
     if negative_control:
         gamma = _padded_fibonacci(n)
         # a fixed cap keeps the control's report rows the same for every
@@ -251,8 +252,7 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
             displacements_ok = displacements_ok and disp == 0.0
         wl = ""
         if p <= 16:
-            length = word_length_bfs(m, gens, word_radius,
-                                     max_size=max_ball)
+            length = table.index.get(m)
             wl = str(length) if length is not None else "not_in_ball"
         rows_out.append((str(p), render_real(disp), render_real(lower), wl))
         p *= 2

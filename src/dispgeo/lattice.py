@@ -91,7 +91,6 @@ def identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
@@ -320,30 +319,20 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
 
 def word_length_bfs(m, gens: GeneratorSet, radius: int,
                     max_size: int = 1_000_000) -> int | None:
-    """Exact word length if <= radius, else None (not in the ball)."""
+    """Exact word length if <= radius, else None (not in the ball).
+
+    Reads the ball table of that radius, so ``max_size`` caps the whole
+    ball even when the target lies near the identity.
+
+    >>> word_length_bfs(((1, 3), (0, 1)), elementary_generators(2), 4)
+    3
+    >>> word_length_bfs(((1, 9), (0, 1)), elementary_generators(2), 3) is None
+    True
+    """
     target = as_int_matrix(m)
     if det_exact(target) != 1:
         raise ValueError("word length is defined for determinant-1 matrices")
-    n = gens.dimension
-    if target == identity(n):
-        return 0
-    seen = {identity(n)}
-    frontier = [identity(n)]
-    for r in range(1, radius + 1):
-        nxt = []
-        for cur in frontier:
-            for s in gens.elements:
-                child = mat_mul(cur, s)
-                if child == target:
-                    return r
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-                    if len(seen) > max_size:
-                        raise ResourceExceeded(
-                            f"BFS exceeded {max_size} states", count=len(seen))
-        frontier = nxt
-    return None
+    return enumerate_ball(gens, radius, max_size=max_size).index.get(target)
 
 
 def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
@@ -352,22 +341,23 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
     """min |h m h^-1| over conjugators h with |h| <= conj_radius.
 
     An upper bound for the translation length; None when every conjugate
-    escapes the word ball.
+    escapes the word ball.  One ball table of radius
+    max(conj_radius, word_radius) supplies both the conjugators and the
+    conjugates' word lengths.
     """
     target = as_int_matrix(m)
     if det_exact(target) != 1:
         raise ValueError("translation length needs determinant 1")
-    table = enumerate_ball(gens, word_radius, max_size=max_size)
+    if word_radius < 0:
+        raise ValueError("radius must be >= 0")
+    table = enumerate_ball(gens, max(conj_radius, word_radius),
+                           max_size=max_size)
     best: int | None = None
-    if conj_radius <= word_radius:
-        conjugators = table.conjugators(conj_radius)
-    else:
-        conjugators = list(enumerate_ball(gens, conj_radius,
-                                          max_size=max_size).index)
-    for h in conjugators:
+    for h in table.conjugators(conj_radius):
         conj = mat_mul(mat_mul(h, target), inverse_unimodular(h))
         length = table.index.get(conj)
-        if length is not None and (best is None or length < best):
+        if length is not None and length <= word_radius and (
+                best is None or length < best):
             best = length
             if best == 0:
                 break
@@ -890,11 +880,6 @@ def unipotent_conjugation_identity(t, p: int | None = None
     conj = ((t, Fraction(0)), (Fraction(0), 1 / t))
     u = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
     inv = ((1 / t, Fraction(0)), (Fraction(0), t))
-
-    def fr_mul(a, b):
-        return tuple(tuple(sum(a[i][l] * b[l][j] for l in range(2))
-                           for j in range(2)) for i in range(2))
-
-    result = fr_mul(fr_mul(conj, u), inv)
+    result = mat_mul(mat_mul(conj, u), inv)
     assert result == ((1, t * t), (0, 1))
     return conj, result

@@ -174,6 +174,40 @@ class TestProp507Runner:
             for p, d in zip(powers, disp):
                 assert d == pytest.approx(p * disp[0], rel=1e-6)
 
+    @pytest.mark.parametrize("cfg, digest", [
+        (dict(power_max=4),
+         "f71daa6412471d3288bcf03bf1e95de21d7bdf8677e749574f2b2be095ae62e0"),
+        (dict(power_max=2 ** 8),
+         "940e74135f46739d5a7b84c4cd252f6a8126bed2837259236bdbbe32946d96cd"),
+        (dict(n=4, word_radius=3),
+         "aa0945fa220d945d91a8a2c081f8df98cce0666fa5ab17b6ab3a787e8f913e53"),
+        (dict(negative_control=True, n=2, word_radius=6),
+         "ab1a5adc11d7b99217e836c260f1d58a417b57f1c82446875ca022a983ed41af"),
+    ])
+    def test_pinned_report_bytes(self, cfg, digest):
+        # digests of the reports of the one-search-per-row runner this one
+        # replaced
+        text = X.render_report(X.run_prop507(**cfg), "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_one_ball_search(self, monkeypatch):
+        calls = []
+        enumerate_ball = X.enumerate_ball
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_ball(*args, **kwargs)
+
+        monkeypatch.setattr(X, "enumerate_ball", counting)
+        rep = X.run_prop507(power_max=2 ** 8)
+        assert rep.passed
+        assert len(calls) == 1
+
+    def test_ball_cap_is_an_error(self):
+        from dispgeo.errors import ResourceExceeded
+        with pytest.raises(ResourceExceeded):
+            X.run_prop507(power_max=4, max_ball=100)
+
 
 class TestGapRunner:
     def test_seeded_run(self):

@@ -230,9 +230,22 @@ class TestWordLengthBfs:
     def test_not_in_ball(self, gens2):
         assert word_length_bfs(E(2, 0, 1, 9), gens2, 3) is None
 
-    def test_agrees_with_table(self, gens2, ball4):
-        for m, length in list(ball4.index.items())[::17]:
+    def test_agrees_with_table(self, gens2, gens3):
+        oracle = oracle_all_products_lengths(gens2, 4)
+        for m, length in list(oracle.items())[::17]:
             assert word_length_bfs(m, gens2, 4) == length
+        # at n = 3 a radius-2 search misses every element of length 3
+        oracle = oracle_all_products_lengths(gens3, 3)
+        misses = 0
+        for m, length in list(oracle.items())[::23]:
+            found = word_length_bfs(m, gens3, 2)
+            assert found == (length if length <= 2 else None)
+            misses += found is None
+        assert misses > 0
+
+    def test_negative_radius_rejected(self, gens2):
+        with pytest.raises(ValueError):
+            word_length_bfs(identity(2), gens2, -1)
 
 
 class TestTranslationLength:
@@ -246,6 +259,29 @@ class TestTranslationLength:
 
     def test_fib_at_most_two(self, gens2):
         assert translation_length_upper(FIB, gens2, 3, 6) <= 2
+
+    @pytest.mark.parametrize("conj_radius, word_radius", [(3, 1), (4, 2)])
+    def test_wide_conjugators_match_naive_oracle(self, gens2, conj_radius,
+                                                 word_radius):
+        # conj_radius > word_radius: the conjugators reach past the ball
+        # that measures the conjugates
+        conjugators = oracle_all_products_lengths(gens2, conj_radius)
+        lengths = oracle_all_products_lengths(gens2, word_radius)
+        found = 0
+        for m in list(conjugators)[::7]:
+            conj_lengths = [
+                lengths.get(mat_mul(mat_mul(h, m), inverse_unimodular(h)))
+                for h in conjugators]
+            known = [x for x in conj_lengths if x is not None]
+            expected = min(known) if known else None
+            assert translation_length_upper(
+                m, gens2, conj_radius, word_radius) == expected
+            found += expected is not None
+        assert found > 0
+
+    def test_negative_word_radius_rejected(self, gens2):
+        with pytest.raises(ValueError):
+            translation_length_upper(FIB, gens2, 2, -1)
 
     def test_lower_examples(self, gens3):
         e13p = E(3, 0, 2, 7)
@@ -472,6 +508,8 @@ class TestZpConjugation:
     def test_fractional_scale(self):
         _, res = unipotent_conjugation_identity(Fraction(1, 2))
         assert res == ((1, Fraction(1, 4)), (0, 1))
+        _, res = unipotent_conjugation_identity(Fraction(-2, 9))
+        assert res == ((1, Fraction(4, 81)), (0, 1))
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroScale):
