@@ -36,6 +36,7 @@ from .lattice import (
     depth_root_bound,
     elementary_generators,
     enumerate_ball,
+    identity,
     mat_pow,
     translation_length_lower,
 )
@@ -45,7 +46,7 @@ from .matgeo import (
     symmetric_space_displacement,
 )
 from .serialize import render_rational, render_real, write_atomic
-from .words import Word, _product, ball, ball_size, parse_word
+from .words import Word, _layer, _product, ball_size, parse_word
 
 __all__ = [
     "ExperimentReport",
@@ -155,23 +156,21 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
     selected = ("sel_g", "sel_gu", "sel_gv", "falsified")
     example_violations: list[str] = []
 
-    for g in ball(2, radius):
-        ls = g.letters
-        L = len(ls)
-        stats = per_length[L]
-        stats["count"] += 1
-        words = (ls, _product(ls, uw.letters), _product(ls, vw.letters))
-        excess = _excess(words)
-        if excess > stats["max_excess"]:
-            stats["max_excess"] = excess
-        if alpha.denominator * excess > alpha.numerator:
-            stats["violations"] += 1
-            if len(example_violations) < max_violations:
-                example_violations.append(
-                    f"{g.to_str()}:lhs={L}:rhs="
-                    f"{render_rational(L - excess + alpha)}")
-        if stats["selects"]:
-            stats[selected[_first_acr(words, delta)]] += 1
+    for L, stats in per_length.items():
+        for ls in _layer(2, L):
+            stats["count"] += 1
+            words = (ls, _product(ls, uw.letters), _product(ls, vw.letters))
+            excess = _excess(words)
+            if excess > stats["max_excess"]:
+                stats["max_excess"] = excess
+            if alpha.denominator * excess > alpha.numerator:
+                stats["violations"] += 1
+                if len(example_violations) < max_violations:
+                    example_violations.append(
+                        f"{Word._trusted(ls, 2).to_str()}:lhs={L}:rhs="
+                        f"{render_rational(L - excess + alpha)}")
+            if stats["selects"]:
+                stats[selected[_first_acr(words, delta)]] += 1
 
     rows = [(str(L), str(s["count"]), str(s["violations"]),
              render_rational(alpha - s["max_excess"]),
@@ -196,7 +195,7 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
 
 
 def _padded_fibonacci(n: int):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [list(row) for row in identity(n)]
     rows[0][0], rows[0][1] = 2, 1
     rows[1][0], rows[1][1] = 1, 1
     return tuple(tuple(r) for r in rows)
@@ -226,7 +225,7 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
         # power_max; the exact spectral route itself has no range limit
         cap = min(power_max, 256)
     else:
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = [list(row) for row in identity(n)]
         rows[0][n - 1] = 1
         gamma = tuple(tuple(r) for r in rows)
         cap = power_max

@@ -23,12 +23,15 @@ from .errors import (
     NotAlmostCyclicallyReduced,
     NotPingPong,
     PingPongNotFound,
+    RankMismatch,
     SelectionFailed,
 )
 from .words import (
     Word,
+    _layer,
     _peel,
-    ball,
+    _product,
+    ball_size,
     distance,
     gromov_product,
     multiply,
@@ -279,10 +282,17 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     B = Fraction(B)
     if A <= 0 or B < 0:
         raise ValueError("need A > 0 and B >= 0")
+    ball_size(rank, radius)  # validates the radius
+    for w in ws:
+        if w.rank != rank:
+            raise RankMismatch(f"rank {w.rank} vs {rank}")
+    ws = [w.letters for w in ws]
     den = A.denominator * B.denominator  # |g| <= A best + B, times den
     a, b = A.numerator * B.denominator, B.numerator * A.denominator
-    for g in ball(rank, radius):
-        best = max(translation_length(multiply(w, g)) for w in ws)
-        if den * len(g) > a * best + b:
-            return False
+    for L in range(radius + 1):
+        for g in _layer(rank, L):
+            best = max(len(wg) - 2 * _peel(wg)
+                       for wg in (_product(w, g) for w in ws))
+            if den * L > a * best + b:
+                return False
     return True

@@ -79,7 +79,7 @@ def as_int_matrix(rows) -> IntMatrix:
     for row in mat:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
-                if isinstance(x, float) and x == int(x):
+                if isinstance(x, float) and x.is_integer():
                     continue
                 raise ValueError(f"non-integer entry {x!r}")
     return tuple(tuple(int(x) for x in row) for row in mat)
@@ -270,8 +270,7 @@ def elementary_generators(n: int) -> GeneratorSet:
         for j in range(n):
             if i != j:
                 for t in (1, -1):
-                    rows = [[1 if a == b else 0 for b in range(n)]
-                            for a in range(n)]
+                    rows = [list(row) for row in identity(n)]
                     rows[i][j] = t
                     mats.append(tuple(tuple(row) for row in rows))
     return GeneratorSet.from_matrices(mats)

@@ -9,6 +9,7 @@ significant digits, so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -48,6 +49,8 @@ def render_real(x: float) -> str:
 def _entry_value(entry, row_index: int):
     if isinstance(entry, bool):
         raise ParseError(f"row {row_index}: boolean entry")
+    if isinstance(entry, float) and not math.isfinite(entry):
+        raise ParseError(f"row {row_index}: non-finite entry {entry}")
     if isinstance(entry, (int, float)):
         return entry
     if isinstance(entry, str):
@@ -76,21 +79,27 @@ def _matrix_from_data(data) -> list[list]:
     return rows
 
 
-def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
-    """Like parse_matrix_text but entries must be exact integers."""
-    rows = parse_matrix_text(text)
+def _int_rows(rows: list[list]) -> tuple[tuple[int, ...], ...]:
+    """Parsed rows as exact integers; any other entry is a ParseError."""
     out = []
     for i, row in enumerate(rows):
         clean = []
         for x in row:
-            if isinstance(x, float) and x != int(x):
-                raise ParseError(f"row {i}: entry {x} is not an integer")
             f = Fraction(x)
             if f.denominator != 1:
                 raise ParseError(f"row {i}: entry {x} is not an integer")
             clean.append(int(f))
         out.append(tuple(clean))
     return tuple(out)
+
+
+def _float_rows(rows: list[list]) -> list[list[float]]:
+    return [[float(x) for x in row] for row in rows]
+
+
+def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:
+    """Like parse_matrix_text but entries must be exact integers."""
+    return _int_rows(parse_matrix_text(text))
 
 
 def load_matrix_file(path: str, integer: bool = False) -> list:
@@ -108,14 +117,8 @@ def load_matrix_file(path: str, integer: bool = False) -> list:
             or not isinstance(data[0], list) or not data[0]):
         raise ParseError(f"{path}: expected a matrix or array of matrices")
     batch = data if isinstance(data[0][0], list) else [data]
-    matrices = []
-    for m in batch:
-        rows = _matrix_from_data(m)
-        if integer:
-            matrices.append(parse_int_matrix_text(json.dumps(m)))
-        else:
-            matrices.append([[float(x) for x in row] for row in rows])
-    return matrices
+    convert = _int_rows if integer else _float_rows
+    return [convert(_matrix_from_data(m)) for m in batch]
 
 
 def _render_value(v) -> str:

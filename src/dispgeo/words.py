@@ -298,13 +298,16 @@ def stable_norm(g: Word) -> int:
 
 def four_point_holds(g: Word, h: Word, k: Word, delta) -> bool:
     """The four-point condition <g,k> >= min(<g,h>, <h,k>) - delta at the
-    identity; exact comparison (delta may be int or Fraction)."""
+    identity; exact comparison (delta may be int or Fraction), made on
+    doubled products scaled by den with delta = num/den."""
     if not (g.rank == h.rank == k.rank):
         raise RankMismatch("mixed ranks in four-point check")
     gk = gromov_product(g, k).doubled
     gh = gromov_product(g, h).doubled
     hk = gromov_product(h, k).doubled
-    return gk >= min(gh, hk) - 2 * Fraction(delta)
+    d = Fraction(delta)
+    num, den = d.numerator, d.denominator
+    return den * gk >= den * min(gh, hk) - 2 * num
 
 
 def parse_word(text: str, rank: int = 2) -> Word:
@@ -331,40 +334,20 @@ def parse_word(text: str, rank: int = 2) -> Word:
     return Word(letters, rank)
 
 
-# Deterministic letter order for ball enumeration: a < A < b < B < ...
-def _letter_order(rank: int) -> tuple[int, ...]:
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return tuple(out)
-
-
-def _reduced_words_of_length(order: tuple[int, ...],
-                             length: int) -> Iterator[tuple[int, ...]]:
-    """Depth-first walk of the reduced words of one exact length, in
-    lexicographic order, using O(length) memory."""
+def _layer(rank: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The reduced letter tuples of one exact length in lexicographic order,
+    letters ordered a < a^-1 < b < b^-1 < ...: each one of length - 1
+    followed by every letter that does not cancel its last.  A chain of
+    length generators, so O(length) memory."""
     if length == 0:
         yield ()
         return
-    prefix: list[int] = []
-    stack = [iter(order)]
-    while stack:
-        descended = False
-        for x in stack[-1]:
-            if prefix and x == -prefix[-1]:
-                continue
-            if len(prefix) + 1 == length:
-                yield tuple(prefix) + (x,)
-            else:
-                prefix.append(x)
-                stack.append(iter(order))
-                descended = True
-                break
-        if not descended:
-            stack.pop()
-            if prefix:
-                prefix.pop()
+    order = [x for i in range(1, rank + 1) for x in (i, -i)]
+    for w in _layer(rank, length - 1):
+        back = -w[-1] if w else 0
+        for x in order:
+            if x != back:
+                yield w + (x,)
 
 
 def ball(rank: int, radius: int) -> Iterator[Word]:
@@ -374,13 +357,16 @@ def ball(rank: int, radius: int) -> Iterator[Word]:
     Deterministic (exhaustive tests are reproducible) and memory-lean:
     the radius-12 ball of F_2 has ~10^6 words but enumeration never holds
     more than one prefix chain at a time.
+
+    >>> [g.to_str() for g in ball(2, 2)]  # doctest: +NORMALIZE_WHITESPACE
+    ['', 'a', 'A', 'b', 'B', 'aa', 'ab', 'aB', 'AA', 'Ab', 'AB',
+     'ba', 'bA', 'bb', 'Ba', 'BA', 'BB']
     """
     _check_rank(rank)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    order = _letter_order(rank)
     for length in range(radius + 1):
-        for letters in _reduced_words_of_length(order, length):
+        for letters in _layer(rank, length):
             yield Word._trusted(letters, rank)
 
 

@@ -18,6 +18,7 @@ from dispgeo.serialize import (
     render_real,
     write_atomic,
 )
+from dispgeo.words import Word
 
 
 class TestSerialize:
@@ -137,11 +138,29 @@ class TestProp422Runner:
             built += 1
             return new(cls, *args, **kwargs)
 
+        # the scan reads letter tuples, so it builds no Word per word either;
+        # every Word comes from __init__ or _trusted
+        wrapped = 0
+        init, trusted = Word.__init__, Word._trusted.__func__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal wrapped
+            wrapped += 1
+            init(self, *args, **kwargs)
+
+        def counting_trusted(cls, *args, **kwargs):
+            nonlocal wrapped
+            wrapped += 1
+            return trusted(cls, *args, **kwargs)
+
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(Word, "__init__", counting_init)
+        monkeypatch.setattr(Word, "_trusted", classmethod(counting_trusted))
         rep = X.run_prop422(radius=6, u="a", v="b", delta=Fraction(1, 200))
         monkeypatch.undo()
         assert rep.passed
         assert 0 < built < 200
+        assert 0 < wrapped < 50
 
 
 class TestProp507Runner:
@@ -331,6 +350,19 @@ class TestCli:
         f = tmp_path / "bad.json"
         f.write_text("[[1, 2], [3]]")
         assert main(["depth-roots", "--file", str(f)]) == 1
+
+    def test_non_finite_entry_is_a_parse_error(self, tmp_path, capsys):
+        # JSON's Infinity and NaN parse to floats; they must not reach int()
+        f = tmp_path / "nan.json"
+        f.write_text("[[NaN, 1], [0, 1]]")
+        for argv in (["matgeo", "unipotent", "--matrix",
+                      "[[Infinity, 1], [0, 1]]"],
+                     ["matgeo", "jordan", "--matrix", "[[NaN, 1], [0, 1]]"],
+                     ["depth-roots", "--file", str(f)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "ParseError: row 0: non-finite entry" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["prop422", "--delta", "1/0"],

@@ -7,6 +7,7 @@ from dispgeo.errors import (
     NotAlmostCyclicallyReduced,
     NotPingPong,
     PingPongNotFound,
+    RankMismatch,
 )
 from dispgeo.hyperbolic import (
     certify_ping_pong,
@@ -237,6 +238,11 @@ class TestUndistortionCheck:
 
     def test_radius_zero(self):
         assert conjugacy_undistortion_check([Word.identity(2)], 1, 0, 0)
+
+    def test_mixed_ranks_rejected(self):
+        with pytest.raises(RankMismatch):
+            conjugacy_undistortion_check(
+                [Word.identity(2), Word.identity(3)], 1, 0, radius=2)
 
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,12 @@ class TestExactHelpers:
             as_int_matrix([[1, 0, 0], [0, 1, 0]])
         assert as_int_matrix(np.eye(2)) == identity(2)
 
+    def test_as_int_matrix_rejects_non_finite(self):
+        for rows in ([[math.inf, 0], [0, 1]],
+                     np.array([[np.inf, 0], [0, 1]])):
+            with pytest.raises(ValueError, match="non-integer entry inf"):
+                as_int_matrix(rows)
+
 
 class TestGeneratorSet:
     def test_elementary_count_and_bound(self, gens2, gens3):

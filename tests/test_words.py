@@ -259,6 +259,13 @@ class TestFourPoint:
     def test_fractional_delta(self):
         assert four_point_holds(W("ab"), W("ba"), W("aa"), Fraction(1, 3))
 
+    def test_negative_delta_compared_exactly(self):
+        # free groups pass at every delta >= 0, so only a negative delta
+        # shows a lossy comparison: here <g,k> = min(...) exactly
+        g = W("ab")
+        assert four_point_holds(g, g, g, 0)
+        assert not four_point_holds(g, g, g, Fraction(-1, 10 ** 20))
+
 
 class TestParse:
     def test_round_trip(self):
@@ -311,6 +318,22 @@ class TestBall:
         # within a length, lexicographic in the letter order a < A < b < B
         head = [g.to_str() for g in ball(2, 1)]
         assert head == ["", "a", "A", "b", "B"]
+
+    @pytest.mark.parametrize("rank, radius",
+                             [(2, r) for r in range(7)]
+                             + [(3, r) for r in range(5)])
+    def test_order_matches_brute_force(self, rank, radius):
+        # every letter tuple up to the radius, reduced ones kept, sorted by
+        # length and then letter by letter in the order a < A < b < B < ...
+        position = {x: 2 * abs(x) - (x > 0) for x in range(-rank, rank + 1)}
+        letters = list(position)
+        letters.remove(0)
+        expected = sorted(
+            (w for n in range(radius + 1)
+             for w in itertools.product(letters, repeat=n)
+             if all(x != -y for x, y in zip(w, w[1:]))),
+            key=lambda w: (len(w), [position[x] for x in w]))
+        assert [g.letters for g in ball(rank, radius)] == expected
 
 
 class TestBaseInvariance:
