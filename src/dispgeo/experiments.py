@@ -26,8 +26,7 @@ from .errors import (
     SeparationFailed,
 )
 from .hyperbolic import (
-    _excess,
-    _first_acr,
+    _block_scan,
     certify_ping_pong,
     pair_offset,
 )
@@ -46,7 +45,7 @@ from .matgeo import (
     symmetric_space_displacement,
 )
 from .serialize import render_rational, render_real, write_atomic
-from .words import Word, _layer, _product, ball_size, parse_word
+from .words import Word, _layer, ball_size, parse_word
 
 __all__ = [
     "ExperimentReport",
@@ -145,32 +144,39 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
         "alpha": render_rational(alpha),
         "alpha_overridden": "true" if alpha_override is not None else "false",
     }
-    # the bound holds iff excess = |g| - 3 best <= alpha, so min_slack is
-    # alpha minus the largest excess; the selector hypothesis |g| >= offset
-    # depends on the length alone
+    # the bound holds iff excess = |g| - 3 best <= alpha, i.e. excess <=
+    # floor(alpha), so min_slack is alpha minus the largest excess; the
+    # selector hypothesis |g| >= offset depends on the length alone
     per_length = {
         L: {"count": 0, "violations": 0, "max_excess": -math.inf,
             "selects": offset.denominator * L >= offset.numerator,
             "sel_g": 0, "sel_gu": 0, "sel_gv": 0, "falsified": 0}
         for L in range(radius + 1)}
     selected = ("sel_g", "sel_gu", "sel_gv", "falsified")
+    floor_alpha = alpha.numerator // alpha.denominator
     example_violations: list[str] = []
 
     for L, stats in per_length.items():
-        for ls in _layer(2, L):
-            stats["count"] += 1
-            words = (ls, _product(ls, uw.letters), _product(ls, vw.letters))
-            excess = _excess(words)
-            if excess > stats["max_excess"]:
-                stats["max_excess"] = excess
-            if alpha.denominator * excess > alpha.numerator:
-                stats["violations"] += 1
-                if len(example_violations) < max_violations:
+        for block in _layer(2, L):
+            excess, first = _block_scan(block, uw.letters, vw.letters, delta)
+            lo, hi = int(excess.min()), int(excess.max())
+            stats["count"] += len(block)
+            stats["max_excess"] = max(stats["max_excess"], hi)
+            if hi > floor_alpha:
+                # a threshold below lo flags the same rows as lo - 1, so the
+                # one compared with the array fits its dtype
+                bad = np.flatnonzero(excess > max(floor_alpha, lo - 1))
+                stats["violations"] += len(bad)
+                room = max(0, max_violations - len(example_violations))
+                for r in bad[:room].tolist():
+                    g = Word._trusted(tuple(block[r].tolist()), 2)
                     example_violations.append(
-                        f"{Word._trusted(ls, 2).to_str()}:lhs={L}:rhs="
-                        f"{render_rational(L - excess + alpha)}")
+                        f"{g.to_str()}:lhs={L}:rhs="
+                        f"{render_rational(L - int(excess[r]) + alpha)}")
             if stats["selects"]:
-                stats[selected[_first_acr(words, delta)]] += 1
+                for key, n in zip(selected,
+                                  np.bincount(first, minlength=4).tolist()):
+                    stats[key] += n
 
     rows = [(str(L), str(s["count"]), str(s["violations"]),
              render_rational(alpha - s["max_excess"]),

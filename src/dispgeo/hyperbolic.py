@@ -8,8 +8,9 @@ non-ACR element by right-multiplying with a pair element, and the resulting
 word-length bound in terms of stable norms all live here.
 
 Thresholds are exact rationals compared as den-scaled integers (with
-delta = num/den; 3 den for the ACR test); Fraction is built only for the
-fields the functions return.
+delta = num/den), or as their floor where the other side is an integer
+(the ACR cut floor(-3 delta)); Fraction is built only for the fields the
+functions return.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     HypothesisViolated,
@@ -28,9 +31,12 @@ from .errors import (
 )
 from .words import (
     Word,
+    _block_peel,
+    _block_product,
     _layer,
     _peel,
     _product,
+    _rows,
     ball_size,
     distance,
     gromov_product,
@@ -56,18 +62,25 @@ __all__ = [
 
 
 def _as_delta(delta) -> Fraction:
-    d = Fraction(delta)
+    d = delta if isinstance(delta, Fraction) else Fraction(delta)
     if d < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     return d
 
 
+def _acr_cut(delta: Fraction) -> int:
+    """floor(-3 delta): w is ACR iff 3 <w, w^-1> - |w| <= this cut.
+
+    <w, w^-1> <= |w|/3 - delta is 3 <w, w^-1> - |w| <= -3 delta, and the
+    left side is an integer, so flooring the right side is exact."""
+    return -3 * delta.numerator // delta.denominator
+
+
 def _first_acr(words: Sequence[tuple[int, ...]], delta: Fraction) -> int:
-    """Index of the first ACR letter tuple (len(words) if none), testing
-    <w, w^-1> <= |w|/3 - num/den as 3 den peel <= den |w| - 3 num."""
-    num, den = delta.numerator, delta.denominator
+    """Index of the first ACR letter tuple (len(words) if none)."""
+    cut = _acr_cut(delta)
     for i, w in enumerate(words):
-        if 3 * den * _peel(w) <= den * len(w) - 3 * num:
+        if 3 * _peel(w) - len(w) <= cut:
             return i
     return len(words)
 
@@ -75,6 +88,23 @@ def _first_acr(words: Sequence[tuple[int, ...]], delta: Fraction) -> int:
 def _excess(words: Sequence[tuple[int, ...]]) -> int:
     """|g| - 3 max stable norm over the letter tuples of g, g*u and g*v."""
     return len(words[0]) - 3 * max(len(w) - 2 * _peel(w) for w in words)
+
+
+def _block_scan(block: np.ndarray, u: tuple[int, ...], v: tuple[int, ...],
+                delta: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """_excess and _first_acr of (g, g*u, g*v) for every row g of a
+    words._layer block, as two arrays."""
+    length = block.shape[1]
+    peel = _block_peel(block)
+    len_u, peel_u = _block_product(block, u)
+    len_v, peel_v = _block_product(block, v)
+    best = np.maximum(length - 2 * peel,
+                      np.maximum(len_u - 2 * peel_u, len_v - 2 * peel_v))
+    cut = _acr_cut(delta)
+    first = np.where(3 * peel - length <= cut, 0,
+                     np.where(3 * peel_u - len_u <= cut, 1,
+                              np.where(3 * peel_v - len_v <= cut, 2, 3)))
+    return length - 3 * best, first
 
 
 @dataclass(frozen=True)
@@ -99,8 +129,9 @@ def is_almost_cyclically_reduced(g: Word, delta=0) -> AcrVerdict:
     delta = 0 unless it is empty with delta > 0.
     """
     d = _as_delta(delta)
+    num, den = d.numerator, d.denominator
     return AcrVerdict(element=g, product=Fraction(_peel(g.letters)),
-                      threshold=Fraction(len(g), 3) - d,
+                      threshold=Fraction(den * len(g) - 3 * num, 3 * den),
                       is_acr=_first_acr((g.letters,), d) == 0)
 
 
@@ -231,17 +262,28 @@ def select_acr(g: Word, pair: PingPongCertificate) -> Word:
     offset = pair_offset(pair)
     if offset.denominator * len(g) < offset.numerator:
         raise HypothesisViolated(f"|g| = {len(g)} < pair_offset = {offset}")
-    candidates = (g, multiply(g, pair.u), multiply(g, pair.v))
-    choice = _first_acr([w.letters for w in candidates], pair.delta)
+    candidates = _candidates(g, pair)
+    choice = _first_acr(candidates, pair.delta)
     if choice == len(candidates):
         raise SelectionFailed(f"no ACR candidate for {g!r}")
-    return candidates[choice]
+    return g if choice == 0 else Word._trusted(candidates[choice], g.rank)
+
+
+def _candidates(g: Word, pair: PingPongCertificate
+                ) -> tuple[tuple[int, ...], ...]:
+    """Letter tuples of g, g*u and g*v."""
+    if g.rank != pair.u.rank:
+        raise RankMismatch(f"rank {g.rank} vs {pair.u.rank}")
+    ls = g.letters
+    return ls, _product(ls, pair.u.letters), _product(ls, pair.v.letters)
 
 
 def pair_offset(pair: PingPongCertificate) -> Fraction:
     """The additive constant 3 max(|u|, |v|) + 100 delta of the length
     bound; always derived from the pair, never taken as input."""
-    return 3 * max(word_length(pair.u), word_length(pair.v)) + 100 * pair.delta
+    num, den = pair.delta.numerator, pair.delta.denominator
+    longer = max(word_length(pair.u), word_length(pair.v))
+    return Fraction(3 * longer * den + 100 * num, den)
 
 
 @dataclass(frozen=True)
@@ -260,8 +302,7 @@ def stable_norm_length_bound(g: Word, pair: PingPongCertificate,
     controls); leave None for real use.
     """
     offset = pair_offset(pair) if alpha is None else Fraction(alpha)
-    excess = _excess((g.letters, multiply(g, pair.u).letters,
-                      multiply(g, pair.v).letters))
+    excess = _excess(_candidates(g, pair))
     return LengthBound(lhs=len(g), rhs=len(g) - excess + offset,
                        holds=offset.denominator * excess <= offset.numerator)
 
@@ -290,9 +331,10 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     den = A.denominator * B.denominator  # |g| <= A best + B, times den
     a, b = A.numerator * B.denominator, B.numerator * A.denominator
     for L in range(radius + 1):
-        for g in _layer(rank, L):
-            best = max(len(wg) - 2 * _peel(wg)
-                       for wg in (_product(w, g) for w in ws))
-            if den * L > a * best + b:
-                return False
+        for block in _layer(rank, L):
+            for g in _rows(block):
+                best = max(len(wg) - 2 * _peel(wg)
+                           for wg in (_product(w, g) for w in ws))
+                if den * L > a * best + b:
+                    return False
     return True

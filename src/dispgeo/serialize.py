@@ -94,7 +94,14 @@ def _int_rows(rows: list[list]) -> tuple[tuple[int, ...], ...]:
 
 
 def _float_rows(rows: list[list]) -> list[list[float]]:
-    return [[float(x) for x in row] for row in rows]
+    """Parsed rows as floats; an entry beyond float range is a ParseError."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append([float(x) for x in row])
+        except OverflowError as exc:
+            raise ParseError(f"row {i}: entry beyond float range") from exc
+    return out
 
 
 def parse_int_matrix_text(text: str) -> tuple[tuple[int, ...], ...]:

@@ -8,6 +8,12 @@ products are exact half-integers, stored doubled).
 
 The text format maps generators 1..k to ``a..z`` and their inverses to
 ``A..Z``; the empty string is the identity.  ``"bAb"`` is b a^-1 b.
+
+Exhaustive scans read whole layers of a ball instead of one word at a
+time: ``_layer`` yields the reduced words of one length as numpy blocks of
+at most ``_BLOCK_ROWS`` rows (int8 letters for any rank up to 127), and
+``_block_peel`` / ``_block_product`` are the row-wise forms of ``_peel``
+and ``_product``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvalidGenerator, RankMismatch
 
@@ -334,29 +342,108 @@ def parse_word(text: str, rank: int = 2) -> Word:
     return Word(letters, rank)
 
 
-def _layer(rank: int, length: int) -> Iterator[tuple[int, ...]]:
-    """The reduced letter tuples of one exact length in lexicographic order,
-    letters ordered a < a^-1 < b < b^-1 < ...: each one of length - 1
-    followed by every letter that does not cancel its last.  A chain of
-    length generators, so O(length) memory."""
+# words per _layer block: enough to amortise numpy's per-call cost over a
+# block, few enough that a scan's memory does not grow with the ball
+_BLOCK_ROWS = 4096
+
+
+def _layer(rank: int, length: int) -> Iterator[np.ndarray]:
+    """The reduced words of one exact length, one word per row, as blocks
+    of at most _BLOCK_ROWS rows in lexicographic order with letters ordered
+    a < a^-1 < b < b^-1 < ...
+
+    Each block is built from a slice of a block of length - 1: every row
+    repeated once per letter, the letters tiled alongside, and the rows
+    whose new letter cancels the last one masked out.  The recursion holds
+    one block per length, so memory is O(length * _BLOCK_ROWS) rows.  The
+    dtype is the smallest signed int holding -(rank + 1), so every letter
+    and its negation fit (int8 up to rank 127).  Blocks are transposes of
+    C-contiguous (length, rows) arrays: block.T[i], the i-th letter of
+    every word, is one contiguous vector.
+
+    >>> [b.tolist() for b in _layer(2, 1)]
+    [[[1], [-1], [2], [-2]]]
+    """
+    dtype = np.min_scalar_type(-rank - 1)
     if length == 0:
-        yield ()
+        yield np.zeros((1, 0), dtype=dtype)
         return
-    order = [x for i in range(1, rank + 1) for x in (i, -i)]
-    for w in _layer(rank, length - 1):
-        back = -w[-1] if w else 0
-        for x in order:
-            if x != back:
-                yield w + (x,)
+    order = np.array([x for i in range(1, rank + 1) for x in (i, -i)],
+                     dtype=dtype)
+    step = max(1, _BLOCK_ROWS // (len(order) - 1))
+    for parents in _layer(rank, length - 1):
+        for s in range(0, len(parents), step):
+            prefixes = parents[s:s + step].T
+            t = np.empty((length, prefixes.shape[1] * len(order)),
+                         dtype=dtype)
+            t[:-1] = np.repeat(prefixes, len(order), axis=1)
+            t[-1] = np.tile(order, prefixes.shape[1])
+            if length > 1:
+                t = t.compress(t[-1] != -t[-2], axis=1)
+            # only one word's children can outgrow the cap (rank > 2048)
+            for i in range(0, t.shape[1], _BLOCK_ROWS):
+                yield t[:, i:i + _BLOCK_ROWS].T
+
+
+def _rows(block: np.ndarray) -> Iterable[tuple[int, ...]]:
+    """The rows of a _layer block as letter tuples, read letter-major."""
+    if not block.shape[1]:
+        return [()] * len(block)
+    return zip(*block.T.tolist())
+
+
+def _count_leading(tests, n: int) -> np.ndarray:
+    """Per word, how many of the leading boolean tests (vectors over n
+    words, or plain bools) hold."""
+    count = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    for test in tests:
+        alive &= test
+        count += alive
+    return count
+
+
+def _peel_rows(rows, n: int) -> np.ndarray:
+    """_peel of n words of equal length given letter by letter: rows[i] is
+    the i-th letter of every word (a vector, or one int shared by all)."""
+    return _count_leading(
+        (rows[i] == -rows[-1 - i] for i in range(len(rows) // 2)), n)
+
+
+def _block_peel(block: np.ndarray) -> np.ndarray:
+    """_peel of every row of a _layer block."""
+    return _peel_rows(block.T, len(block))
+
+
+def _block_product(block: np.ndarray,
+                   w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and _peel of the products g*w for every row g of a _layer
+    block and one reduced tuple w.
+
+    Row g cancels c letters against w; the rows with the same c have
+    products g[:-c] + w[c:] of one length, so each c is one _peel_rows."""
+    n, length = block.shape
+    t = block.T
+    k = min(length, len(w))
+    cancel = _count_leading(
+        (t[length - 1 - j] == -w[j] for j in range(k)), n)
+    peel = np.empty(n, dtype=np.int64)
+    for c in range(k + 1):
+        cols = np.flatnonzero(cancel == c)
+        if len(cols):
+            rows = list(t[:length - c, cols]) + list(w[c:])
+            peel[cols] = _peel_rows(rows, len(cols))
+    return length + len(w) - 2 * cancel, peel
 
 
 def ball(rank: int, radius: int) -> Iterator[Word]:
     """All reduced words of length <= radius, in (length, lexicographic)
     order with letters ordered a < a^-1 < b < b^-1 < ...
 
-    Deterministic (exhaustive tests are reproducible) and memory-lean:
-    the radius-12 ball of F_2 has ~10^6 words but enumeration never holds
-    more than one prefix chain at a time.
+    Deterministic (exhaustive tests are reproducible) and memory-lean: the
+    radius-12 ball of F_2 has ~10^6 words, but the words are read row by
+    row from _layer blocks, so enumeration holds O(radius * _BLOCK_ROWS)
+    letters at a time.
 
     >>> [g.to_str() for g in ball(2, 2)]  # doctest: +NORMALIZE_WHITESPACE
     ['', 'a', 'A', 'b', 'B', 'aa', 'ab', 'aB', 'AA', 'Ab', 'AB',
@@ -366,8 +453,9 @@ def ball(rank: int, radius: int) -> Iterator[Word]:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     for length in range(radius + 1):
-        for letters in _layer(rank, length):
-            yield Word._trusted(letters, rank)
+        for block in _layer(rank, length):
+            for letters in _rows(block):
+                yield Word._trusted(letters, rank)
 
 
 def ball_size(rank: int, radius: int) -> int:

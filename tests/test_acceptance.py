@@ -138,6 +138,19 @@ def test_criterion_3_acr_lower_bound(scan12):
                    f"with <g, g^-1> = (2|g| - |g g|)/2)")
 
 
+def test_prop422_kernel_agrees_with_scan12(scan12):
+    # run_prop422 scans the same ball on array blocks; the fixture walks it
+    # word by word through the public API
+    rep = X.run_prop422(radius=12)
+    selector = sum(int(row[rep.columns.index(name)]) for row in rep.rows
+                   for name in ("selector_kept_g", "selector_gu",
+                                "selector_gv"))
+    assert int(rep.summary["total_words"]) == scan12["total"]
+    assert rep.summary["total_violations"] == "0"
+    assert rep.summary["selector_falsified"] == "0"
+    assert selector == scan12["selector_checked"]
+
+
 def _packed_ball(radius: int):
     """Ball as a padded int8 array plus lengths, for vectorized checks."""
     words = list(ball(2, radius))

@@ -121,6 +121,9 @@ class TestProp422Runner:
         (dict(radius=7, u="a", v="b", delta=Fraction(1, 300),
               alpha_override=Fraction(5, 2)),
          "1769055ed8399c1046f85557e26a2339cdc131734ba43356e44cf824005de1bf"),
+        # the README config
+        (dict(radius=12),
+         "b3db919964584110e3f770f8bd05643d3b6f4db5bbf9303deacd6ab5b01e3ab5"),
     ])
     def test_pinned_report_bytes(self, cfg, digest):
         # digests of the reports of the Fraction-based scan this one replaced
@@ -362,6 +365,19 @@ class TestCli:
             assert main(argv) == 1
             err = capsys.readouterr().err
             assert "ParseError: row 0: non-finite entry" in err
+            assert "Traceback" not in err
+
+    def test_float_overflow_is_a_parse_error(self, tmp_path, capsys):
+        # exact entries beyond float range must not reach float() unguarded
+        huge = "1" + "0" * 400
+        f = tmp_path / "huge.json"
+        f.write_text(f'[[1, 0], ["{huge}/3", 1]]')
+        for argv, row in ((["matgeo", "norm", "--matrix",
+                            f"[[{huge}, 0], [0, 1]]"], 0),
+                          (["matgeo", "norm", "--file", str(f)], 1)):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"ParseError: row {row}: entry beyond float range" in err
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

@@ -10,6 +10,11 @@ from dispgeo.errors import (
     RankMismatch,
 )
 from dispgeo.hyperbolic import (
+    _acr_cut,
+    _as_delta,
+    _block_scan,
+    _excess,
+    _first_acr,
     certify_ping_pong,
     check_chain_separation,
     conjugacy_undistortion_check,
@@ -20,7 +25,17 @@ from dispgeo.hyperbolic import (
     stable_length_lower_bound,
     stable_norm_length_bound,
 )
-from dispgeo.words import Word, ball, multiply, parse_word, stable_norm, word_length
+from dispgeo.words import (
+    Word,
+    _layer,
+    _product,
+    _rows,
+    ball,
+    multiply,
+    parse_word,
+    stable_norm,
+    word_length,
+)
 
 W = parse_word
 
@@ -206,6 +221,50 @@ class TestSelectAcr:
                 assert is_almost_cyclically_reduced(chosen, 0).is_acr
 
 
+class TestAcrCut:
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 300),
+                                       Fraction(1, 3), Fraction(2, 3),
+                                       Fraction(1), Fraction(7, 3),
+                                       Fraction(5, 2)])
+    def test_floor_cut_is_the_rational_test(self, delta):
+        for length in range(13):
+            for peel in range(length // 2 + 1):
+                assert ((3 * peel - length <= _acr_cut(delta))
+                        == (peel <= Fraction(length, 3) - delta))
+
+    def test_fraction_delta_passes_through(self):
+        d = Fraction(1, 300)
+        assert _as_delta(d) is d
+        assert _as_delta(0) == 0
+        with pytest.raises(ValueError):
+            _as_delta(Fraction(-1, 3))
+
+    def test_threshold_field(self):
+        for delta in (0, Fraction(1, 300), Fraction(7, 3), 2):
+            verdict = is_almost_cyclically_reduced(W("abAB"), delta)
+            assert verdict.threshold == Fraction(4, 3) - delta
+            assert type(verdict.threshold) is Fraction
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("u, v", [("aab", "bba"), ("AAb", "bbA"),
+                                      ("a", "b"), ("ab", "ba")])
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(1, 300),
+                                       Fraction(1, 60), Fraction(7, 3)])
+    def test_matches_tuple_helpers(self, u, v, delta):
+        # the array kernel against the per-word helpers, every word of
+        # length <= 7
+        u, v = W(u).letters, W(v).letters
+        for n in range(8):
+            for block in _layer(2, n):
+                excess, first = _block_scan(block, u, v, delta)
+                words = [(g, _product(g, u), _product(g, v))
+                         for g in _rows(block)]
+                assert excess.tolist() == [_excess(ws) for ws in words]
+                assert first.tolist() == [_first_acr(ws, delta)
+                                          for ws in words]
+
+
 class TestStableNormLengthBound:
     def test_example(self, pair):
         res = stable_norm_length_bound(W("bbbbaBBBB"), pair)
@@ -225,6 +284,13 @@ class TestStableNormLengthBound:
     def test_exhaustive_radius_8(self, pair):
         for g in ball(2, 8):
             assert stable_norm_length_bound(g, pair).holds
+
+    def test_rank_mismatch(self, pair):
+        g = Word((1, 3) * 5, rank=3)
+        with pytest.raises(RankMismatch):
+            stable_norm_length_bound(g, pair)
+        with pytest.raises(RankMismatch):
+            select_acr(g, pair)
 
 
 class TestUndistortionCheck:

@@ -1,13 +1,21 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispgeo.errors import InvalidGenerator, RankMismatch
 from dispgeo.words import (
+    _BLOCK_ROWS,
     Word,
+    _block_peel,
+    _block_product,
+    _layer,
+    _peel,
+    _product,
+    _rows,
     ball,
     ball_size,
     cyclic_reduce,
@@ -334,6 +342,47 @@ class TestBall:
              if all(x != -y for x, y in zip(w, w[1:]))),
             key=lambda w: (len(w), [position[x] for x in w]))
         assert [g.letters for g in ball(rank, radius)] == expected
+
+    @pytest.mark.parametrize("rank, radius", [(2, 8), (3, 5)])
+    def test_layer_blocks_capped_and_ordered(self, rank, radius):
+        # concatenated blocks of each length give the brute-force order
+        position = {x: 2 * abs(x) - (x > 0) for x in range(-rank, rank + 1)}
+        letters = [x for x in position if x]
+        for n in range(radius + 1):
+            expected = sorted(
+                (w for w in itertools.product(letters, repeat=n)
+                 if all(x != -y for x, y in zip(w, w[1:]))),
+                key=lambda w: [position[x] for x in w])
+            blocks = list(_layer(rank, n))
+            assert all(0 < len(b) <= _BLOCK_ROWS for b in blocks)
+            assert all(b.shape[1] == n for b in blocks)
+            assert [tuple(r) for b in blocks for r in b.tolist()] == expected
+            assert [w for b in blocks for w in _rows(b)] == expected
+
+    @pytest.mark.parametrize("rank", [127, 128, 200])
+    def test_wide_ranks(self, rank):
+        # letters up to +-rank and their negations fit the block dtype
+        assert np.iinfo(next(_layer(rank, 1)).dtype).min <= -rank - 1
+        words = [g.letters for g in ball(rank, 1)]
+        assert words == [()] + [(s * i,) for i in range(1, rank + 1)
+                                for s in (1, -1)]
+        assert sum(1 for _ in ball(rank, 2)) == ball_size(rank, 2)
+        last = list(_layer(rank, 2))[-1].tolist()[-1]
+        assert last == [-rank, -rank]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("w", ["", "a", "aab", "bba", "AAb", "abAB"])
+    def test_matches_tuple_helpers(self, w):
+        w = parse_word(w).letters
+        for n in range(8):
+            for block in _layer(2, n):
+                rows = list(_rows(block))
+                assert _block_peel(block).tolist() == [_peel(g) for g in rows]
+                lengths, peels = _block_product(block, w)
+                products = [_product(g, w) for g in rows]
+                assert lengths.tolist() == [len(p) for p in products]
+                assert peels.tolist() == [_peel(p) for p in products]
 
 
 class TestBaseInvariance:
