@@ -17,7 +17,9 @@ fallback, if QR fails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,59 +234,107 @@ def point_hyperplane_distance(x, normal) -> float:
     return min(1.0, abs(float(np.dot(ux, un))))
 
 
+@functools.lru_cache(maxsize=8)
 def _projective_samples(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform sample of P(R^n), as unit rows.
 
     Dimension 2 uses equally spaced angles on a half-circle, dimension 3 a
     Fibonacci lattice on the sphere (antipodes identified for free);
     higher dimensions fall back to a fixed-seed Gaussian lattice, which is
-    equally deterministic.
+    equally deterministic.  Built once per (n, count) and returned
+    read-only, so no caller can alter a later certificate through it.
     """
     if count < 1:
-        raise ValueError("need at least one sample")
+        raise ValueError("samples must be >= 1")
     if n == 2:
         theta = np.pi * (np.arange(count) + 0.5) / count
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    if n == 3:
+        pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif n == 3:
         golden = (1.0 + np.sqrt(5.0)) / 2.0
         j = np.arange(count)
         z = 2.0 * (j + 0.5) / count - 1.0
         phi = 2.0 * np.pi * j / golden
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
-    rng = np.random.default_rng(0)
-    pts = rng.standard_normal((count, n))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    else:
+        rng = np.random.default_rng(0)
+        pts = rng.standard_normal((count, n))
+        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    pts.flags.writeable = False
+    return pts
 
 
-def _dominant_real_eigenvector(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Eigenvalue of strictly largest modulus and its real unit vector.
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair of two (N, n) arrays.
 
-    Raises NoDominantEigenvalue when the top modulus is not simple or the
-    top eigenvalue is not real, both within 1e-9 * spectral radius.
+    Stacked matmul takes one BLAS dot per row, the sum ``np.dot`` and
+    ``np.linalg.norm`` form for a single vector, so the result is
+    bit-for-bit the per-vector one (``einsum`` sums in another order and
+    differs in the last bit).
     """
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of an (N, n) array, bit for bit."""
+    return np.sqrt(_row_dots(x, x))
+
+
+def _dominant_real_eigenvector(ms: np.ndarray) -> tuple[np.ndarray, list]:
+    """Per matrix of an (N, n, n) stack: the real unit eigenvector of the
+    eigenvalue of strictly largest modulus, or the error ruling it out.
+
+    Returns ``(vecs, errors)``; ``errors[i]`` is None or an unraised
+    EigenFailure, SingularInput (zero spectral radius) or
+    NoDominantEigenvalue (top modulus not simple, or top eigenvalue not
+    real, within 1e-9 * spectral radius), and ``vecs[i]`` is meaningful
+    only when it is None.
+    """
+    count = len(ms)
+    errors: list = [None] * count
     try:
-        eigvals, eigvecs = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+        eigvals, eigvecs = np.linalg.eig(ms)
+    except np.linalg.LinAlgError:
+        eigvals = np.full(ms.shape[:2], np.nan, dtype=complex)
+        eigvecs = np.full(ms.shape, np.nan, dtype=complex)
+        for i, m in enumerate(ms):
+            try:
+                eigvals[i], eigvecs[i] = np.linalg.eig(m)
+            except np.linalg.LinAlgError as exc:
+                errors[i] = EigenFailure(str(exc))
+                errors[i].__cause__ = exc
+    rows = np.arange(count)
     moduli = np.abs(eigvals)
-    order = np.argsort(moduli)[::-1]
-    top = order[0]
-    radius = moduli[top]
-    if radius == 0.0:
-        raise SingularInput("zero spectral radius")
-    if moduli[order[1]] > radius - _EIG_REL_TOL * radius:
-        raise NoDominantEigenvalue(
-            f"top moduli {moduli[order[0]]:.6g} and {moduli[order[1]]:.6g} "
-            "are not separated")
-    if abs(eigvals[top].imag) > _EIG_REL_TOL * radius:
-        raise NoDominantEigenvalue(
-            f"top eigenvalue {eigvals[top]:.6g} is not real")
-    vec = eigvecs[:, top]
-    pivot = vec[np.argmax(np.abs(vec))]
-    vec = vec / pivot
-    vec = np.real(vec)
-    return float(np.real(eigvals[top])), vec / np.linalg.norm(vec)
+    order = np.argsort(moduli, axis=1)[:, ::-1]
+    top = order[:, 0]
+    radius = moduli[rows, top]
+    second = moduli[rows, order[:, 1]]
+    lam = eigvals[rows, top]
+    for i in np.flatnonzero((radius == 0.0)
+                            | (second > radius - _EIG_REL_TOL * radius)
+                            | (np.abs(lam.imag) > _EIG_REL_TOL * radius)):
+        if errors[i] is not None:
+            continue
+        if radius[i] == 0.0:
+            errors[i] = SingularInput("zero spectral radius")
+        elif second[i] > radius[i] - _EIG_REL_TOL * radius[i]:
+            errors[i] = NoDominantEigenvalue(
+                f"top moduli {radius[i]:.6g} and {second[i]:.6g} "
+                "are not separated")
+        else:
+            errors[i] = NoDominantEigenvalue(
+                f"top eigenvalue {lam[i]:.6g} is not real")
+    vec = eigvecs[rows, :, top]
+    pivot = vec[rows, np.argmax(np.abs(vec), axis=1)]
+    # np.linalg.eig hands back real arrays when every eigenvalue of its
+    # input is real, and real division rounds differently from complex
+    # division; so divide real rows in real arithmetic, as the
+    # one-matrix call does
+    real = np.all(eigvals.imag == 0.0, axis=1)
+    scaled = np.empty(vec.shape)
+    scaled[real] = vec.real[real] / pivot.real[real, None]
+    scaled[~real] = np.real(vec[~real] / pivot[~real, None])
+    return scaled / _row_norms(scaled)[:, None], errors
 
 
 @dataclass(frozen=True)
@@ -308,6 +358,64 @@ class ProximalityCertificate:
     samples_tested: int
 
 
+class _ProximalBlock(NamedTuple):
+    """Per-row outcome of ``_certify_block``; arrays hold one row per
+    matrix and are meaningful where ``errors`` is None."""
+
+    errors: list
+    attracting: np.ndarray
+    repelling_normal: np.ndarray
+    separation: np.ndarray
+    contraction_margin: np.ndarray
+    samples_tested: np.ndarray
+
+
+def _certify_block(ms: np.ndarray, r: float, epsilon: float,
+                   pts: np.ndarray) -> _ProximalBlock:
+    """The checks of ``certify_proximal`` over a finite (N, n, n) float
+    stack and one sample lattice ``pts``.
+
+    ``errors[i]`` is the exception ``certify_proximal`` raises for
+    matrix i, unraised, or None when it certifies.
+    """
+    count = len(ms)
+    rows = np.arange(count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_plus, errors = _dominant_real_eigenvector(ms)
+        normal, normal_errors = _dominant_real_eigenvector(
+            ms.transpose(0, 2, 1))
+        separation = np.minimum(1.0, np.abs(_row_dots(
+            x_plus / _row_norms(x_plus)[:, None],
+            normal / _row_norms(normal)[:, None])))
+        far = np.abs(np.matmul(pts, normal[:, :, None])[..., 0]) >= epsilon
+        images = pts @ ms.transpose(0, 2, 1)
+        norms = np.linalg.norm(images, axis=2)
+        cos = np.abs(np.matmul(images, x_plus[:, :, None])[..., 0]) / norms
+        dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))
+    # first worst among the tested samples, as over the band's subset
+    worst = np.argmax(np.where(far, dist, -1.0), axis=1)
+    worst_dist = dist[rows, worst]
+    margin = epsilon - worst_dist
+    tested = np.count_nonzero(far, axis=1)
+    collapsed = np.any(far & (norms == 0.0), axis=1)
+    for i in range(count):
+        if errors[i] is None:
+            errors[i] = normal_errors[i]
+        if errors[i] is not None:
+            continue
+        if separation[i] < r:
+            errors[i] = SeparationFailed(float(separation[i]), r)
+        elif tested[i] == 0:
+            errors[i] = ValueError("no sample point clears the epsilon band; "
+                                   "increase samples or decrease epsilon")
+        elif collapsed[i]:
+            errors[i] = SingularInput("sample collapsed to zero under g")
+        elif margin[i] < 0.0:
+            errors[i] = ContractionFailed(tuple(pts[worst[i]].tolist()),
+                                          float(worst_dist[i]), epsilon)
+    return _ProximalBlock(errors, x_plus, normal, separation, margin, tested)
+
+
 def certify_proximal(g, r: float, epsilon: float,
                      samples: int = 1000) -> ProximalityCertificate:
     """Certify (r, epsilon)-proximality by direct verification.
@@ -316,43 +424,28 @@ def certify_proximal(g, r: float, epsilon: float,
     the repelling hyperplane the invariant complement (kernel of the
     dominant left eigenvector).  Raises NoDominantEigenvalue /
     SeparationFailed / ContractionFailed as appropriate.
+
+    Runs the batched kernel that ``experiments.run_ams_gap`` feeds in
+    blocks, on a stack of one; the sample lattice is deterministic and
+    built once per (dimension, samples), so a matrix gets the same
+    certificate alone or inside a block.
     """
     if not (r > 2 * epsilon > 0):
         raise ValueError(f"need r > 2 epsilon > 0, got r={r}, epsilon={epsilon}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m = _as_matrix(g)
-    _, x_plus = _dominant_real_eigenvector(m)
-    _, normal = _dominant_real_eigenvector(m.T)
-
-    separation = point_hyperplane_distance(x_plus, normal)
-    if separation < r:
-        raise SeparationFailed(separation, r)
-
-    pts = _projective_samples(m.shape[0], samples)
-    far = np.abs(pts @ normal) >= epsilon
-    tested = pts[far]
-    if len(tested) == 0:
-        raise ValueError("no sample point clears the epsilon band; "
-                         "increase samples or decrease epsilon")
-    images = tested @ m.T
-    norms = np.linalg.norm(images, axis=1)
-    if np.any(norms == 0.0):
-        raise SingularInput("sample collapsed to zero under g")
-    cos = np.abs(images @ x_plus) / norms
-    dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))
-    worst = int(np.argmax(dist))
-    margin = float(epsilon - dist[worst])
-    if margin < 0.0:
-        raise ContractionFailed(tuple(float(t) for t in tested[worst]),
-                                float(dist[worst]), epsilon)
+    out = _certify_block(m[None], r, epsilon,
+                         _projective_samples(m.shape[0], samples))
+    if out.errors[0] is not None:
+        raise out.errors[0]
     return ProximalityCertificate(
         r=float(r), epsilon=float(epsilon),
-        attracting=tuple(float(t) for t in x_plus),
-        repelling_normal=tuple(float(t) for t in normal),
-        separation=float(separation),
-        contraction_margin=margin,
-        samples_tested=int(len(tested)))
+        attracting=tuple(out.attracting[0].tolist()),
+        repelling_normal=tuple(out.repelling_normal[0].tolist()),
+        separation=float(out.separation[0]),
+        contraction_margin=float(out.contraction_margin[0]),
+        samples_tested=int(out.samples_tested[0]))
 
 
 def cartan_jordan_gap(g) -> float:
@@ -362,6 +455,31 @@ def cartan_jordan_gap(g) -> float:
     proximal elements, which is what the gap experiment measures.
     """
     return float(np.linalg.norm(cartan_projection(g) - jordan_projection(g)))
+
+
+def _gap_block(ms: np.ndarray) -> list:
+    """``cartan_jordan_gap`` of each matrix of a finite (N, n, n) float
+    stack, in batched LAPACK calls; None for each row the plain float
+    route does not decide (integral entries take the exact route;
+    degenerate singular values, a determinant below 1e-300, a zero
+    eigenvalue modulus or an eigensolver failure raise there), so the
+    caller runs ``cartan_jordan_gap`` on it.
+    """
+    try:
+        sv = np.linalg.svd(ms, compute_uv=False)
+        eig = np.linalg.eigvals(ms)
+    except np.linalg.LinAlgError:
+        return [None] * len(ms)
+    moduli = np.abs(eig)
+    scalar = (np.all(ms == np.round(ms), axis=(1, 2))
+              | (sv[:, -1] <= sv[:, 0] * 1e-14) | (sv[:, -1] == 0.0)
+              | (np.abs(np.linalg.det(ms)) < 1e-300)
+              | np.any(moduli == 0.0, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = (np.sort(np.log(sv), axis=1)[:, ::-1]
+                - np.sort(np.log(moduli), axis=1)[:, ::-1])
+    gaps = _row_norms(diff).tolist()
+    return [None if s else gap for s, gap in zip(scalar.tolist(), gaps)]
 
 
 def renormalized_cartan_average(g, squarings: int,

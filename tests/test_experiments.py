@@ -1,13 +1,17 @@
 import hashlib
 import json
+import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dispgeo import experiments as X
+from dispgeo import matgeo
 from dispgeo.cli import main
-from dispgeo.errors import NotPingPong, ParseError
+from dispgeo.errors import NotPingPong, ParseError, RankMismatch, SingularInput
+from dispgeo.matgeo import cartan_jordan_gap
 from dispgeo.serialize import (
     certificate_document,
     load_matrix_file,
@@ -19,6 +23,102 @@ from dispgeo.serialize import (
     write_atomic,
 )
 from dispgeo.words import Word
+
+
+
+# Independent oracle for run_ams_gap: the one-sample-at-a-time loop with
+# its own draws, lattice, eigenvector route and per-matrix products; it
+# shares no code with the batched kernel, only the report renderer.
+
+def _oracle_draw(dimension, rng, diagonal_only):
+    if dimension == 2:
+        t = rng.uniform(1.5, 4.5)
+        diag = np.diag([math.exp(t), math.exp(-t)])
+    else:
+        t1 = rng.uniform(4.0, 7.0)
+        t2 = rng.uniform(-1.0, 1.0)
+        diag = np.diag([math.exp(t1), math.exp(t2), math.exp(-t1 - t2)])
+    if diagonal_only:
+        return diag
+    while True:
+        h = rng.standard_normal((dimension, dimension))
+        if abs(np.linalg.det(h)) > 0.2 and np.linalg.cond(h) <= 8.0:
+            return h @ diag @ np.linalg.inv(h)
+
+
+def _oracle_lattice(n, count):
+    j = np.arange(count)
+    if n == 2:
+        theta = np.pi * (j + 0.5) / count
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    z = 2.0 * (j + 0.5) / count - 1.0
+    phi = 2.0 * np.pi * j / ((1.0 + np.sqrt(5.0)) / 2.0)
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+
+
+def _oracle_eigenvector(m):
+    """Dominant real unit eigenvector, or None when there is none."""
+    vals, vecs = np.linalg.eig(m)
+    moduli = np.abs(vals)
+    order = np.argsort(moduli)[::-1]
+    top = moduli[order[0]]
+    if (moduli[order[1]] > top - 1e-9 * top
+            or abs(vals[order[0]].imag) > 1e-9 * top):
+        return None
+    vec = vecs[:, order[0]]
+    vec = np.real(vec / vec[np.argmax(np.abs(vec))])
+    return vec / np.linalg.norm(vec)
+
+
+def _oracle_status(m, r, eps, pts):
+    x, normal = _oracle_eigenvector(m), _oracle_eigenvector(m.T)
+    if x is None or normal is None:
+        return "NoDominantEigenvalue"
+    ux, un = x / np.linalg.norm(x), normal / np.linalg.norm(normal)
+    if min(1.0, abs(float(np.dot(ux, un)))) < r:
+        return "SeparationFailed"
+    images = pts[np.abs(pts @ normal) >= eps] @ m.T
+    cos = np.abs(images @ x) / np.linalg.norm(images, axis=1)
+    dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))
+    return "certified" if eps - dist.max() >= 0.0 else "ContractionFailed"
+
+
+def _oracle_gap(m):
+    sv = np.sort(np.log(np.linalg.svd(m, compute_uv=False)))[::-1]
+    lam = np.sort(np.log(np.abs(np.linalg.eigvals(m))))[::-1]
+    return float(np.linalg.norm(sv - lam))
+
+
+def _oracle_report(dimension, samples, seed, r=0.5, epsilon=0.05,
+                   diagonal_only=False):
+    rng = np.random.default_rng(seed)
+    pts = _oracle_lattice(dimension, 400)
+    bound = X.DEFAULT_GAP_BOUNDS[dimension]
+    rows, gaps = [], []
+    for i in range(samples):
+        g = _oracle_draw(dimension, rng, diagonal_only)
+        status = _oracle_status(g, r, epsilon, pts)
+        if status != "certified":
+            rows.append((str(i), status, ""))
+            continue
+        gaps.append(_oracle_gap(g))
+        rows.append((str(i), "certified", render_real(gaps[-1])))
+    config = {
+        "dimension": str(dimension), "samples": str(samples),
+        "r": render_real(r), "epsilon": render_real(epsilon),
+        "seed": str(seed),
+        "diagonal_only": "true" if diagonal_only else "false",
+        "gap_bound": render_real(bound), "prng": "numpy-default-PCG64"}
+    summary = {
+        "certified": str(len(gaps)), "rejected": str(samples - len(gaps)),
+        "max_gap": render_real(max(gaps)) if gaps else "none",
+        "mean_gap": render_real(sum(gaps) / len(gaps)) if gaps else "none",
+        "gap_bound": render_real(bound)}
+    return X.ExperimentReport(
+        name="ams-gap", config=config, columns=("sample", "status", "gap"),
+        rows=rows, summary=summary,
+        passed=(max(gaps) if gaps else 0.0) <= bound)
 
 
 class TestSerialize:
@@ -102,6 +202,14 @@ class TestProp422Runner:
     def test_non_pingpong_pair_propagates(self):
         with pytest.raises(NotPingPong):
             X.run_prop422(radius=3, u="ab", v="ab")
+
+    def test_words_of_another_rank_are_refused(self):
+        # a ping-pong pair of F_3 must not be scanned against the F_2 ball
+        with pytest.raises(RankMismatch):
+            X.run_prop422(radius=3, u=Word.from_str("ccb", 3),
+                          v=Word.from_str("bbc", 3))
+        with pytest.raises(RankMismatch):
+            X.run_prop422(radius=3, u="aab", v=Word.from_str("bba", 3))
 
     def test_ball_cap_is_an_error(self):
         from dispgeo.errors import ResourceExceeded
@@ -258,6 +366,50 @@ class TestGapRunner:
         rep = X.run_ams_gap(dimension=2, samples=60, seed=42,
                             gap_bound=1e-6)
         assert not rep.passed
+
+    @pytest.mark.parametrize("cfg", [
+        dict(dimension=d, samples=1000, seed=s)
+        for d in (2, 3) for s in (42, 7, 18000096)] + [
+        dict(dimension=2, samples=300, seed=42, r=0.9),
+        dict(dimension=3, samples=300, seed=7, r=0.9),
+        dict(dimension=2, samples=200, seed=7, diagonal_only=True),
+        dict(dimension=3, samples=200, seed=42, diagonal_only=True),
+        dict(dimension=3, samples=0, seed=1),
+        dict(dimension=2, samples=150, seed=18000096),
+    ])
+    def test_blocks_match_the_one_sample_oracle(self, cfg):
+        # 150 is no multiple of the block size; r = 0.9 rejects rows for
+        # both separation and contraction
+        got = X.run_ams_gap(**cfg)
+        want = _oracle_report(**cfg)
+        for fmt in ("csv", "report"):
+            assert X.render_report(got, fmt) == X.render_report(want, fmt)
+        if cfg.get("r") == 0.9:
+            status = {row[1] for row in got.rows}
+            assert {"SeparationFailed", "ContractionFailed"} <= status
+
+    def test_rows_off_the_float_route_take_the_scalar_gap(self, monkeypatch):
+        h = np.array([[1.0, 0.3], [0.2, 1.0]])
+        proximal = h @ np.diag([40.0, 1 / 40.0]) @ np.linalg.inv(h)
+        integral = np.diag([1000.0, 1.0])   # exact spectral route
+        singular = np.full((2, 2), 1.5)     # certifies, gap raises
+        gaps = matgeo._gap_block(np.stack([proximal, integral, singular]))
+        assert gaps[0] == cartan_jordan_gap(proximal)
+        assert gaps[1:] == [None, None]
+
+        def run(*draws):
+            it = iter(draws)
+            monkeypatch.setattr(X, "_gap_sample", lambda *args: next(it))
+            return X.run_ams_gap(dimension=2, samples=len(draws))
+
+        rep = run(proximal, integral)
+        assert rep.rows[1] == ("1", "certified",
+                               render_real(cartan_jordan_gap(integral)))
+        # the first uncaught error in sample order is the one raised
+        with pytest.raises(SingularInput, match="too degenerate"):
+            run(proximal, integral, singular, np.zeros((2, 2)))
+        with pytest.raises(SingularInput, match="zero spectral radius"):
+            run(proximal, np.zeros((2, 2)), singular)
 
 
 class TestDepthRootsRunner:

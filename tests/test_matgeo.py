@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispgeo.cli import main
 from dispgeo.errors import (
     ContractionFailed,
     NoDominantEigenvalue,
@@ -22,6 +23,9 @@ from dispgeo.lattice import (
     mat_pow,
 )
 from dispgeo.matgeo import (
+    _certify_block,
+    _projective_samples,
+    _row_norms,
     cartan_jordan_gap,
     cartan_projection,
     certify_proximal,
@@ -298,6 +302,80 @@ class TestCertifyProximal:
             assert lam[0] > lam[1]
             found += 1
         assert found > 5
+
+    def test_no_sample_clears_the_band(self):
+        # the one sample, at angle pi/2, is (0, 1): inside the 0.44 band
+        # around the repelling line x_1 = 0
+        with pytest.raises(ValueError, match="clears the epsilon band"):
+            certify_proximal(np.diag([30.0, 1 / 30.0]), 0.9, 0.44, samples=1)
+
+    def test_cli_certificate_is_pinned(self, capsys):
+        assert main(["matgeo", "proximal", "--matrix",
+                     '[[30,0],[0,"1/30"]]', "--r", "0.5",
+                     "--epsilon", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "contraction_margin = 0.0285891022411\n" in out
+        assert "samples_tested = 968\n" in out
+
+    def test_sample_lattice_mutation_cannot_change_certificates(self):
+        gs = []
+        for h, d in (([[1.0, 0.3], [0.2, 1.0]], [40.0, 1 / 40.0]),
+                     ([[1.0, 0.3, 0.1], [0.2, 1.0, 0.0], [0.0, 0.1, 1.0]],
+                      [1000.0, 1.0, 1 / 1000.0])):
+            h = np.array(h)
+            gs.append(h @ np.diag(d) @ np.linalg.inv(h))
+        before = [certify_proximal(g, 0.5, 0.05, 400) for g in gs]
+        for n in (2, 3):
+            pts = _projective_samples(n, 400)
+            try:
+                pts[:] = 0.0
+            except ValueError:  # read-only
+                pass
+        assert [certify_proximal(g, 0.5, 0.05, 400) for g in gs] == before
+        assert _projective_samples(2, 400)[0, 0] > 0.99
+
+    def test_row_norms_are_bitwise_linalg_norms(self):
+        # einsum sums in another order and differs in the last bit on
+        # 15-30% of such rows
+        rng = np.random.default_rng(4)
+        for n in (2, 3):
+            x = rng.standard_normal((2000, n)) * 10.0
+            assert _row_norms(x).tolist() == [float(np.linalg.norm(v))
+                                              for v in x]
+
+    def test_block_rows_equal_single_certificates(self):
+        # rotations give the stack complex eigenvalues, so its real-spectrum
+        # rows must still be normalised as a real one-matrix eig would be
+        rng = np.random.default_rng(3)
+        ms = []
+        for k in range(60):
+            if k % 4 == 0:
+                c, s = np.cos(k), np.sin(k)
+                ms.append(np.array([[c, -s], [s, c]]) * (1 + k))
+            else:
+                h = rng.standard_normal((2, 2))
+                d = np.exp(rng.uniform(1.0, 5.0))
+                ms.append(h @ np.diag([d, 1 / d]) @ np.linalg.inv(h))
+        out = _certify_block(np.stack(ms), 0.3, 0.05,
+                             _projective_samples(2, 400))
+        certified = 0
+        for i, m in enumerate(ms):
+            try:
+                cert = certify_proximal(m, 0.3, 0.05, 400)
+            except (NoDominantEigenvalue, SeparationFailed,
+                    ContractionFailed) as exc:
+                assert type(out.errors[i]) is type(exc)
+                assert str(out.errors[i]) == str(exc)
+                continue
+            assert out.errors[i] is None
+            assert cert.attracting == tuple(out.attracting[i].tolist())
+            assert cert.repelling_normal == tuple(
+                out.repelling_normal[i].tolist())
+            assert cert.separation == out.separation[i]
+            assert cert.contraction_margin == out.contraction_margin[i]
+            assert cert.samples_tested == out.samples_tested[i]
+            certified += 1
+        assert certified > 10
 
     def test_deterministic(self):
         a = certify_proximal(np.diag([30.0, 1 / 30.0]), 0.5, 0.05, 777)
