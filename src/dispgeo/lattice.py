@@ -1,7 +1,11 @@
 """Exact arithmetic on SL(n,Z): word metrics, roots, finite quotients.
 
-Matrices are nested tuples of Python ints, so every computation here is
-exact and overflow-free.  The module provides the breadth-first word
+Matrices are nested tuples of Python ints, so single-matrix arithmetic
+is exact and overflow-free.  The ball search and the conjugate search
+run on (m, n, n) int64 stacks instead; before each int64 product the
+largest possible entry, n * max|left| * max|right|, is computed in Python
+ints and must stay below 2^62, else ResourceExceeded is raised, so no
+entry ever wraps.  The module provides the breadth-first word
 metric over a symmetric generating set (default: elementary matrices
 E_ij(+-1)), upper and lower bounds for the translation length, the
 bounded-depth-roots certificate, contortion witnesses through reduction
@@ -12,9 +16,9 @@ unipotent inside SL(2, Z[1/p]).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -126,28 +130,8 @@ def mat_pow_mod(a: IntMatrix, k: int, m: int) -> IntMatrix:
 
 
 def det_exact(a: IntMatrix) -> int:
-    """Fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """(-1)^n c_n, the constant term of the Faddeev-LeVerrier loop."""
+    return _det_and_inverse(a)[0]
 
 
 def _shift(a: IntMatrix, c: int) -> IntMatrix:
@@ -176,14 +160,22 @@ def _faddeev_leverrier(a: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     return tuple(coeffs), m
 
 
-def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a det +-1 integer matrix (again integer): -M_n / c_n
-    from the Faddeev-LeVerrier loop, where c_n = (-1)^n det(a)."""
+def _det_and_inverse(a: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """det(a) = (-1)^n c_n and, when it is +-1, the exact integer inverse
+    -M_n / c_n, both from one Faddeev-LeVerrier loop."""
     coeffs, m = _faddeev_leverrier(a)
     cn = coeffs[-1]
-    if cn not in (1, -1):
-        raise ValueError(f"determinant {(-1) ** len(a) * cn} is not a unit")
-    return tuple(tuple(-cn * x for x in row) for row in m)
+    inverse = (tuple(tuple(-cn * x for x in row) for row in m)
+               if cn in (1, -1) else None)
+    return (-1) ** len(a) * cn, inverse
+
+
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of a det +-1 integer matrix (again integer)."""
+    det, inverse = _det_and_inverse(a)
+    if inverse is None:
+        raise ValueError(f"determinant {det} is not a unit")
+    return inverse
 
 
 def char_poly(a: IntMatrix) -> tuple[int, ...]:
@@ -230,22 +222,29 @@ class GeneratorSet:
 
     ``norm_bound`` is an upper bound c for the operator norm of every
     generator, so any word of length L has operator norm at most c^L.
+    ``inverse_index[k]`` is the position of the inverse of element k.
     """
 
     elements: tuple[IntMatrix, ...]
     norm_bound: float
+    inverse_index: tuple[int, ...] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         n = len(self.elements[0])
-        seen = set(self.elements)
-        if identity(n) in seen:
+        position = {g: k for k, g in enumerate(self.elements)}
+        if identity(n) in position:
             raise ValueError("generating set must not contain the identity")
+        inverse_index = []
         for g in self.elements:
-            if det_exact(g) != 1:
+            det, inverse = _det_and_inverse(g)
+            if det != 1:
                 raise ValueError(f"generator {g} has determinant != 1")
-            if inverse_unimodular(g) not in seen:
+            if inverse not in position:
                 raise ValueError(f"generating set not closed under "
                                  f"inversion: missing inverse of {g}")
+            inverse_index.append(position[inverse])
+        object.__setattr__(self, "inverse_index", tuple(inverse_index))
 
     @property
     def dimension(self) -> int:
@@ -276,16 +275,52 @@ def elementary_generators(n: int) -> GeneratorSet:
     return GeneratorSet.from_matrices(mats)
 
 
-@dataclass(frozen=True)
+_INT64_LIMIT = 2 ** 62
+
+
+def _certify_int64(bound: int, what: str) -> None:
+    """Refuse an int64 product whose entries may reach 2^62."""
+    if bound >= _INT64_LIMIT:
+        raise ResourceExceeded(f"{what} may have entries up to {bound}, "
+                               "past the int64 bound 2^62", count=bound)
+
+
+def _abs_max(stack: np.ndarray) -> int:
+    return int(np.abs(stack).max(initial=0))
+
+
+def _row_keys(stack: np.ndarray) -> np.ndarray:
+    """One void scalar per matrix of an (m, n, n) int64 stack, so that
+    np.unique and np.isin compare whole matrices."""
+    m, n, _ = stack.shape
+    flat = np.ascontiguousarray(stack).reshape(m, n * n)
+    return flat.view(np.dtype((np.void, flat.itemsize * n * n))).ravel()
+
+
+@dataclass(frozen=True, eq=False)
 class BallTable:
-    """Exact word length for every element of length <= radius."""
+    """Exact word length for every element of length <= radius.
+
+    ``elements`` is the ball as an (m, n, n) int64 stack in BFS order and
+    ``inverses[k]`` is the inverse of ``elements[k]``.  Layer r, the
+    elements of length exactly r, is rows ``offsets[r]:offsets[r + 1]``.
+    ``index`` maps each element, as a tuple of tuples, to its length in
+    the same order; it is built on first access.
+    """
 
     radius: int
-    index: dict[IntMatrix, int]
+    elements: np.ndarray
+    inverses: np.ndarray
+    offsets: tuple[int, ...]
 
-    def conjugators(self, max_length: int):
-        return [m for m, length in self.index.items()
-                if length <= max_length]
+    @cached_property
+    def index(self) -> dict[IntMatrix, int]:
+        n = self.elements.shape[1]
+        # group the flat entries into rows, then rows into matrices
+        rows = zip(*[iter(self.elements.ravel().tolist())] * n)
+        lengths = np.repeat(np.arange(self.radius + 1),
+                            np.diff(self.offsets))
+        return dict(zip(zip(*[rows] * n), lengths.tolist()))
 
 
 def enumerate_ball(gens: GeneratorSet, radius: int,
@@ -293,27 +328,47 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
     """Breadth-first word lengths out to the given radius.
 
     Deterministic: the frontier is expanded in insertion order and
-    generators are applied in their listed order.
+    generators are applied in their listed order.  Each layer is one
+    int64 product of the frontier with every generator; before it, the
+    entry bound max|frontier| * n * max|generator| is checked against
+    2^62 in Python ints, so no entry can wrap (ResourceExceeded
+    otherwise).  A child already seen lies in one of the two previous
+    layers, because the generating set is closed under inversion.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     n = gens.dimension
-    index: dict[IntMatrix, int] = {identity(n): 0}
-    frontier = [identity(n)]
+    gen_max = max(abs(x) for g in gens.elements for row in g for x in row)
+    eye = np.eye(n, dtype=np.int64)[None]
+    layers, inverse_layers = [eye], [eye]
+    size = 1
     for r in range(1, radius + 1):
-        nxt = []
-        for m in frontier:
-            for s in gens.elements:
-                child = mat_mul(m, s)
-                if child not in index:
-                    index[child] = r
-                    nxt.append(child)
-                    if len(index) > max_size:
-                        raise ResourceExceeded(
-                            f"ball table exceeded {max_size} entries at "
-                            f"radius {r}", count=len(index))
-        frontier = nxt
-    return BallTable(radius=radius, index=index)
+        frontier, frontier_inv = layers[-1], inverse_layers[-1]
+        _certify_int64(max(_abs_max(frontier), _abs_max(frontier_inv))
+                       * n * gen_max, f"ball layer {r}")
+        if r == 1:
+            gen = np.array(gens.elements, dtype=np.int64)
+            gen_inv = gen[list(gens.inverse_index)]
+        children = (frontier[:, None] @ gen).reshape(-1, n, n)
+        keys = _row_keys(children)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        seen = _row_keys(np.concatenate(layers[-2:]))
+        first = first[~np.isin(keys[first], seen)]
+        size += len(first)
+        if size > max_size:
+            # the count the table held when its first entry over the cap
+            # went in (layer 1 is never empty)
+            raise ResourceExceeded(f"ball table exceeded {max_size} entries "
+                                   f"at radius {r}",
+                                   count=max(max_size, 1) + 1)
+        parent, step = np.divmod(first, len(gen))
+        # (m s)^-1 = s^-1 m^-1
+        layers.append(children[first])
+        inverse_layers.append(gen_inv[step] @ frontier_inv[parent])
+    offsets = tuple(np.cumsum([0] + [len(x) for x in layers]).tolist())
+    return BallTable(radius=radius, elements=np.concatenate(layers),
+                     inverses=np.concatenate(inverse_layers),
+                     offsets=offsets)
 
 
 def word_length_bfs(m, gens: GeneratorSet, radius: int,
@@ -341,8 +396,13 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
 
     An upper bound for the translation length; None when every conjugate
     escapes the word ball.  One ball table of radius
-    max(conj_radius, word_radius) supplies both the conjugators and the
-    conjugates' word lengths.
+    max(conj_radius, word_radius) supplies the conjugators, their
+    inverses and the conjugates' word lengths: every h m h^-1 is one
+    int64 product over the table's stacks, and the answer is the least
+    layer <= word_radius holding one of them.  A conjugate c in the ball
+    gives m = h^-1 c h, so a target with an entry above
+    n^2 max|h^-1| max|c| max|h| has none (None, exactly); otherwise the
+    product's entry bound is checked against 2^62 like the ball's.
     """
     target = as_int_matrix(m)
     if det_exact(target) != 1:
@@ -351,16 +411,23 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
         raise ValueError("radius must be >= 0")
     table = enumerate_ball(gens, max(conj_radius, word_radius),
                            max_size=max_size)
-    best: int | None = None
-    for h in table.conjugators(conj_radius):
-        conj = mat_mul(mat_mul(h, target), inverse_unimodular(h))
-        length = table.index.get(conj)
-        if length is not None and length <= word_radius and (
-                best is None or length < best):
-            best = length
-            if best == 0:
-                break
-    return best
+    if conj_radius < 0:
+        return None
+    n = len(target)
+    h = table.elements[:table.offsets[conj_radius + 1]]
+    h_inv = table.inverses[:len(h)]
+    ball = table.elements[:table.offsets[word_radius + 1]]
+    target_max = max(abs(x) for row in target for x in row)
+    h_max, h_inv_max = _abs_max(h), _abs_max(h_inv)
+    if target_max > n * n * h_inv_max * _abs_max(ball) * h_max:
+        return None
+    _certify_int64(n * n * h_max * target_max * h_inv_max,
+                   "conjugation product")
+    conj = h @ np.array(target, dtype=np.int64) @ h_inv
+    hits = np.isin(_row_keys(ball), _row_keys(conj))
+    if not hits.any():
+        return None
+    return int(np.searchsorted(table.offsets, hits.argmax(), "right")) - 1
 
 
 def translation_length_lower(m, gens: GeneratorSet) -> float:

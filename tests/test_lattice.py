@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product as iter_product
@@ -90,6 +91,32 @@ def oracle_all_products_lengths(gens, radius):
     return lengths
 
 
+def oracle_bareiss_det(a):
+    """Fraction-free Gaussian elimination (Bareiss), independent of the
+    Faddeev-LeVerrier loop that det_exact reads."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 class TestExactHelpers:
     @given(st.lists(st.integers(0, 3), max_size=10))
     def test_generator_word_properties(self, picks):
@@ -111,6 +138,21 @@ class TestExactHelpers:
         assert det_exact(FIB) == 1
         assert det_exact(((2, 0), (0, 2))) == 4
         assert det_exact(((1, 2, 3), (4, 5, 6), (7, 8, 9))) == 0
+
+    def test_det_matches_bareiss_oracle(self):
+        rng = np.random.default_rng(2024)
+        singular = 0
+        for k in range(200):
+            n = 1 + k % 5
+            rows = rng.integers(-6, 7, size=(n, n))
+            if k % 3 == 0 and n > 1:  # a dependent last row
+                c = rng.integers(-3, 4, size=n - 1)
+                rows[-1] = c @ rows[:-1]
+            a = as_int_matrix(rows)
+            expected = oracle_bareiss_det(a)
+            singular += expected == 0
+            assert det_exact(a) == expected
+        assert singular >= 40
 
     def test_inverse(self):
         assert mat_mul(FIB, inverse_unimodular(FIB)) == identity(2)
@@ -167,6 +209,7 @@ class TestGeneratorSet:
     def test_elementary_count_and_bound(self, gens2, gens3):
         assert len(gens2.elements) == 4
         assert len(gens3.elements) == 12
+        assert gens2.inverse_index == (1, 0, 3, 2)
         phi = (1 + math.sqrt(5)) / 2
         for g in (gens2, gens3):
             assert phi <= g.norm_bound <= 1.62
@@ -201,9 +244,64 @@ class TestEnumerateBall:
     def test_matches_naive_oracle(self, gens2, ball4):
         assert ball4.index == oracle_all_products_lengths(gens2, 4)
 
+    @pytest.mark.parametrize("n, radius", [(3, 1), (3, 2), (3, 3), (4, 1),
+                                           (4, 2)])
+    def test_matches_naive_oracle_above_rank_two(self, n, radius):
+        gens = elementary_generators(n)
+        assert enumerate_ball(gens, radius).index == \
+            oracle_all_products_lengths(gens, radius)
+
+    @pytest.mark.parametrize("n, radius, size, digest", [
+        (2, 8, 2284,
+         "550004c0d59e0d95edbc9c480b16db7143d51db5b2b46a1061415ad568be08ff"),
+        (3, 5, 30163,
+         "8598e5746f78029c6b90cb89c383f86c4f14ff64040b87ebf77a7a0d1b1751b6"),
+        (4, 3, 6149,
+         "7937d20ba3bb0812e3edfe1969f68717078358a2df33a5a0ea9fc25f770d636a"),
+    ])
+    def test_pinned_insertion_order(self, n, radius, size, digest):
+        # digests of the tuple-of-tuples BFS, order included
+        items = list(enumerate_ball(elementary_generators(n),
+                                    radius).index.items())
+        assert len(items) == size
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+
+    def test_stacks_match_index(self, gens2):
+        table = enumerate_ball(gens2, 4)
+        assert table.offsets == (0, 1, 5, 17, 47, 115)
+        assert [as_int_matrix(m) for m in table.elements] == \
+            list(table.index)
+        eye = np.eye(2, dtype=np.int64)
+        assert (table.inverses @ table.elements == eye).all()
+
     def test_resource_cap(self, gens2):
-        with pytest.raises(ResourceExceeded):
+        with pytest.raises(ResourceExceeded) as exc:
             enumerate_ball(gens2, 8, max_size=50)
+        # raised as soon as the table holds max_size + 1 entries
+        assert str(exc.value) == "ball table exceeded 50 entries at radius 4"
+        assert exc.value.count == 51
+
+    def test_int64_overflow_is_refused(self):
+        # 1 * n * 2^61 = 2^62: the radius-1 product is not certified
+        gens = GeneratorSet.from_matrices([E(2, 0, 1, 2 ** 61),
+                                           E(2, 0, 1, -2 ** 61)])
+        with pytest.raises(ResourceExceeded):
+            enumerate_ball(gens, 1)
+        assert enumerate_ball(gens, 0).index == {identity(2): 0}
+
+    def test_just_inside_the_int64_bound(self):
+        # layer 1 has entries 2^30, so layer 2 is certified
+        # (2^30 * 2 * 2^30 = 2^61) and matches the big-int oracle; its
+        # entries reach 2^31, so layer 3 is not (2^31 * 2 * 2^30 = 2^62)
+        t = 2 ** 30
+        gens = GeneratorSet.from_matrices([E(2, 0, 1, t), E(2, 0, 1, -t),
+                                           E(2, 1, 0, 1), E(2, 1, 0, -1)])
+        table = enumerate_ball(gens, 2)
+        assert table.index == oracle_all_products_lengths(gens, 2)
+        assert max(abs(x) for m in table.index for row in m
+                   for x in row) == 2 * t
+        with pytest.raises(ResourceExceeded):
+            enumerate_ball(gens, 3)
 
     def test_deterministic(self, gens2):
         a = list(enumerate_ball(gens2, 3).index.items())
@@ -284,6 +382,36 @@ class TestTranslationLength:
                 m, gens2, conj_radius, word_radius) == expected
             found += expected is not None
         assert found > 0
+
+    @pytest.mark.parametrize("conj_radius, word_radius", [(3, 4), (2, 3)])
+    def test_conjugate_search_matches_naive_oracle(self, gens3, conj_radius,
+                                                   word_radius):
+        # per-conjugator big-int products and Faddeev-LeVerrier inverses
+        conjugators = oracle_all_products_lengths(gens3, conj_radius)
+        lengths = oracle_all_products_lengths(gens3, word_radius)
+        rng = np.random.default_rng(8)
+        found = 0
+        for _ in range(20):
+            m = identity(3)
+            for _ in range(int(rng.integers(2, 5))):
+                m = mat_mul(m, gens3.elements[int(rng.integers(12))])
+            known = [x for x in (
+                lengths.get(mat_mul(mat_mul(h, m), inverse_unimodular(h)))
+                for h in conjugators) if x is not None]
+            expected = min(known) if known else None
+            assert translation_length_upper(
+                m, gens3, conj_radius, word_radius) == expected
+            found += expected is not None
+        assert found > 0
+
+    def test_huge_target_has_no_conjugate_in_the_ball(self, gens3):
+        # entries past int64: no conjugate of length <= 4 exists
+        assert translation_length_upper(E(3, 0, 2, 2 ** 70), gens3,
+                                        3, 4) is None
+
+    def test_negative_conj_radius_has_no_conjugators(self, gens2):
+        assert translation_length_upper(FIB, gens2, -1, 3) is None
+        assert translation_length_upper(identity(2), gens2, -2, 0) is None
 
     def test_negative_word_radius_rejected(self, gens2):
         with pytest.raises(ValueError):
