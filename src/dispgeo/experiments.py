@@ -271,7 +271,8 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
             displacements_ok = displacements_ok and disp == 0.0
         wl = ""
         if p <= 16:
-            length = table.index.get(m)
+            length = table.least_layer(np.array([m], dtype=np.int64),
+                                       word_radius)
             wl = str(length) if length is not None else "not_in_ball"
         rows_out.append((str(p), render_real(disp), render_real(lower), wl))
         p *= 2

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import combinations, permutations
 from itertools import product as iter_product
 
 import numpy as np
@@ -322,6 +323,15 @@ class BallTable:
                             np.diff(self.offsets))
         return dict(zip(zip(*[rows] * n), lengths.tolist()))
 
+    def least_layer(self, stack: np.ndarray, radius: int) -> int | None:
+        """Least r <= radius whose layer holds a matrix of the (m, n, n)
+        int64 stack; None when none of them lies in that ball."""
+        ball = self.elements[:self.offsets[radius + 1]]
+        hits = np.isin(_row_keys(ball), _row_keys(stack))
+        if not hits.any():
+            return None
+        return int(np.searchsorted(self.offsets, hits.argmax(), "right")) - 1
+
 
 def enumerate_ball(gens: GeneratorSet, radius: int,
                    max_size: int = 1_000_000) -> BallTable:
@@ -376,7 +386,9 @@ def word_length_bfs(m, gens: GeneratorSet, radius: int,
     """Exact word length if <= radius, else None (not in the ball).
 
     Reads the ball table of that radius, so ``max_size`` caps the whole
-    ball even when the target lies near the identity.
+    ball even when the target lies near the identity.  A target with an
+    entry above the ball's largest is not in it (None, exactly, with no
+    int64 conversion).
 
     >>> word_length_bfs(((1, 3), (0, 1)), elementary_generators(2), 4)
     3
@@ -386,7 +398,10 @@ def word_length_bfs(m, gens: GeneratorSet, radius: int,
     target = as_int_matrix(m)
     if det_exact(target) != 1:
         raise ValueError("word length is defined for determinant-1 matrices")
-    return enumerate_ball(gens, radius, max_size=max_size).index.get(target)
+    table = enumerate_ball(gens, radius, max_size=max_size)
+    if max(abs(x) for row in target for x in row) > _abs_max(table.elements):
+        return None
+    return table.least_layer(np.array([target], dtype=np.int64), radius)
 
 
 def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
@@ -424,10 +439,7 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
     _certify_int64(n * n * h_max * target_max * h_inv_max,
                    "conjugation product")
     conj = h @ np.array(target, dtype=np.int64) @ h_inv
-    hits = np.isin(_row_keys(ball), _row_keys(conj))
-    if not hits.any():
-        return None
-    return int(np.searchsorted(table.offsets, hits.argmax(), "right")) - 1
+    return table.least_layer(conj, word_radius)
 
 
 def translation_length_lower(m, gens: GeneratorSet) -> float:
@@ -489,23 +501,13 @@ def unipotence_exponent(n: int) -> int:
 
 
 def has_trivial_hyperbolic_part(m) -> bool:
-    """True iff every eigenvalue has modulus 1, decided exactly.
-
-    Equivalent to A^M being unipotent for M = unipotence_exponent(n):
-    integer arithmetic only, no floating point.
+    """True iff every eigenvalue has modulus 1, decided exactly: by
+    Kronecker's theorem, iff the characteristic polynomial is a product
+    of cyclotomic factors of degree <= n, which are stripped exactly.
+    Equivalent to A^M being unipotent for M = unipotence_exponent(n).
     """
     a = as_int_matrix(m)
-    n = len(a)
-    power = mat_pow(a, unipotence_exponent(n))
-    return _is_nilpotent_power(_shift(power, -1), n)
-
-
-def _is_nilpotent_power(nil: IntMatrix, n: int) -> bool:
-    """nil^n == 0, exactly."""
-    power = nil
-    for _ in range(n - 1):
-        power = mat_mul(power, nil)
-    return all(x == 0 for row in power for x in row)
+    return len(_strip_cyclotomic(char_poly(a), len(a))) == 1
 
 
 def is_torsion(m) -> bool:
@@ -678,11 +680,14 @@ _BOX_ENUMERATION_CAP = 20_000_000
 @lru_cache(maxsize=8)
 def _det1_survivors(n: int, box: int) -> np.ndarray:
     """All integer matrices with |entries| <= box and det 1, as an
-    (m, n, n) int64 array.
+    (m, n, n) int64 array in flat-index order: the row-major entries are
+    the base-(2 box + 1) digits, entry (0, 0) fastest.
 
-    Candidates are decoded from a flat index in bounded-memory chunks and
-    the determinant filter is vectorized.  Boxes whose candidate count
-    passes the enumeration cap are an error, never truncated.
+    Every row of the box is built once.  det is one Laplace expansion
+    along row 0: the row-0 cofactors are Leibniz sums over a grid with one
+    axis per other row, then one product with every row 0, in the
+    smallest int dtype holding n! box^n, so no partial sum can wrap.  A
+    box over the enumeration cap is an error, never truncated.
     """
     base = 2 * box + 1
     total = base ** (n * n)
@@ -690,35 +695,31 @@ def _det1_survivors(n: int, box: int) -> np.ndarray:
         raise ResourceExceeded(
             f"box {box} in dimension {n} has {total} candidates > cap "
             f"{_BOX_ENUMERATION_CAP}", count=total)
-    chunk = 1 << 19
-    keep_blocks = []
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cols = []
-        for _ in range(n * n):
-            idx, rem = np.divmod(idx, base)
-            cols.append(rem - box)
-        e = cols  # row-major entries e[0..n*n-1]
-        if n == 2:
-            det = e[0] * e[3] - e[1] * e[2]
-        else:
-            det = (e[0] * (e[4] * e[8] - e[5] * e[7])
-                   - e[1] * (e[3] * e[8] - e[5] * e[6])
-                   + e[2] * (e[3] * e[7] - e[4] * e[6]))
-        mask = det == 1
-        if np.any(mask):
-            block = np.stack([c[mask] for c in cols], axis=1)
-            keep_blocks.append(block)
-    flat = np.concatenate(keep_blocks, axis=0)
-    return flat.reshape(-1, n, n)
+    # rows[r, j] is digit j of r, so entry 0 varies fastest
+    rows = np.indices((base,) * n, np.int64).reshape(n, -1)[::-1].T - box
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).max >= math.factorial(n) * box ** n)
+    entries = rows.astype(dtype)
+    cofactors = np.zeros((n,) + (len(rows),) * (n - 1), dtype)
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        # one grid axis per row n-1, ..., 1
+        grid = np.ix_(*(entries[:, perm[i]] for i in range(n - 1, 0, -1)))
+        cofactors[perm[0]] += sign * reduce(np.multiply, grid)
+    det = cofactors.reshape(n, -1).T @ entries.T
+    picked = np.nonzero(det.reshape((len(rows),) * n) == 1)
+    return rows[np.stack(picked[::-1], axis=1)]
 
 
 def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
     """All integer B with |entries| <= box, det 1 and B^k = a (exact).
 
-    The batched power check stays in int64 while the row-sum growth bound
-    (n * box)^k fits; beyond that it falls back to exact big-int powering
-    per candidate, so the result is exact either way.
+    One stack of candidates runs the commutator filter (a root of a
+    commutes with a) and the repeated squaring with ``@``.  Every partial
+    power B^j, j <= k, has entries at most n^(j-1) box^j, so a target
+    with a larger entry has no root; the commutator products then stay
+    below n^k box^(k+1).  The stack is int64 while that bound is below
+    2^62 and Python ints (dtype object) beyond it, so no entry can wrap.
     """
     target = as_int_matrix(a)
     n = len(target)
@@ -727,34 +728,21 @@ def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
     if k < 1 or box < 1:
         raise ValueError("need k >= 1 and box >= 1")
     survivors = _det1_survivors(n, box)
-    # a root of `a` commutes with `a`; the commutator check never
-    # overflows int64 at these box sizes and prunes almost everything
-    t64 = np.asarray(target, dtype=np.int64)
-    left = np.einsum("bij,jk->bik", survivors, t64)
-    right = np.einsum("ij,bjk->bik", t64, survivors)
-    survivors = survivors[np.all(left == right, axis=(1, 2))]
-    if (n * box) ** k < 2 ** 62:
-        power = np.broadcast_to(np.eye(n, dtype=np.int64),
-                                survivors.shape).copy()
-        base = survivors.copy()
-        kk = k
-        while kk:
-            if kk & 1:
-                power = np.einsum("bij,bjk->bik", power, base)
-            kk >>= 1
-            if kk:
-                base = np.einsum("bij,bjk->bik", base, base)
-        hits = np.all(power == np.asarray(target, dtype=np.int64),
-                      axis=(1, 2))
-        picked = survivors[hits]
-        return [tuple(tuple(int(x) for x in row) for row in b)
-                for b in picked]
-    found = []
-    for cand in survivors:
-        b = tuple(tuple(int(x) for x in row) for row in cand)
-        if mat_pow(b, k) == target:
-            found.append(b)
-    return found
+    if max(abs(x) for row in target for x in row) > n ** (k - 1) * box ** k:
+        return []
+    dtype = np.int64 if n ** k * box ** (k + 1) < _INT64_LIMIT else object
+    t = np.array(target, dtype=dtype)
+    stack = survivors.astype(dtype)
+    stack = stack[np.all(stack @ t == t @ stack, axis=(1, 2))]
+    power, base = None, stack
+    while k:
+        if k & 1:
+            power = base if power is None else power @ base
+        k >>= 1
+        if k:
+            base = base @ base
+    hits = np.all(power == t, axis=(1, 2))
+    return [tuple(map(tuple, b)) for b in stack[hits].tolist()]
 
 
 def depth_root_bound(a, box_bound: int | None = None,

@@ -18,6 +18,7 @@ fallback, if QR fails.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,9 +33,8 @@ from .errors import (
     ZeroVector,
 )
 from .lattice import (
-    _is_nilpotent_power,
-    _shift,
     as_int_matrix,
+    char_poly,
     det_exact,
     log_eigenvalue_moduli,
 )
@@ -161,13 +161,17 @@ def cartan_projection(g) -> np.ndarray:
 def is_unipotent(g) -> bool:
     """(g - I)^n == 0; exact for integer input, tolerance otherwise.
 
-    Float tolerance is 1e-8 * max(1, scale)^n on the max entry of the
-    power, with scale the largest entry modulus of g.
+    Integer input is unipotent iff its exact characteristic polynomial is
+    (x - 1)^n (Cayley-Hamilton gives (g - I)^n = 0 from it).  Float
+    tolerance is 1e-8 * max(1, scale)^n on the max entry of the power,
+    with scale the largest entry modulus of g.
     """
     rows = _integer_entries(g)
     if rows is not None:
         a = as_int_matrix(rows)
-        return _is_nilpotent_power(_shift(a, -1), len(a))
+        n = len(a)
+        return char_poly(a) == tuple((-1) ** k * math.comb(n, k)
+                                     for k in range(n + 1))
     m = _as_matrix(g)
     n = m.shape[0]
     power = np.linalg.matrix_power(m - np.eye(n), n)

@@ -429,6 +429,58 @@ class TestDepthRootsRunner:
         assert "k=2" in row["roots_below_depth"]
         assert row["M"] == "12" and row["K"] == "1"
 
+    # the depth-roots files of cycles 0 and 3 of the seed-42 sl3-lattice
+    # benchmark workload (cycle 3 holds a 3x3 hyperbolic matrix), then
+    # single matrices: FIB, E_12(4), E_13(2) and FIB (+) 1
+    PINNED_FILES = {
+        "cycle0": [((1, 1), (0, 1)), ((1, 0), (2, 1)),
+                   ((1, -1, 0), (0, 1, 0), (0, 0, 1)),
+                   ((1, 0, 0), (1, 1, -1), (0, 0, 1)),
+                   ((1, 0, 1), (0, 1, 0), (0, 0, 1))],
+        "cycle3": [((1, 2), (0, 1)), ((1, 0), (1, 1)),
+                   ((1, 1, 2), (0, 1, 1), (0, 1, 2)),
+                   ((1, 0, 0), (-2, 1, 0), (-1, 0, 1)),
+                   ((1, 0, 1), (0, 1, 0), (0, 0, 1))],
+        "fib": [((2, 1), (1, 1))],
+        "shear2": [((1, 4), (0, 1))],
+        "shear3": [((1, 0, 2), (0, 1, 0), (0, 0, 1))],
+        "fib3": [((2, 1, 0), (1, 1, 0), (0, 0, 1))],
+    }
+
+    @pytest.mark.parametrize("name, box_bound, digest", [
+        ("cycle0", None,
+         "e2a2187d78fa2234be8c254d448a89381fa7016f1eeac174e23f6f9a8d6b556e"),
+        ("cycle0", 3,
+         "a9326b96cac92724124deee99f4b75c0250b34fedbcdad32733bb8c8cb8c59a0"),
+        ("cycle3", None,
+         "aaad1a15d99e50f438e39bd45e0d828083d399b24deac3edef510535f0247331"),
+        ("cycle3", 3,
+         "5e26d5eba8c4083ccf6a1c0c6312db74434779472a0355214a02a3072e41b926"),
+        ("fib", None,
+         "77b5a0fc0597e35a9b08dfc61e6c079e7a980d212fd2306b684062e400401872"),
+        ("fib", 3,
+         "f66185db09b74cdc99af9a965620f7fffeeb6ebafe1ae01f960ca9ae1b3031ff"),
+        ("shear2", None,
+         "e9180c1b631e7491bdf9f96e63806d2ba8e000e67ac47ff4051490f8669679dc"),
+        ("shear2", 3,
+         "a2cc4cf7b5c5e9db28cf1dce989088356023175a1628f09033e66a623c27bf60"),
+        ("shear3", None,
+         "d5419cae8d53ca7adfa02bd52662323643eca9bddc7a29722a889d8a2fb3fa8d"),
+        ("shear3", 3,
+         "09186fa54cc914563a4f4d68c85ec8f6e7697959396e7e39e9b714ef97c71f12"),
+        ("fib3", None,
+         "5e71f6eadcbadbff5ddb4456c64a4b3b70982587d50768307f19208b98645a56"),
+        ("fib3", 3,
+         "3daf3ccd6e8b61ddfc95ed20152dd3c1fb2454a7c32b4007837cb270d5467935"),
+    ])
+    def test_pinned_report_bytes(self, name, box_bound, digest):
+        # digests of the reports of the chunked box search with per-
+        # candidate big-int powers and power-based spectral tests that the
+        # one box enumeration, one power loop and char-poly test replaced
+        rep = X.run_depth_roots(self.PINNED_FILES[name], box_bound=box_bound)
+        text = X.render_report(rep, "csv")
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestDeterminism:
     def test_prop422_bytes(self):

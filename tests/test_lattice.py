@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -19,6 +20,7 @@ from dispgeo.errors import (
 )
 from dispgeo.lattice import (
     GeneratorSet,
+    _det1_survivors,
     as_int_matrix,
     char_poly,
     contortion_witness,
@@ -43,6 +45,7 @@ from dispgeo.lattice import (
     unipotent_conjugation_identity,
     word_length_bfs,
 )
+from dispgeo.matgeo import is_unipotent
 
 
 def E(n, i, j, t):
@@ -351,6 +354,24 @@ class TestWordLengthBfs:
         with pytest.raises(ValueError):
             word_length_bfs(identity(2), gens2, -1)
 
+    def test_huge_target_is_not_in_the_ball(self, gens3):
+        # 2^70 has no int64 form; the entry bound answers first
+        assert word_length_bfs(E(3, 0, 2, 2 ** 70), gens3, 3) is None
+
+    def test_least_layer_reads_the_stacks(self, gens3):
+        table = enumerate_ball(gens3, 3)
+        mats = [E(3, 0, 2, 1), mat_mul(E(3, 0, 1, 1), E(3, 1, 2, 1)),
+                E(3, 2, 0, 9)]
+        stack = np.array(mats, dtype=np.int64)
+        assert table.least_layer(stack, 3) == 1
+        assert table.least_layer(stack[1:], 3) == 2
+        assert table.least_layer(stack[1:], 1) is None
+        assert table.least_layer(stack[2:], 3) is None
+        assert table.least_layer(np.eye(3, dtype=np.int64)[None], 0) == 0
+        for m in mats[:2]:
+            assert table.least_layer(np.array([m], dtype=np.int64), 3) == (
+                table.index.get(m))
+
 
 class TestTranslationLength:
     def test_conjugate_of_generator(self, gens2):
@@ -487,6 +508,68 @@ class TestTrivialHyperbolicPart:
             assert has_trivial_hyperbolic_part(m) == bool(
                 np.max(moduli) < 1.5)  # tiny integer matrices: gap at 1
 
+    @staticmethod
+    def oracle_nilpotent(nil, n):
+        """nil^n == 0 by repeated products: the power route the
+        characteristic-polynomial tests replaced."""
+        power = nil
+        for _ in range(n - 1):
+            power = mat_mul(power, nil)
+        return all(x == 0 for row in power for x in row)
+
+    @staticmethod
+    def minus_identity(a):
+        return tuple(tuple(x - (i == j) for j, x in enumerate(row))
+                     for i, row in enumerate(a))
+
+    @staticmethod
+    def seeded_matrices(count):
+        """Integer matrices of size 1-5: unimodular conjugates of signed
+        permutations times unitriangular matrices (spectrum on the unit
+        circle), and matrices with small random entries (mostly
+        hyperbolic, some singular)."""
+        rng = random.Random(20261018)
+        mats = []
+        for _ in range(count):
+            n = rng.randint(1, 5)
+            if n == 1 or rng.random() < 0.5:
+                mats.append(tuple(
+                    tuple(rng.randint(-2, 2) for _ in range(n))
+                    for _ in range(n)))
+                continue
+            perm = list(range(n))
+            if rng.random() < 0.5:
+                rng.shuffle(perm)
+            signs = [rng.choice((1, 1, -1)) for _ in range(n)]
+            core = tuple(tuple(signs[i] * int(j == perm[i]) for j in range(n))
+                         for i in range(n))
+            upper = tuple(tuple(int(i == j) if j <= i else rng.randint(-3, 3)
+                                for j in range(n)) for i in range(n))
+            g = identity(n)
+            for _ in range(rng.randint(0, 4)):
+                i, j = rng.sample(range(n), 2)
+                g = mat_mul(g, E(n, i, j, rng.choice((1, -1))))
+            mats.append(mat_mul(mat_mul(g, mat_mul(core, upper)),
+                                inverse_unimodular(g)))
+        return mats
+
+    def test_char_poly_tests_match_power_oracle(self):
+        singular = unipotent = trivial = 0
+        for a in self.seeded_matrices(2400):
+            n = len(a)
+            power = mat_pow(a, unipotence_exponent(n))
+            want_trivial = self.oracle_nilpotent(self.minus_identity(power),
+                                                 n)
+            want_unipotent = self.oracle_nilpotent(self.minus_identity(a), n)
+            assert has_trivial_hyperbolic_part(a) == want_trivial, a
+            assert is_unipotent(a) == want_unipotent, a
+            singular += det_exact(a) == 0
+            trivial += want_trivial
+            unipotent += want_unipotent
+        # every branch is exercised, both ways
+        assert singular >= 100 and 300 <= trivial <= 2000
+        assert 100 <= unipotent < trivial
+
     def test_torsion_detection(self):
         assert is_torsion(identity(2))
         assert is_torsion(((0, -1), (1, 0)))
@@ -580,6 +663,83 @@ class TestFindRootsInBox:
     def test_enumeration_cap_is_an_error(self):
         with pytest.raises(ResourceExceeded):
             find_roots_in_box(E(3, 0, 2, 1), 2, 3)  # 7^9 candidates
+
+    @pytest.mark.parametrize("n, box, size, digest", [
+        (2, 1, 20,
+         "3973b814ab7a4f8a902f6d5a6d4c27072cb092bf7506a2956c2a4cdbc357fff5"),
+        (2, 2, 52,
+         "5b7a21cb9ab8d0da6a155da41119c9e3ef2894aa49b83d85fd14b8ddb86fd7e9"),
+        (2, 5, 308,
+         "fd22991944b44ea1a3a1cb1116f94c3c5fdb1613892d543c65e7a8cfb7ce05ae"),
+        (2, 32, 10356,
+         "540027020fdd8494fcf829b50191789c0b75da6ef4f82c00e48972de4bca26f0"),
+        (3, 1, 3480,
+         "0af4cef83cda93a58cd951e20488fc6aafba0c0b3add86e48278a8391356bce0"),
+        (3, 2, 67704,
+         "9e37c5e5f512bcdba385ddbec62e8dfa3c5c8bf62858a21835bae62ab6ede808"),
+    ])
+    def test_pinned_det1_survivors(self, n, box, size, digest):
+        # digests of the chunked flat-index enumeration with hand-written
+        # determinants that the one Laplace sum replaced: values and order
+        survivors = _det1_survivors(n, box)
+        assert survivors.dtype == np.int64
+        assert survivors.shape == (size, n, n)
+        assert hashlib.sha256(survivors.tobytes()).hexdigest() == digest
+
+    @staticmethod
+    def oracle_roots(n, box, ks):
+        """Naive oracle: every det-1 matrix of the box, entry (0, 0)
+        varying fastest, raised to each power k by mat_pow; roots[k] maps
+        each power to its roots in that order."""
+        roots = {k: {} for k in ks}
+        for entries in iter_product(range(-box, box + 1), repeat=n * n):
+            entries = entries[::-1]
+            b = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            if det_exact(b) == 1:
+                for k in ks:
+                    roots[k].setdefault(mat_pow(b, k), []).append(b)
+        return roots
+
+    @pytest.mark.parametrize("n, box", [(2, 1), (2, 2), (2, 3), (3, 1)])
+    def test_matches_naive_oracle(self, n, box):
+        ks = (1, 2, 3, 4, 6, 12, 24, 61)
+        rng = random.Random(f"roots:{n}:{box}")
+        minus = tuple(tuple(-x for x in row) for row in identity(n))
+        targets = [identity(n), minus, E(n, 0, n - 1, 1), E(n, n - 1, 0, 4),
+                   E(n, 0, 1, 12), E(n, 1, 0, -2)]
+        for _ in range(3):
+            m = identity(n)
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.sample(range(n), 2)
+                m = mat_mul(m, E(n, i, j, rng.choice((1, -1))))
+            targets.append(m)
+        oracle = self.oracle_roots(n, box, ks)
+        hits = 0
+        for target in targets:
+            for k in ks:
+                got = find_roots_in_box(target, k, box)
+                assert got == oracle[k].get(target, []), (target, k)
+                hits += len(got)
+        assert hits > 0
+
+    def test_target_beyond_int64(self):
+        # B^46 has entries above 2^63, so neither the target nor the powers
+        # have an int64 form: the search must run on Python ints
+        b = ((1, 1), (1, 2))
+        target = mat_pow(b, 46)
+        assert max(x for row in target for x in row) > 2 ** 63
+        minus_b = tuple(tuple(-x for x in row) for row in b)
+        assert find_roots_in_box(target, 46, 2) == [minus_b, b]
+        assert find_roots_in_box(target, 45, 2) == []
+
+    def test_object_path_matches_recorded_roots(self):
+        # 6^24 > 2^62, so the powers run on Python ints; the digest is of
+        # the 20 roots found by the per-candidate big-int powers
+        roots = find_roots_in_box(E(3, 0, 2, 24), 24, 2)
+        assert len(roots) == 20
+        assert all(mat_pow(b, 24) == E(3, 0, 2, 24) for b in roots)
+        assert hashlib.sha256(repr(roots).encode()).hexdigest() == (
+            "afd8e95385dcd1939efd03cdf4a1e0ab7f5f3c3ab8c17593988c1c38d8e05584")
 
 
 class TestQuotient:
