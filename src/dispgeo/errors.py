@@ -99,6 +99,10 @@ class ResourceExceeded(DispgeoError, RuntimeError):
         self.count = count
 
 
+class SoundnessFailure(DispgeoError, RuntimeError):
+    """A cross-check found what a certificate excludes: a bug, not a cap."""
+
+
 class IdentityInput(DispgeoError, ValueError):
     """The identity matrix is not a valid input here."""
 

@@ -25,6 +25,7 @@ from .errors import (
     RankMismatch,
     ResourceExceeded,
     SeparationFailed,
+    SoundnessFailure,
 )
 from .hyperbolic import (
     _block_scan,
@@ -47,7 +48,7 @@ from .matgeo import (
     cartan_jordan_gap,
     symmetric_space_displacement,
 )
-from .serialize import render_rational, render_real, write_atomic
+from .serialize import render_rational, render_real
 from .words import Word, _layer, ball_size, parse_word
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "run_ams_gap",
     "run_depth_roots",
     "render_report",
-    "write_report",
     "DEFAULT_GAP_BOUNDS",
 ]
 
@@ -67,10 +67,12 @@ __all__ = [
 # bounds carry ~30% headroom.
 DEFAULT_GAP_BOUNDS = {2: 1.3, 3: 1.8}
 
-# draws certified per kernel call: the (block, proximal_samples, n) image
+# draws certified per kernel call: the (block, _PROXIMAL_SAMPLES, n) image
 # stack stays a few hundred kB, where one stack for a 1000-draw dim-3 run
 # raises max RSS from about 40 to 63 MB
 _GAP_BLOCK = 64
+_PROXIMAL_SAMPLES = 400  # projective points per proximality certificate
+_MAX_EXAMPLES = 20  # violating words listed in a prop422 summary
 _PROXIMAL_REJECTIONS = (NoDominantEigenvalue, SeparationFailed,
                         ContractionFailed)
 
@@ -119,14 +121,9 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r} (use csv or report)")
 
 
-def write_report(report: ExperimentReport, path: str,
-                 fmt: str = "csv") -> None:
-    write_atomic(path, render_report(report, fmt))
-
-
 def run_prop422(radius: int = 12, u: str | Word = "aab",
                 v: str | Word = "bba", delta=0,
-                alpha_override=None, max_violations: int = 20,
+                alpha_override=None,
                 max_ball: int = 2_000_000) -> ExperimentReport:
     """Exhaustive scan: |g| against 3 max(stable norms of g, gu, gv) + a.
 
@@ -181,7 +178,7 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
                 # one compared with the array fits its dtype
                 bad = np.flatnonzero(excess > max(floor_alpha, lo - 1))
                 stats["violations"] += len(bad)
-                room = max(0, max_violations - len(example_violations))
+                room = max(0, _MAX_EXAMPLES - len(example_violations))
                 for r in bad[:room].tolist():
                     g = Word._trusted(tuple(block[r].tolist()), 2)
                     example_violations.append(
@@ -324,8 +321,7 @@ def _gap_sample(dimension: int, rng, diagonal_only: bool) -> np.ndarray:
 def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
                 epsilon: float = 0.05, seed: int = 42,
                 diagonal_only: bool = False,
-                gap_bound: float | None = None,
-                proximal_samples: int = 400) -> ExperimentReport:
+                gap_bound: float | None = None) -> ExperimentReport:
     """Distribution of the Cartan-Jordan gap over certified proximal
     elements.
 
@@ -358,7 +354,7 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     rows = []
     gaps = []
     certified = 0
-    pts = _projective_samples(dimension, proximal_samples) if samples else None
+    pts = _projective_samples(dimension, _PROXIMAL_SAMPLES) if samples else None
     for start in range(0, samples, _GAP_BLOCK):
         block = np.stack([_gap_sample(dimension, rng, diagonal_only)
                           for _ in range(min(_GAP_BLOCK, samples - start))])
@@ -394,7 +390,11 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
 
 def run_depth_roots(matrices, box_bound: int | None = None
                     ) -> ExperimentReport:
-    """Depth certificates plus exhaustive box cross-checks per matrix."""
+    """Depth certificates plus exhaustive box cross-checks per matrix.
+
+    A root past the certified depth is a SOUNDNESS-FAILURE row; a box
+    over the enumeration cap raises ResourceExceeded for the whole run.
+    """
     config = {"matrices": str(len(matrices)),
               "box_bound": str(box_bound) if box_bound is not None
               else "auto"}
@@ -408,7 +408,7 @@ def run_depth_roots(matrices, box_bound: int | None = None
         except TorsionInput:
             rows.append((str(i), label, "torsion") + blank)
             continue
-        except RuntimeError as exc:
+        except SoundnessFailure as exc:
             rows.append((str(i), label, f"SOUNDNESS-FAILURE:{exc}") + blank)
             passed = False
             continue

@@ -36,7 +36,6 @@ from .words import (
     _layer,
     _peel,
     _product,
-    _rows,
     ball_size,
     distance,
     gromov_product,
@@ -295,13 +294,11 @@ class LengthBound:
     holds: bool
 
 
-def stable_norm_length_bound(g: Word, pair: PingPongCertificate,
-                             alpha=None) -> LengthBound:
+def stable_norm_length_bound(g: Word, pair: PingPongCertificate
+                             ) -> LengthBound:
     """Bound the word length of g by the best stable norm among g, g*u,
-    g*v.  ``alpha`` overrides the derived offset (test hook for negative
-    controls); leave None for real use.
-    """
-    offset = pair_offset(pair) if alpha is None else Fraction(alpha)
+    g*v, plus the offset derived from the pair."""
+    offset = pair_offset(pair)
     excess = _excess(_candidates(g, pair))
     return LengthBound(lhs=len(g), rhs=len(g) - excess + offset,
                        holds=offset.denominator * excess <= offset.numerator)
@@ -314,6 +311,10 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     ``gens`` is the finite witness family (may contain the identity), A > 0
     and B >= 0 exact rationals, ``ell`` the translation length.  Returns
     False as soon as one element fails.
+
+    Runs on whole ``_layer`` blocks: w g and g w are conjugate, so
+    ell(w g) = ell(g w) comes from ``_block_product``, and since A > 0 a
+    block fails exactly when its row with the least max_i ell(w_i g) does.
     """
     ws = list(gens)
     if not ws:
@@ -332,9 +333,8 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     a, b = A.numerator * B.denominator, B.numerator * A.denominator
     for L in range(radius + 1):
         for block in _layer(rank, L):
-            for g in _rows(block):
-                best = max(len(wg) - 2 * _peel(wg)
-                           for wg in (_product(w, g) for w in ws))
-                if den * L > a * best + b:
-                    return False
+            best = np.max([length - 2 * peel for length, peel in
+                           (_block_product(block, w) for w in ws)], axis=0)
+            if den * L > a * int(best.min()) + b:
+                return False
     return True

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 from itertools import product as iter_product
 
 import numpy as np
@@ -31,6 +31,7 @@ from .errors import (
     NoModulusFound,
     ResourceExceeded,
     SingularInput,
+    SoundnessFailure,
     TorsionInput,
     ZeroScale,
 )
@@ -381,32 +382,21 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
                      offsets=offsets)
 
 
-def word_length_bfs(m, gens: GeneratorSet, radius: int,
-                    max_size: int = 1_000_000) -> int | None:
-    """Exact word length if <= radius, else None (not in the ball).
-
-    Reads the ball table of that radius, so ``max_size`` caps the whole
-    ball even when the target lies near the identity.  A target with an
-    entry above the ball's largest is not in it (None, exactly, with no
-    int64 conversion).
+def word_length_bfs(m, gens: GeneratorSet, radius: int) -> int | None:
+    """Exact word length if <= radius, else None (not in the ball): the
+    conjugate search at conjugator radius 0, whose only conjugator is the
+    identity.
 
     >>> word_length_bfs(((1, 3), (0, 1)), elementary_generators(2), 4)
     3
     >>> word_length_bfs(((1, 9), (0, 1)), elementary_generators(2), 3) is None
     True
     """
-    target = as_int_matrix(m)
-    if det_exact(target) != 1:
-        raise ValueError("word length is defined for determinant-1 matrices")
-    table = enumerate_ball(gens, radius, max_size=max_size)
-    if max(abs(x) for row in target for x in row) > _abs_max(table.elements):
-        return None
-    return table.least_layer(np.array([target], dtype=np.int64), radius)
+    return translation_length_upper(m, gens, 0, radius)
 
 
 def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
-                             word_radius: int,
-                             max_size: int = 1_000_000) -> int | None:
+                             word_radius: int) -> int | None:
     """min |h m h^-1| over conjugators h with |h| <= conj_radius.
 
     An upper bound for the translation length; None when every conjugate
@@ -424,8 +414,7 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
         raise ValueError("translation length needs determinant 1")
     if word_radius < 0:
         raise ValueError("radius must be >= 0")
-    table = enumerate_ball(gens, max(conj_radius, word_radius),
-                           max_size=max_size)
+    table = enumerate_ball(gens, max(conj_radius, word_radius))
     if conj_radius < 0:
         return None
     n = len(target)
@@ -677,6 +666,12 @@ class DepthBound:
 _BOX_ENUMERATION_CAP = 20_000_000
 
 
+def _largest_box(n: int) -> int:
+    """The largest box b whose (2 b + 1)^(n^2) candidates fit the cap."""
+    return next(b for b in count(1)
+                if (2 * b + 3) ** (n * n) > _BOX_ENUMERATION_CAP)
+
+
 @lru_cache(maxsize=8)
 def _det1_survivors(n: int, box: int) -> np.ndarray:
     """All integer matrices with |entries| <= box and det 1, as an
@@ -745,12 +740,15 @@ def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
     return [tuple(map(tuple, b)) for b in stack[hits].tolist()]
 
 
-def depth_root_bound(a, box_bound: int | None = None,
-                     extra_powers: tuple[int, ...] = ()) -> DepthBound:
+def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     """Full bounded-depth-roots certificate for a non-torsion matrix.
 
     Dimensions 2 and 3 only (the box cross-check is exhaustive there).
-    Raises TorsionInput for finite-order input.
+    Roots of order 2, 3, depth and depth + 1 are searched in the box
+    |entries| <= box_bound, by default min(ceil(K) + 1, _largest_box(n)):
+    32 at n = 2, 2 at n = 3.  Raises TorsionInput for finite-order input,
+    ResourceExceeded for a box over the cap and SoundnessFailure for a
+    root at or past the certified depth.
     """
     mat = as_int_matrix(a)
     n = len(mat)
@@ -805,13 +803,13 @@ def depth_root_bound(a, box_bound: int | None = None,
         depth = q
 
     if box_bound is None:
-        box_bound = ceil_k + 1 if n == 2 else min(ceil_k + 1, 2)
-    checked = sorted(set((2, 3)) | set(extra_powers) | {depth, depth + 1})
+        box_bound = min(ceil_k + 1, _largest_box(n))
+    checked = sorted({2, 3, depth, depth + 1})
     roots_found = []
     for k in checked:
         for root in find_roots_in_box(mat, k, box_bound):
             if k >= depth:
-                raise RuntimeError(
+                raise SoundnessFailure(
                     f"soundness failure: found {root} with root^{k} = "
                     f"input despite certified depth {depth}")
             roots_found.append((k, root))

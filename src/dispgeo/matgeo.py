@@ -69,24 +69,23 @@ def _as_matrix(g) -> np.ndarray:
     return m
 
 
-def check_special_linear(g, tol: float = 1e-9) -> None:
-    """Raise if |det(g) - 1| > tol * scale^n with scale = max |entry|."""
+def check_special_linear(g) -> None:
+    """Raise if |det(g) - 1| > 1e-9 scale^n with scale = max |entry|."""
     m = _as_matrix(g)
     scale = max(1.0, float(np.max(np.abs(m))))
-    if abs(np.linalg.det(m) - 1.0) > tol * scale ** m.shape[0]:
+    if abs(np.linalg.det(m) - 1.0) > 1e-9 * scale ** m.shape[0]:
         raise ValueError(f"determinant {np.linalg.det(m)} is not 1")
 
 
-def random_special_linear(n: int, rng, entry_bound: float = 2.0,
-                          min_det: float = 0.05,
+def random_special_linear(n: int, rng,
                           max_eigenbasis_condition: float | None = None
                           ) -> np.ndarray:
-    """Draw a det-1 matrix: uniform entries in [-bound, bound], rescaled.
+    """Draw a det-1 matrix: uniform entries in [-2, 2], rescaled.
 
-    Draws with |det| < min_det are rejected before rescaling (the n-th
-    root would blow the entries up), as are negative-determinant draws.
-    With ``max_eigenbasis_condition`` set, draws whose eigenvector basis
-    has 2-norm condition number above the cap are also rejected; since
+    Draws with det < 0.05 are rejected before rescaling: negative ones,
+    and small ones whose n-th root would blow the entries up.  With
+    ``max_eigenbasis_condition`` set, draws whose eigenvector basis has
+    2-norm condition number above the cap are also rejected; since
     |log sv_i(g^m) - m log|lambda_i|| <= log cond(V), the cap certifies
     how fast renormalized power averages converge to the Jordan
     projection (cap 2.7 gives 1e-3 at m = 2^10).
@@ -94,9 +93,9 @@ def random_special_linear(n: int, rng, entry_bound: float = 2.0,
     if n < 2:
         raise ValueError("n must be >= 2")
     while True:
-        m = rng.uniform(-entry_bound, entry_bound, size=(n, n))
+        m = rng.uniform(-2.0, 2.0, size=(n, n))
         det = np.linalg.det(m)
-        if det < min_det:
+        if det < 0.05:
             continue
         g = m / det ** (1.0 / n)
         if max_eigenbasis_condition is not None:
@@ -486,16 +485,15 @@ def _gap_block(ms: np.ndarray) -> list:
     return [None if s else gap for s, gap in zip(scalar.tolist(), gaps)]
 
 
-def renormalized_cartan_average(g, squarings: int,
-                                dps: int | None = None) -> np.ndarray:
+def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
     """cartan_projection(g^m)/m for m = 2^squarings.
 
     Repeated squaring with renormalization by the largest entry; the log
     factors accumulate exactly once per level.  The singular values of g^m
     span a dynamic range of order exp(m * spectral spread), far beyond
     double precision already for m ~ 100, so the squaring runs in
-    arbitrary precision (pure-Python mpmath: gmpy2 is not a dependency);
-    ``dps`` overrides the automatically chosen working precision.
+    arbitrary precision (pure-Python mpmath: gmpy2 is not a dependency)
+    at 60 digits plus 1.3 m / ln 10 per unit of Jordan projection spread.
     Converges to the Jordan projection as the number of squarings grows.
     """
     from mpmath import mp, mpf, matrix as mp_matrix, svd_r
@@ -504,13 +502,12 @@ def renormalized_cartan_average(g, squarings: int,
     if squarings < 0:
         raise ValueError("squarings must be >= 0")
     n = m.shape[0]
-    if dps is None:
-        try:
-            lam = jordan_projection(m)
-            spread = float(lam[0] - lam[-1])
-        except (SingularInput, EigenFailure):
-            spread = 2.0 * n * np.log(max(2.0, float(np.max(np.abs(m)))))
-        dps = int(1.3 * (2 ** squarings) * spread / np.log(10.0)) + 60
+    try:
+        lam = jordan_projection(m)
+        spread = float(lam[0] - lam[-1])
+    except (SingularInput, EigenFailure):
+        spread = 2.0 * n * np.log(max(2.0, float(np.max(np.abs(m)))))
+    dps = int(1.3 * (2 ** squarings) * spread / np.log(10.0)) + 60
     with mp.workdps(dps):
         h = mp_matrix(m.tolist())
         # g^(2^k) = c_k H_k with H_k at unit scale; track log(c_k)/2^k

@@ -151,7 +151,7 @@ def _render_value(v) -> str:
     return str(v)
 
 
-def certificate_document(cert, kind: str | None = None) -> str:
+def certificate_document(cert) -> str:
     """Flat ``key = value`` document for any certificate dataclass.
 
     The first line carries the certificate type; field order follows the
@@ -159,8 +159,7 @@ def certificate_document(cert, kind: str | None = None) -> str:
     """
     if not is_dataclass(cert):
         raise TypeError(f"expected a dataclass, got {type(cert)}")
-    name = kind or type(cert).__name__
-    lines = [f"type = {name}"]
+    lines = [f"type = {type(cert).__name__}"]
     for f in fields(cert):
         lines.append(f"{f.name} = {_render_value(getattr(cert, f.name))}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,14 @@ import pytest
 from dispgeo import experiments as X
 from dispgeo import matgeo
 from dispgeo.cli import main
-from dispgeo.errors import NotPingPong, ParseError, RankMismatch, SingularInput
+from dispgeo.errors import (
+    NotPingPong,
+    ParseError,
+    RankMismatch,
+    ResourceExceeded,
+    SingularInput,
+    SoundnessFailure,
+)
 from dispgeo.matgeo import cartan_jordan_gap
 from dispgeo.serialize import (
     certificate_document,
@@ -212,7 +219,6 @@ class TestProp422Runner:
             X.run_prop422(radius=3, u="aab", v=Word.from_str("bba", 3))
 
     def test_ball_cap_is_an_error(self):
-        from dispgeo.errors import ResourceExceeded
         with pytest.raises(ResourceExceeded):
             X.run_prop422(radius=20)
         with pytest.raises(ResourceExceeded):
@@ -334,7 +340,6 @@ class TestProp507Runner:
         assert len(calls) == 1
 
     def test_ball_cap_is_an_error(self):
-        from dispgeo.errors import ResourceExceeded
         with pytest.raises(ResourceExceeded):
             X.run_prop507(power_max=4, max_ball=100)
 
@@ -450,12 +455,8 @@ class TestDepthRootsRunner:
     @pytest.mark.parametrize("name, box_bound, digest", [
         ("cycle0", None,
          "e2a2187d78fa2234be8c254d448a89381fa7016f1eeac174e23f6f9a8d6b556e"),
-        ("cycle0", 3,
-         "a9326b96cac92724124deee99f4b75c0250b34fedbcdad32733bb8c8cb8c59a0"),
         ("cycle3", None,
          "aaad1a15d99e50f438e39bd45e0d828083d399b24deac3edef510535f0247331"),
-        ("cycle3", 3,
-         "5e26d5eba8c4083ccf6a1c0c6312db74434779472a0355214a02a3072e41b926"),
         ("fib", None,
          "77b5a0fc0597e35a9b08dfc61e6c079e7a980d212fd2306b684062e400401872"),
         ("fib", 3,
@@ -466,12 +467,8 @@ class TestDepthRootsRunner:
          "a2cc4cf7b5c5e9db28cf1dce989088356023175a1628f09033e66a623c27bf60"),
         ("shear3", None,
          "d5419cae8d53ca7adfa02bd52662323643eca9bddc7a29722a889d8a2fb3fa8d"),
-        ("shear3", 3,
-         "09186fa54cc914563a4f4d68c85ec8f6e7697959396e7e39e9b714ef97c71f12"),
         ("fib3", None,
          "5e71f6eadcbadbff5ddb4456c64a4b3b70982587d50768307f19208b98645a56"),
-        ("fib3", 3,
-         "3daf3ccd6e8b61ddfc95ed20152dd3c1fb2454a7c32b4007837cb270d5467935"),
     ])
     def test_pinned_report_bytes(self, name, box_bound, digest):
         # digests of the reports of the chunked box search with per-
@@ -480,6 +477,32 @@ class TestDepthRootsRunner:
         rep = X.run_depth_roots(self.PINNED_FILES[name], box_bound=box_bound)
         text = X.render_report(rep, "csv")
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["cycle0", "cycle3", "shear3", "fib3"])
+    def test_box_over_the_cap_raises(self, name):
+        # a 3x3 box of 3 has 7^9 candidates, past the 2e7 cap: a resource
+        # error for the whole run, not a SOUNDNESS-FAILURE row
+        with pytest.raises(ResourceExceeded) as exc:
+            X.run_depth_roots(self.PINNED_FILES[name], box_bound=3)
+        assert exc.value.count == 7 ** 9
+
+    def test_automatic_box_stops_at_the_cap(self):
+        # K = 33.97..., so ceil(K) + 1 = 35 is past the n = 2 cap; the
+        # automatic box is the largest that fits, 32
+        rep = X.run_depth_roots([((34, 1), (-1, 0))])
+        row = dict(zip(rep.columns, rep.rows[0]))
+        assert rep.passed
+        assert (row["branch_or_status"], row["depth"], row["box_bound"]) \
+            == ("hyperbolic", "4", "32")
+
+    def test_soundness_failure_is_a_row(self, monkeypatch):
+        def found_root(m, box_bound=None):
+            raise SoundnessFailure("found a root past the depth")
+        monkeypatch.setattr(X, "depth_root_bound", found_root)
+        rep = X.run_depth_roots([((2, 1), (1, 1))])
+        assert not rep.passed
+        assert rep.rows[0][2] == "SOUNDNESS-FAILURE:found a root past the depth"
+        assert rep.summary["soundness_failures"] == "1"
 
 
 class TestDeterminism:
@@ -552,6 +575,17 @@ class TestCli:
         f = tmp_path / "m.json"
         f.write_text(json.dumps([[2, 1], [1, 1]]))
         assert main(["depth-roots", "--file", str(f)]) == 0
+
+    def test_depth_roots_box_over_the_cap_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
+        assert main(["depth-roots", "--file", str(f),
+                     "--box-bound", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ResourceExceeded: box 3 in dimension 3 has 40353607" \
+            in captured.err
+        assert "SOUNDNESS" not in captured.err
 
     def test_parse_error_exit(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dispgeo.errors import (
@@ -28,6 +29,7 @@ from dispgeo.hyperbolic import (
 from dispgeo.words import (
     Word,
     _layer,
+    _peel,
     _product,
     _rows,
     ball,
@@ -278,8 +280,9 @@ class TestStableNormLengthBound:
         assert pair_offset(pair) == 9
 
     def test_broken_alpha_detects_violation(self, pair):
-        res = stable_norm_length_bound(W("bbbbaBBBB"), pair, alpha=-100)
-        assert not res.holds
+        # at offset alpha = -100 the bound reads lhs <= rhs - offset - 100
+        res = stable_norm_length_bound(W("bbbbaBBBB"), pair)
+        assert res.lhs > res.rhs - pair_offset(pair) - 100
 
     def test_exhaustive_radius_8(self, pair):
         for g in ball(2, 8):
@@ -291,6 +294,16 @@ class TestStableNormLengthBound:
             stable_norm_length_bound(g, pair)
         with pytest.raises(RankMismatch):
             select_acr(g, pair)
+
+
+def _undistortion_oracle(ws, A, B, radius):
+    """The per-word loop: |g| <= A max_i ell(w_i g) + B over the ball."""
+    for g in ball(ws[0].rank, radius):
+        best = max(len(wg) - 2 * _peel(wg)
+                   for wg in (_product(w.letters, g.letters) for w in ws))
+        if len(g) > A * best + B:
+            return False
+    return True
 
 
 class TestUndistortionCheck:
@@ -309,6 +322,26 @@ class TestUndistortionCheck:
         with pytest.raises(RankMismatch):
             conjugacy_undistortion_check(
                 [Word.identity(2), Word.identity(3)], 1, 0, radius=2)
+
+    def test_matches_per_row_oracle(self):
+        # seeded witness families of ranks 2 and 3, half with the
+        # identity, rational A and B, against the per-word loop
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for case in range(60):
+            rank = 2 + case % 2
+            letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+            ws = [Word(rng.choice(letters, int(rng.integers(0, 6))).tolist(),
+                       rank) for _ in range(int(rng.integers(1, 4)))]
+            if case % 4 < 2:
+                ws.append(Word.identity(rank))
+            A = Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 4)))
+            B = Fraction(int(rng.integers(0, 13)), int(rng.integers(1, 4)))
+            radius = int(rng.integers(0, 7 if rank == 2 else 5))
+            verdict = conjugacy_undistortion_check(ws, A, B, radius)
+            assert verdict == _undistortion_oracle(ws, A, B, radius)
+            verdicts.append(verdict)
+        assert 0 < verdicts.count(False) < len(verdicts)
 
     def test_bad_constants_rejected(self):
         with pytest.raises(ValueError):

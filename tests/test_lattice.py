@@ -21,6 +21,7 @@ from dispgeo.errors import (
 from dispgeo.lattice import (
     GeneratorSet,
     _det1_survivors,
+    _largest_box,
     as_int_matrix,
     char_poly,
     contortion_witness,
@@ -589,6 +590,10 @@ class TestDepthRootBound:
         assert cert.M == 12
         assert cert.box_bound == 4
         assert cert.roots_found == ()
+
+    def test_largest_box_fits_the_cap(self):
+        # 65^4 and 5^9 fit the 2e7 cap, 67^4 and 7^9 do not
+        assert (_largest_box(2), _largest_box(3)) == (32, 2)
 
     def test_torsion_rejected(self):
         with pytest.raises(TorsionInput):
