@@ -1,11 +1,12 @@
 """Exact arithmetic on SL(n,Z): word metrics, roots, finite quotients.
 
 Matrices are nested tuples of Python ints, so single-matrix arithmetic
-is exact and overflow-free.  The ball search and the conjugate search
-run on (m, n, n) int64 stacks instead; before each int64 product the
-largest possible entry, n * max|left| * max|right|, is computed in Python
-ints and must stay below 2^62, else ResourceExceeded is raised, so no
-entry ever wraps.  The module provides the breadth-first word
+is exact and overflow-free.  Every matrix stack is int64 instead: the
+ball search and the conjugate search bound the largest possible entry of
+each product in Python ints and raise ResourceExceeded unless it stays
+below 2^62, and the root search in a box works mod a prime p with
+n (p - 1)^2 < 2^62 and confirms its survivors exactly, so no entry ever
+wraps.  The module provides the breadth-first word
 metric over a symmetric generating set (default: elementary matrices
 E_ij(+-1)), upper and lower bounds for the translation length, the
 bounded-depth-roots certificate, contortion witnesses through reduction
@@ -406,8 +407,11 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
     int64 product over the table's stacks, and the answer is the least
     layer <= word_radius holding one of them.  A conjugate c in the ball
     gives m = h^-1 c h, so a target with an entry above
-    n^2 max|h^-1| max|c| max|h| has none (None, exactly); otherwise the
-    product's entry bound is checked against 2^62 like the ball's.
+    n^2 max|h^-1| max|c| max|h| has none (None, exactly).  Otherwise every
+    partial sum of h m h^-1 is at most R max|m| C, with R the largest row
+    sum of the entrywise maximum of |h| over the conjugators and C the
+    largest column sum of that of |h^-1|; that bound is checked against
+    2^62 like the ball's, and at h = I it is max|m| itself.
     """
     target = as_int_matrix(m)
     if det_exact(target) != 1:
@@ -425,8 +429,10 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
     h_max, h_inv_max = _abs_max(h), _abs_max(h_inv)
     if target_max > n * n * h_inv_max * _abs_max(ball) * h_max:
         return None
-    _certify_int64(n * n * h_max * target_max * h_inv_max,
-                   "conjugation product")
+    # row and column sums of the entrywise maxima, in Python ints
+    row_sum = max(map(sum, np.abs(h).max(axis=0).tolist()))
+    col_sum = max(map(sum, zip(*np.abs(h_inv).max(axis=0).tolist())))
+    _certify_int64(row_sum * target_max * col_sum, "conjugation product")
     conj = h @ np.array(target, dtype=np.int64) @ h_inv
     return table.least_layer(conj, word_radius)
 
@@ -452,18 +458,25 @@ def translation_length_lower(m, gens: GeneratorSet) -> float:
 # Torsion, unipotence and the bounded-depth-roots certificate
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 def _totient(m: int) -> int:
     result = m
-    x = m
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            while x % p == 0:
-                x //= p
-            result -= result // p
-        p += 1
-    if x > 1:
-        result -= result // x
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 
@@ -641,9 +654,10 @@ class DepthBound:
     trivial hyperbolic part, contradicting K > 1, so depth = q.
 
     Quasi-unipotent branch (all eigenvalue moduli 1, b and q are None):
-    with U = matrix^M unipotent and N = log U, any k-th root forces
-    (k * 2N + N^2) to be divisible by 2k^2 entrywise, which bounds k;
-    depth is that bound plus one.
+    with U = matrix^M unipotent, N = U - I, a = max|2N - N^2| and
+    c = max|N^2|, any k-th root forces 2k^2 <= a k + c (2k^2 divides
+    every entry of k(2N - N^2) + N^2, and one of them is nonzero), so
+    depth is the closed form max(floor((a + isqrt(a^2 + 8c)) / 4), 1) + 1.
 
     ``box_bound`` and ``checked_powers`` record the scope of the
     exhaustive cross-check; ``roots_found`` lists roots discovered below
@@ -709,12 +723,11 @@ def _det1_survivors(n: int, box: int) -> np.ndarray:
 def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
     """All integer B with |entries| <= box, det 1 and B^k = a (exact).
 
-    One stack of candidates runs the commutator filter (a root of a
-    commutes with a) and the repeated squaring with ``@``.  Every partial
-    power B^j, j <= k, has entries at most n^(j-1) box^j, so a target
-    with a larger entry has no root; the commutator products then stay
-    below n^k box^(k+1).  The stack is int64 while that bound is below
-    2^62 and Python ints (dtype object) beyond it, so no entry can wrap.
+    One int64 stack of candidates keeps those that commute with a and
+    have B^k = a mod the prime p = 1 000 000 007 (repeated squaring with
+    ``@``, each product reduced mod p, so entries stay below the certified
+    n (p - 1)^2 < 2^62).  A root passes both filters; each survivor is
+    then confirmed exactly, in flat-index order.
     """
     target = as_int_matrix(a)
     n = len(target)
@@ -722,22 +735,26 @@ def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
         raise DimensionUnsupported("box search supports n in {2, 3}")
     if k < 1 or box < 1:
         raise ValueError("need k >= 1 and box >= 1")
-    survivors = _det1_survivors(n, box)
-    if max(abs(x) for row in target for x in row) > n ** (k - 1) * box ** k:
-        return []
-    dtype = np.int64 if n ** k * box ** (k + 1) < _INT64_LIMIT else object
-    t = np.array(target, dtype=dtype)
-    stack = survivors.astype(dtype)
-    stack = stack[np.all(stack @ t == t @ stack, axis=(1, 2))]
-    power, base = None, stack
-    while k:
-        if k & 1:
-            power = base if power is None else power @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    hits = np.all(power == t, axis=(1, 2))
-    return [tuple(map(tuple, b)) for b in stack[hits].tolist()]
+    p = 1_000_000_007
+    _certify_int64(n * (p - 1) ** 2, "box search product mod p")
+    t = np.array(mat_mod(target, p), dtype=np.int64)
+    stack = _det1_survivors(n, box)
+    stack = stack[np.all(stack @ t % p == t @ stack % p, axis=(1, 2))]
+    power, base, e = None, stack, k
+    while e:
+        if e & 1:
+            power = base if power is None else power @ base % p
+        e >>= 1
+        if e:
+            base = base @ base % p
+    hits = stack[np.all(power % p == t, axis=(1, 2))]
+    return [b for b in map(as_int_matrix, hits) if mat_pow(b, k) == target]
+
+
+def _unipotent_depth(a: int, c: int) -> int:
+    """1 + the largest k >= 1 with 2k^2 <= ak + c, the floor of the
+    positive root (a + sqrt(a^2 + 8c)) / 4; exact by isqrt."""
+    return max((a + math.isqrt(a * a + 8 * c)) // 4, 1) + 1
 
 
 def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
@@ -755,37 +772,32 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     if n not in (2, 3):
         raise DimensionUnsupported(f"depth_root_bound supports n in "
                                    f"{{2, 3}}, got {n}")
-    if det_exact(mat) != 1:
+    coeffs = char_poly(mat)
+    if (-1) ** n * coeffs[-1] != 1:
         raise ValueError("input must have determinant 1")
     m_exp = unipotence_exponent(n)
-    if is_torsion(mat):
-        raise TorsionInput("torsion elements have roots of every depth "
-                           "along their finite orbit")
 
-    if has_trivial_hyperbolic_part(mat):
+    if len(_strip_cyclotomic(coeffs, n)) == 1:
+        # all eigenvalue moduli are 1: U = A^M is unipotent, I iff torsion
+        u = mat_pow(mat, m_exp)
+        if u == identity(n):
+            raise TorsionInput("torsion elements have roots of every depth "
+                               "along their finite orbit")
         branch = "quasi_unipotent"
         k_spectral = 1.0
         ceil_k = 1
         k1 = _coefficient_bound(n, ceil_k)
-        b = None
-        q = None
-        u = mat_pow(mat, m_exp)
+        b = q = None
         nil = _shift(u, -1)
         nil2 = mat_mul(nil, nil)
         # 2 log(U) = 2 N - N^2 for (U - I) = N nilpotent of order <= 3
-        w1 = tuple(tuple(2 * nil[i][j] - nil2[i][j] for j in range(n))
-                   for i in range(n))
-        a_max = max(abs(x) for row in w1 for x in row)
+        a_max = max(abs(2 * x - y) for row, row2 in zip(nil, nil2)
+                    for x, y in zip(row, row2))
         c_max = max(abs(x) for row in nil2 for x in row)
-        k_max = 1
-        while 2 * (k_max + 1) ** 2 - a_max * (k_max + 1) - c_max <= 0:
-            k_max += 1
-        depth = k_max + 1
+        depth = _unipotent_depth(a_max, c_max)
     else:
         branch = "hyperbolic"
-        coeffs = char_poly(mat)
-        roots = np.roots(np.array(coeffs, dtype=float))
-        k_spectral = float(np.max(np.abs(roots)))
+        k_spectral = float(max(_expanding_moduli(coeffs, n)))
         ceil_k = math.ceil(k_spectral - 1e-9)
         k1 = _coefficient_bound(n, ceil_k)
         b_raw = _family_min_expanding(n, k1)
@@ -796,9 +808,7 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
             # family stay ~1/(4 K1) away from the circle), but never loop
             raise RuntimeError("expanding modulus too close to 1 to "
                                "certify a power threshold")
-        q = 1
-        while b ** q <= k_spectral * (1.0 + 1e-9):
-            q += 1
+        q = next(q for q in count(1) if b ** q > k_spectral * (1.0 + 1e-9))
         assert q >= 2
         depth = q
 
@@ -851,8 +861,9 @@ class ContortionWitness:
     """gamma^k escapes every listed conjugacy class.
 
     Reduction mod the prime ``modulus`` sends gamma^k to the identity
-    (k is the order of SL(n, Z/modulus)) while every class representative
-    stays away from the identity, so no conjugate can equal gamma^k.
+    (k is the order of gamma mod ``modulus``, the least such power) while
+    every class representative stays away from the identity, so no
+    conjugate can equal gamma^k.
     """
 
     gamma: IntMatrix
@@ -893,10 +904,18 @@ def contortion_witness(gamma, class_reps,
     if modulus is None:
         raise NoModulusFound(f"no prime <= {prime_cap} separates the "
                              "representatives from the identity")
+    one = mat_mod(ident, modulus)
     k = sl_group_order(n, modulus)
-    if mat_pow_mod(g, k, modulus) != mat_mod(ident, modulus):
+    if mat_pow_mod(g, k, modulus) != one:
         raise RuntimeError("group order does not annihilate gamma mod m; "
                            "order formula or input invalid")
+    # the order of gamma mod p divides k: divide out each prime of
+    # |SL(n, p)| = p^(n(n-1)/2) prod (p^j - 1) while the power stays I
+    primes = {modulus}.union(*(_prime_factors(modulus ** j - 1)
+                               for j in range(2, n + 1)))
+    for q in sorted(primes):
+        while k % q == 0 and mat_pow_mod(g, k // q, modulus) == one:
+            k //= q
     return ContortionWitness(gamma=g, class_reps=reps, modulus=modulus, k=k)
 
 

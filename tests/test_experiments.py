@@ -495,6 +495,15 @@ class TestDepthRootsRunner:
         assert (row["branch_or_status"], row["depth"], row["box_bound"]) \
             == ("hyperbolic", "4", "32")
 
+    def test_large_shear_finishes(self):
+        # a linear depth search would take 12 * 10^12 steps here
+        rep = X.run_depth_roots([((1, 0, 10 ** 12), (0, 1, 0), (0, 0, 1))])
+        row = dict(zip(rep.columns, rep.rows[0]))
+        assert rep.passed
+        assert row["branch_or_status"] == "quasi_unipotent"
+        assert row["depth"] == str(12 * 10 ** 12 + 1)
+        assert row["roots_below_depth"] == "none"
+
     def test_soundness_failure_is_a_row(self, monkeypatch):
         def found_root(m, box_bound=None):
             raise SoundnessFailure("found a root past the depth")

@@ -22,6 +22,7 @@ from dispgeo.lattice import (
     GeneratorSet,
     _det1_survivors,
     _largest_box,
+    _unipotent_depth,
     as_int_matrix,
     char_poly,
     contortion_witness,
@@ -39,6 +40,7 @@ from dispgeo.lattice import (
     mat_mod,
     mat_mul,
     mat_pow,
+    mat_pow_mod,
     sl_group_order,
     translation_length_lower,
     translation_length_upper,
@@ -359,6 +361,14 @@ class TestWordLengthBfs:
         # 2^70 has no int64 form; the entry bound answers first
         assert word_length_bfs(E(3, 0, 2, 2 ** 70), gens3, 3) is None
 
+    def test_target_near_the_int64_bound(self):
+        # at conjugator radius 0 the product bound is max|m| = 2^60 itself
+        gens = GeneratorSet.from_matrices(
+            [E(2, 0, 1, 2 ** 60), E(2, 0, 1, -2 ** 60),
+             E(2, 1, 0, 1), E(2, 1, 0, -1)])
+        assert word_length_bfs(E(2, 0, 1, 2 ** 60), gens, 1) == 1
+        assert word_length_bfs(E(2, 1, 0, 2 ** 60), gens, 1) is None
+
     def test_least_layer_reads_the_stacks(self, gens3):
         table = enumerate_ball(gens3, 3)
         mats = [E(3, 0, 2, 1), mat_mul(E(3, 0, 1, 1), E(3, 1, 2, 1)),
@@ -628,6 +638,26 @@ class TestDepthRootBound:
         with pytest.raises(Exception):
             depth_root_bound(identity(4))
 
+    def test_closed_form_depth_matches_the_linear_search(self):
+        # the linear search the closed form replaced, as the oracle
+        def linear(a_max, c_max):
+            k_max = 1
+            while 2 * (k_max + 1) ** 2 - a_max * (k_max + 1) - c_max <= 0:
+                k_max += 1
+            return k_max + 1
+
+        grid = list(range(60)) + [97, 255, 1000, 4096, 12345]
+        for a_max in grid:
+            for c_max in grid:
+                assert _unipotent_depth(a_max, c_max) == linear(a_max, c_max)
+
+    def test_large_shear_depth(self):
+        # U = A^12 = E12(12 * 10^9), so a = 24 * 10^9 and c = 0
+        cert = depth_root_bound(E(2, 0, 1, 10 ** 9))
+        assert cert.branch == "quasi_unipotent"
+        assert cert.depth == 12 * 10 ** 9 + 1
+        assert cert.roots_found == ()
+
     def test_soundness_on_small_hyperbolic_family(self, ball4):
         hyperbolic = [m for m in ball4.index
                       if abs(m[0][0] + m[1][1]) >= 3][:20]
@@ -657,9 +687,18 @@ class TestFindRootsInBox:
         assert ((-1, -1), (0, -1)) in roots
 
     def test_exact_power_fallback(self):
-        # (2*box)^k overflows int64, exercising the big-int path
+        # n^k box^(k+1) is far past 2^62; the powers run mod p and the
+        # survivors are confirmed in Python ints
         roots = find_roots_in_box(E(2, 0, 1, 64), 64, 2)
         assert E(2, 0, 1, 1) in roots
+
+    def test_congruent_target_is_not_a_root(self):
+        # E12(1)^2 = E12(2) = E12(2 + p) mod p: the modular filter keeps
+        # E12(1), and only the exact confirmation rejects it
+        p = 1_000_000_007
+        assert find_roots_in_box(E(2, 0, 1, 2 + p), 2, 2) == []
+        assert find_roots_in_box(E(3, 0, 2, 2 - p), 2, 1) == []
+        assert E(2, 0, 1, 1) in find_roots_in_box(E(2, 0, 1, 2), 2, 2)
 
     def test_no_roots_of_fib(self):
         assert find_roots_in_box(FIB, 2, 4) == []
@@ -728,8 +767,8 @@ class TestFindRootsInBox:
         assert hits > 0
 
     def test_target_beyond_int64(self):
-        # B^46 has entries above 2^63, so neither the target nor the powers
-        # have an int64 form: the search must run on Python ints
+        # B^46 has entries above 2^63, so the target has no int64 form: it
+        # is reduced mod p in Python ints, and the roots confirmed exactly
         b = ((1, 1), (1, 2))
         target = mat_pow(b, 46)
         assert max(x for row in target for x in row) > 2 ** 63
@@ -738,8 +777,8 @@ class TestFindRootsInBox:
         assert find_roots_in_box(target, 45, 2) == []
 
     def test_object_path_matches_recorded_roots(self):
-        # 6^24 > 2^62, so the powers run on Python ints; the digest is of
-        # the 20 roots found by the per-candidate big-int powers
+        # 6^24 > 2^62; the digest is of the 20 roots found by the
+        # object-dtype powers that the modular filter replaced
         roots = find_roots_in_box(E(3, 0, 2, 24), 24, 2)
         assert len(roots) == 20
         assert all(mat_pow(b, 24) == E(3, 0, 2, 24) for b in roots)
@@ -769,17 +808,34 @@ class TestQuotient:
                     mat_mul(mat_mod(a, m), mat_mod(b, m)), m)
 
     def test_witness_example(self):
+        # k is the order of gamma mod 2, not |SL(2, 2)| = 6
         w = contortion_witness(E(2, 0, 1, 1), [E(2, 0, 1, 1)])
-        assert w.modulus == 2 and w.k == 6
-        assert mat_pow(E(2, 0, 1, 1), 6) == E(2, 0, 1, 6)
-        assert mat_mod(E(2, 0, 1, 6), 2) == identity(2)
+        assert w.modulus == 2 and w.k == 2
+        assert mat_pow(E(2, 0, 1, 1), 2) == E(2, 0, 1, 2)
+        assert mat_mod(E(2, 0, 1, 2), 2) == identity(2)
         assert mat_mod(E(2, 0, 1, 1), 2) != identity(2)
 
     def test_witness_skips_vanishing_modulus(self):
-        # E13(2) is the identity mod 2, so the smallest usable prime is 3
+        # E13(2) is the identity mod 2, so the smallest usable prime is 3;
+        # E13(1) has order 3 in SL(3, 3), a group of order 5616
         w = contortion_witness(E(3, 0, 2, 1), [E(3, 0, 2, 1), E(3, 0, 2, 2)])
         assert w.modulus == 3
-        assert w.k == sl_group_order(3, 3) == 5616
+        assert w.k == 3 and sl_group_order(3, 3) == 5616
+
+    @pytest.mark.parametrize("gamma", [
+        E(2, 0, 1, 1), FIB, ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+        ((2, 1, 0), (1, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 1, 1))])
+    @pytest.mark.parametrize("cap", [2, 3, 5, 7])
+    def test_witness_power_is_the_least(self, gamma, cap):
+        # the reps are I + 2*3*5 e_12 (dropping the primes >= cap), so the
+        # modulus is the least prime >= cap; k matches a direct search
+        n = len(gamma)
+        rep = E(n, 0, 1, math.prod(p for p in (2, 3, 5) if p < cap))
+        w = contortion_witness(gamma, [rep])
+        one = mat_mod(identity(n), w.modulus)
+        least = next(j for j in range(1, sl_group_order(n, w.modulus) + 1)
+                     if mat_pow_mod(gamma, j, w.modulus) == one)
+        assert w.modulus == cap and w.k == least
 
     def test_witness_rejects_identity_rep(self):
         with pytest.raises(ValueError):
