@@ -6,7 +6,10 @@ ball search and the conjugate search bound the largest possible entry of
 each product in Python ints and raise ResourceExceeded unless it stays
 below 2^62, and the root search in a box works mod a prime p with
 n (p - 1)^2 < 2^62 and confirms its survivors exactly, so no entry ever
-wraps.  The module provides the breadth-first word
+wraps.  The ball search tells matrices apart by one key per matrix
+(packed int64 digits when they fit, else the matrix's bytes) and
+deduplicates each layer with one stable sort of those keys.  The module
+provides the breadth-first word
 metric over a symmetric generating set (default: elementary matrices
 E_ij(+-1)), upper and lower bounds for the translation length, the
 bounded-depth-roots certificate, contortion witnesses through reduction
@@ -292,12 +295,25 @@ def _abs_max(stack: np.ndarray) -> int:
     return int(np.abs(stack).max(initial=0))
 
 
-def _row_keys(stack: np.ndarray) -> np.ndarray:
-    """One void scalar per matrix of an (m, n, n) int64 stack, so that
-    np.unique and np.isin compare whole matrices."""
-    m, n, _ = stack.shape
-    flat = np.ascontiguousarray(stack).reshape(m, n * n)
-    return flat.view(np.dtype((np.void, flat.itemsize * n * n))).ravel()
+def _row_keys(*stacks: np.ndarray) -> list[np.ndarray]:
+    """One key per matrix of each (m, n, n) int64 stack, equal exactly
+    when the matrices are, across all the stacks given.
+
+    With B the largest |entry| over the stacks, the key is the int64
+    sum of (x_k + B) (2B + 1)^k over the n^2 entries when
+    (2B + 1)^(n^2) < 2^63: every digit lies in 0..2B, so no partial sum
+    wraps.  Otherwise it is the matrix's bytes as one void scalar.  Both
+    kinds sort, and compare for equality, as plain arrays.
+    """
+    n = stacks[0].shape[-1]
+    flats = [np.ascontiguousarray(s).reshape(len(s), n * n) for s in stacks]
+    bound = max(map(_abs_max, stacks))
+    base = 2 * bound + 1
+    if base ** (n * n) < 2 ** 63:
+        weights = np.array([base ** k for k in range(n * n)], dtype=np.int64)
+        return [(flat + bound) @ weights for flat in flats]
+    void = np.dtype((np.void, 8 * n * n))
+    return [flat.view(void).ravel() for flat in flats]
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,9 +343,16 @@ class BallTable:
 
     def least_layer(self, stack: np.ndarray, radius: int) -> int | None:
         """Least r <= radius whose layer holds a matrix of the (m, n, n)
-        int64 stack; None when none of them lies in that ball."""
-        ball = self.elements[:self.offsets[radius + 1]]
-        hits = np.isin(_row_keys(ball), _row_keys(stack))
+        int64 stack; None when none of them lies in that ball (or the
+        stack is empty).  The ball's keys are looked up by binary search
+        in the sorted keys of the stack, which may repeat a matrix."""
+        if not 0 <= radius <= self.radius:
+            raise ValueError(f"radius {radius} outside 0..{self.radius}")
+        ball_keys, stack_keys = _row_keys(
+            self.elements[:self.offsets[radius + 1]], stack)
+        stack_keys = np.sort(stack_keys)
+        hits = (np.searchsorted(stack_keys, ball_keys, "right")
+                > np.searchsorted(stack_keys, ball_keys))
         if not hits.any():
             return None
         return int(np.searchsorted(self.offsets, hits.argmax(), "right")) - 1
@@ -345,7 +368,9 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
     entry bound max|frontier| * n * max|generator| is checked against
     2^62 in Python ints, so no entry can wrap (ResourceExceeded
     otherwise).  A child already seen lies in one of the two previous
-    layers, because the generating set is closed under inversion.
+    layers, because the generating set is closed under inversion: the
+    keys of those layers and of the children go through one stable
+    sort, and a child is new when it heads its run of equal keys.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -362,10 +387,16 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
             gen = np.array(gens.elements, dtype=np.int64)
             gen_inv = gen[list(gens.inverse_index)]
         children = (frontier[:, None] @ gen).reshape(-1, n, n)
-        keys = _row_keys(children)
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        seen = _row_keys(np.concatenate(layers[-2:]))
-        first = first[~np.isin(keys[first], seen)]
+        seen = np.concatenate(layers[-2:])
+        keys = np.concatenate(_row_keys(seen, children))
+        # a stable sort puts the seen keys, then each child's first
+        # occurrence, at the head of its run of equal keys
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        head = np.concatenate([[True], ranked[1:] != ranked[:-1]])
+        fresh = np.zeros(len(keys), dtype=bool)
+        fresh[order[head]] = True
+        first = np.flatnonzero(fresh[len(seen):])
         size += len(first)
         if size > max_size:
             # the count the table held when its first entry over the cap
@@ -418,9 +449,9 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
         raise ValueError("translation length needs determinant 1")
     if word_radius < 0:
         raise ValueError("radius must be >= 0")
-    table = enumerate_ball(gens, max(conj_radius, word_radius))
     if conj_radius < 0:
         return None
+    table = enumerate_ball(gens, max(conj_radius, word_radius))
     n = len(target)
     h = table.elements[:table.offsets[conj_radius + 1]]
     h_inv = table.inverses[:len(h)]

@@ -1,14 +1,19 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dispgeo
 from dispgeo.errors import (
     EigenFailure,
     IdentityInput,
@@ -22,6 +27,7 @@ from dispgeo.lattice import (
     GeneratorSet,
     _det1_survivors,
     _largest_box,
+    _row_keys,
     _unipotent_depth,
     as_int_matrix,
     char_poly,
@@ -309,6 +315,28 @@ class TestEnumerateBall:
         with pytest.raises(ResourceExceeded):
             enumerate_ball(gens, 3)
 
+    def test_byte_keys_match_naive_oracle(self):
+        # (2 * 2^30 + 1)^4 > 2^63 leaves no int64 packing, so every layer
+        # is deduplicated on the matrices' bytes
+        t = 2 ** 30
+        gens = GeneratorSet.from_matrices([E(2, 0, 1, t), E(2, 0, 1, -t),
+                                           E(2, 1, 0, 1), E(2, 1, 0, -1)])
+        table = enumerate_ball(gens, 2)
+        assert _row_keys(table.elements)[0].dtype.kind == "V"
+        assert table.index == oracle_all_products_lengths(gens, 2)
+
+    def test_key_route_switches_between_layers(self):
+        # layers 1 and 2 have entries <= 10^4 and pack into int64; layer
+        # 3 reaches 5000^2, past the n = 2 packing limit B = 27553
+        gens = GeneratorSet.from_matrices([E(2, 0, 1, 5000),
+                                           E(2, 0, 1, -5000),
+                                           E(2, 1, 0, 1), E(2, 1, 0, -1)])
+        table = enumerate_ball(gens, 4)
+        assert _row_keys(table.elements[:table.offsets[3]])[0].dtype.kind \
+            == "i"
+        assert _row_keys(table.elements)[0].dtype.kind == "V"
+        assert table.index == oracle_all_products_lengths(gens, 4)
+
     def test_deterministic(self, gens2):
         a = list(enumerate_ball(gens2, 3).index.items())
         b = list(enumerate_ball(gens2, 3).index.items())
@@ -325,6 +353,32 @@ class TestEnumerateBall:
                     assert length == table.radius
                 else:
                     assert abs(child_length - length) <= 1
+
+
+def packing_limit(n):
+    """Largest B with (2B + 1)^(n^2) < 2^63."""
+    b = int((2 ** (63 / n ** 2) - 1) / 2) + 2
+    while (2 * b + 1) ** (n * n) >= 2 ** 63:
+        b -= 1
+    return b
+
+
+class TestRowKeys:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("past_limit, kind", [(0, "i"), (1, "V")])
+    def test_keys_agree_with_matrix_equality(self, n, past_limit, kind):
+        # entries at and next to +-B, where a wrong base or offset would
+        # carry one digit into the next; the matrices are split over two
+        # stacks and each appears in both
+        bound = packing_limit(n) + past_limit
+        rng = np.random.default_rng(n)
+        alphabet = np.array([-bound, -bound + 1, 0, bound - 1, bound])
+        mats = alphabet[rng.integers(0, 5, size=(3000, n, n))]
+        perm = rng.permutation(len(mats))
+        keys, permuted = _row_keys(mats, mats[perm])
+        assert keys.dtype.kind == kind
+        assert (keys[perm] == permuted).all()
+        assert len(set(keys.tolist())) == len({m.tobytes() for m in mats})
 
 
 class TestWordLengthBfs:
@@ -383,6 +437,46 @@ class TestWordLengthBfs:
             assert table.least_layer(np.array([m], dtype=np.int64), 3) == (
                 table.index.get(m))
 
+    def test_least_layer_with_repeats_and_outsiders(self, gens3):
+        table = enumerate_ball(gens3, 3)
+        two = mat_mul(E(3, 0, 1, 1), E(3, 1, 2, 1))
+        repeats = np.array([two, E(3, 2, 0, 9), two, two], dtype=np.int64)
+        assert table.least_layer(repeats, 3) == 2
+        # entries past every ball entry, within and past the int64 packing
+        for t in (20, 2 ** 40):
+            mixed = np.array([E(3, 1, 0, t), E(3, 0, 2, -1), E(3, 1, 0, t)],
+                             dtype=np.int64)
+            assert table.least_layer(mixed, 3) == 1
+            assert table.least_layer(mixed[:1], 3) is None
+        assert table.least_layer(np.empty((0, 3, 3), dtype=np.int64),
+                                 3) is None
+
+    @pytest.mark.parametrize("radius", [-1, 4])
+    def test_least_layer_radius_outside_the_table(self, gens3, radius):
+        table = enumerate_ball(gens3, 3)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            table.least_layer(np.eye(3, dtype=np.int64)[None], radius)
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="np.unique imports numpy.ma on numpy >= 2 "
+                               "only")
+    def test_ball_search_leaves_numpy_ma_unimported(self):
+        script = (
+            "import sys\n"
+            "from dispgeo.lattice import elementary_generators, "
+            "enumerate_ball\n"
+            "table = enumerate_ball(elementary_generators(3), 5)\n"
+            "print(table.least_layer(table.elements[5:9], 5))\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(dispgeo.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "False"]
+
 
 class TestTranslationLength:
     def test_conjugate_of_generator(self, gens2):
@@ -392,6 +486,12 @@ class TestTranslationLength:
 
     def test_identity_upper(self, gens2):
         assert translation_length_upper(identity(2), gens2, 2, 2) == 0
+
+    def test_negative_conj_radius_builds_no_ball(self):
+        # these generators' radius-1 ball is refused (2^61 * 2 = 2^62)
+        gens = GeneratorSet.from_matrices([E(2, 0, 1, 2 ** 61),
+                                           E(2, 0, 1, -2 ** 61)])
+        assert translation_length_upper(identity(2), gens, -1, 1) is None
 
     def test_fib_at_most_two(self, gens2):
         assert translation_length_upper(FIB, gens2, 3, 6) <= 2
