@@ -293,29 +293,101 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
         rows=rows_out, summary=summary, passed=passed)
 
 
-def _gap_sample(dimension: int, rng, diagonal_only: bool) -> np.ndarray:
-    """One random candidate for the proximality gap experiment.
+def _conjugator_ok(rows: list[list[float]]) -> bool:
+    """|det h| > 0.2 and cond(h) <= 8, in closed form on h's nested list.
 
-    Log singular spectrum drawn uniformly, then conjugated by a
-    bounded-condition-number matrix (skipped when diagonal_only), so a
-    substantial fraction of draws certifies at the default (r, epsilon).
+    The prediction of the test LAPACK makes on a gap conjugator.  In
+    dimension 2, cond + 1/cond = ||h||_F^2 / |det h|, so cond <= 8 iff
+    ||h||_F^2 <= (65/8) |det h|.  In dimension 3, cond^2 is the ratio of
+    the extreme eigenvalues of h^T h, taken by the trigonometric formula
+    for a symmetric 3x3 matrix.
+
+    >>> _conjugator_ok([[8.0, 0.0], [0.0, 1.0]])
+    True
+    >>> _conjugator_ok([[0.2, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    False
     """
-    if dimension == 2:
-        t = rng.uniform(1.5, 4.5)
-        diag = np.diag([math.exp(t), math.exp(-t)])
-    elif dimension == 3:
-        t1 = rng.uniform(4.0, 7.0)
-        t2 = rng.uniform(-1.0, 1.0)
-        diag = np.diag([math.exp(t1), math.exp(t2), math.exp(-t1 - t2)])
-    else:
-        raise ValueError("gap experiment supports dimensions 2 and 3")
-    if diagonal_only:
-        return diag
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = abs(a * d - b * c)
+        return det > 0.2 and a * a + b * b + c * c + d * d <= 8.125 * det
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    if abs(a * (e * i - f * h) - b * (d * i - f * g)
+           + c * (d * h - e * g)) <= 0.2:
+        return False
+    # the Gram matrix S = h^T h, shifted by a third of its trace
+    s00 = a * a + d * d + g * g
+    s11 = b * b + e * e + h * h
+    s22 = c * c + f * f + i * i
+    s01 = a * b + d * e + g * h
+    s02 = a * c + d * f + g * i
+    s12 = b * c + e * f + h * i
+    q = (s00 + s11 + s22) / 3
+    x, y, z = s00 - q, s11 - q, s22 - q
+    p2 = x * x + y * y + z * z + 2 * (s01 * s01 + s02 * s02 + s12 * s12)
+    if p2 == 0.0:
+        return True
+    p = math.sqrt(p2 / 6)
+    # det((S - qI) / p) / 2 is the cosine of three times the angle
+    half_det = (x * (y * z - s12 * s12) - s01 * (s01 * z - s12 * s02)
+                + s02 * (s01 * s12 - y * s02)) / (2 * p ** 3)
+    phi = math.acos(min(1.0, max(-1.0, half_det))) / 3
+    top = q + 2 * p * math.cos(phi)
+    bottom = q + 2 * p * math.cos(phi + 2 * math.pi / 3)
+    return top <= 64.0 * bottom
+
+
+def _gap_draws(dimension: int, count: int, rng,
+               diagonal_only: bool) -> np.ndarray:
+    """The next ``count`` candidates of the gap experiment, as a stack.
+
+    Each draw takes its log singular spectrum uniformly, then (unless
+    diagonal_only) is conjugated by the first standard normal h with
+    |det h| > 0.2 and cond(h) <= 8, so a substantial fraction certifies
+    at the default (r, epsilon).  The stream is read draw after draw.
+    ``_conjugator_ok`` decides each h as it is drawn; one LAPACK det and
+    one cond over every h of the block then confirm those decisions.  At
+    the first h where they differ, the block is drawn again from its
+    start with that decision pinned to LAPACK's, so the draws are those
+    of a loop that asks LAPACK about each h in turn.
+    """
+    start = rng.bit_generator.state
+    pinned: dict[int, bool] = {}
     while True:
-        h = rng.standard_normal((dimension, dimension))
-        if abs(np.linalg.det(h)) > 0.2 and np.linalg.cond(h) <= 8.0:
-            break
-    return h @ diag @ np.linalg.inv(h)
+        spectra, drawn, guesses, picks = [], [], [], []
+        for _ in range(count):
+            if dimension == 2:
+                t = rng.uniform(1.5, 4.5)
+                spectra.append((math.exp(t), math.exp(-t)))
+            else:
+                t1 = rng.uniform(4.0, 7.0)
+                t2 = rng.uniform(-1.0, 1.0)
+                spectra.append((math.exp(t1), math.exp(t2),
+                                math.exp(-t1 - t2)))
+            if diagonal_only:
+                continue
+            ok = False
+            while not ok:
+                h = rng.standard_normal((dimension, dimension))
+                ok = pinned.get(len(drawn))
+                if ok is None:
+                    ok = _conjugator_ok(h.tolist())
+                drawn.append(h)
+                guesses.append(ok)
+            picks.append(len(drawn) - 1)
+        diags = np.zeros((count, dimension, dimension))
+        diags[:, range(dimension), range(dimension)] = spectra
+        if diagonal_only:
+            return diags
+        hs = np.stack(drawn)
+        confirmed = ((np.abs(np.linalg.det(hs)) > 0.2)
+                     & (np.linalg.cond(hs) <= 8.0))
+        wrong = np.flatnonzero(confirmed != guesses)
+        if not len(wrong):
+            hs = hs[picks]
+            return hs @ diags @ np.linalg.inv(hs)
+        pinned[int(wrong[0])] = bool(confirmed[wrong[0]])
+        rng.bit_generator.state = start
 
 
 def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
@@ -325,12 +397,15 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     """Distribution of the Cartan-Jordan gap over certified proximal
     elements.
 
-    Draws are seeded (PCG64) and stay sequential, one sample at a time,
-    because the order of the stream is part of the report contract.
-    Certification and the gap then run in blocks of at most 64 draws,
-    on the same deterministic sample lattice ``certify_proximal`` uses,
-    so reports are byte-identical to certifying one draw at a time; the
-    first uncaught error in sample order is the one raised.  Elements
+    Draws are seeded (PCG64) and read the stream in the order of one
+    draw after the other, because that order is part of the report
+    contract.  They come in blocks of at most 64: each conjugator's
+    accept test is predicted in closed form as it is drawn and confirmed
+    by one batched LAPACK det and cond per block (``_gap_draws``).
+    Certification and the gap then run on the block, on the same
+    deterministic sample lattice ``certify_proximal`` uses, so reports
+    are byte-identical to drawing and certifying one sample at a time;
+    the first uncaught error in sample order is the one raised.  Elements
     failing (r, epsilon) certification are recorded and skipped.  The
     run passes when the maximum observed gap stays below the calibrated
     bound for the dimension.
@@ -356,8 +431,8 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     certified = 0
     pts = _projective_samples(dimension, _PROXIMAL_SAMPLES) if samples else None
     for start in range(0, samples, _GAP_BLOCK):
-        block = np.stack([_gap_sample(dimension, rng, diagonal_only)
-                          for _ in range(min(_GAP_BLOCK, samples - start))])
+        block = _gap_draws(dimension, min(_GAP_BLOCK, samples - start),
+                           rng, diagonal_only)
         errors = _certify_block(block, r, epsilon, pts).errors
         kept = [i for i, exc in enumerate(errors) if exc is None]
         fast = dict(zip(kept, _gap_block(block[kept])))

@@ -295,19 +295,22 @@ def _abs_max(stack: np.ndarray) -> int:
     return int(np.abs(stack).max(initial=0))
 
 
-def _row_keys(*stacks: np.ndarray) -> list[np.ndarray]:
+def _row_keys(*stacks: np.ndarray,
+              bound: int | None = None) -> list[np.ndarray]:
     """One key per matrix of each (m, n, n) int64 stack, equal exactly
     when the matrices are, across all the stacks given.
 
-    With B the largest |entry| over the stacks, the key is the int64
-    sum of (x_k + B) (2B + 1)^k over the n^2 entries when
-    (2B + 1)^(n^2) < 2^63: every digit lies in 0..2B, so no partial sum
-    wraps.  Otherwise it is the matrix's bytes as one void scalar.  Both
-    kinds sort, and compare for equality, as plain arrays.
+    With B the largest |entry| over the stacks (or the given bound, which
+    no entry may exceed), the key is the int64 sum of
+    (x_k + B) (2B + 1)^k over the n^2 entries when (2B + 1)^(n^2) < 2^63:
+    every digit lies in 0..2B, so no partial sum wraps.  Otherwise it is
+    the matrix's bytes as one void scalar.  Both kinds sort, and compare
+    for equality, as plain arrays.
     """
     n = stacks[0].shape[-1]
     flats = [np.ascontiguousarray(s).reshape(len(s), n * n) for s in stacks]
-    bound = max(map(_abs_max, stacks))
+    if bound is None:
+        bound = max(map(_abs_max, stacks))
     base = 2 * bound + 1
     if base ** (n * n) < 2 ** 63:
         weights = np.array([base ** k for k in range(n * n)], dtype=np.int64)
@@ -341,21 +344,33 @@ class BallTable:
                             np.diff(self.offsets))
         return dict(zip(zip(*[rows] * n), lengths.tolist()))
 
+    @cached_property
+    def _sorted_keys(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The ball's largest |entry| B, its ``_row_keys`` in sorted order
+        and the BFS position of each."""
+        bound = _abs_max(self.elements)
+        (keys,) = _row_keys(self.elements, bound=bound)
+        order = np.argsort(keys)
+        return bound, keys[order], order
+
     def least_layer(self, stack: np.ndarray, radius: int) -> int | None:
         """Least r <= radius whose layer holds a matrix of the (m, n, n)
         int64 stack; None when none of them lies in that ball (or the
-        stack is empty).  The ball's keys are looked up by binary search
-        in the sorted keys of the stack, which may repeat a matrix."""
+        stack is empty).  The ball is keyed once per table.  A stack
+        matrix with an entry beyond the ball's B is no member; the others
+        are keyed in the ball's base and found by binary search in the
+        sorted ball keys."""
         if not 0 <= radius <= self.radius:
             raise ValueError(f"radius {radius} outside 0..{self.radius}")
-        ball_keys, stack_keys = _row_keys(
-            self.elements[:self.offsets[radius + 1]], stack)
-        stack_keys = np.sort(stack_keys)
-        hits = (np.searchsorted(stack_keys, ball_keys, "right")
-                > np.searchsorted(stack_keys, ball_keys))
-        if not hits.any():
+        bound, keys, positions = self._sorted_keys
+        inside = ((stack >= -bound) & (stack <= bound)).all(axis=(1, 2))
+        (stack_keys,) = _row_keys(stack[inside], bound=bound)
+        at = np.minimum(np.searchsorted(keys, stack_keys), len(keys) - 1)
+        first = positions[at[keys[at] == stack_keys]].min(
+            initial=len(positions))
+        if first >= self.offsets[radius + 1]:
             return None
-        return int(np.searchsorted(self.offsets, hits.argmax(), "right")) - 1
+        return int(np.searchsorted(self.offsets, first, "right")) - 1
 
 
 def enumerate_ball(gens: GeneratorSet, radius: int,

@@ -404,7 +404,10 @@ class TestGapRunner:
 
         def run(*draws):
             it = iter(draws)
-            monkeypatch.setattr(X, "_gap_sample", lambda *args: next(it))
+            monkeypatch.setattr(
+                X, "_gap_draws",
+                lambda dimension, count, rng, diagonal_only: np.stack(
+                    [next(it) for _ in range(count)]))
             return X.run_ams_gap(dimension=2, samples=len(draws))
 
         rep = run(proximal, integral)
@@ -415,6 +418,51 @@ class TestGapRunner:
             run(proximal, integral, singular, np.zeros((2, 2)))
         with pytest.raises(SingularInput, match="zero spectral radius"):
             run(proximal, np.zeros((2, 2)), singular)
+
+
+    @pytest.mark.parametrize("every", [3, 1])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_wrong_predictions_are_replayed(self, monkeypatch, dimension,
+                                            every):
+        # the closed form inverted on every 3rd, then on every candidate:
+        # LAPACK's confirmation and the replays give the oracle's draws
+        right = X._conjugator_ok
+        calls = iter(range(10 ** 9))
+
+        def wrong(rows):
+            return right(rows) != (next(calls) % every == 0)
+
+        monkeypatch.setattr(X, "_conjugator_ok", wrong)
+        cfg = dict(dimension=dimension, samples=70, seed=5)
+        got = X.run_ams_gap(**cfg)
+        assert next(calls) > 70
+        want = _oracle_report(**cfg)
+        for fmt in ("csv", "report"):
+            assert X.render_report(got, fmt) == X.render_report(want, fmt)
+
+    @pytest.mark.parametrize("rows, accept", [
+        ([[8.0, 0.0], [0.0, 1.0]], True),      # cond exactly 8
+        ([[8.0, 0.0], [0.0, 0.999]], False),   # cond just past 8
+        ([[0.2, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], False),
+        ([[0.21, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], True),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], True),
+        ([[8.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], True),
+        ([[8.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.999]], False),
+    ])
+    def test_closed_form_agrees_with_lapack_at_the_boundaries(self, rows,
+                                                              accept):
+        h = np.array(rows)
+        lapack = abs(np.linalg.det(h)) > 0.2 and np.linalg.cond(h) <= 8.0
+        assert X._conjugator_ok(rows) == lapack == accept
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_closed_form_agrees_with_lapack_on_normal_draws(self,
+                                                            dimension):
+        hs = np.random.default_rng(dimension).standard_normal(
+            (20000, dimension, dimension))
+        lapack = ((np.abs(np.linalg.det(hs)) > 0.2)
+                  & (np.linalg.cond(hs) <= 8.0))
+        assert [X._conjugator_ok(h) for h in hs.tolist()] == lapack.tolist()
 
 
 class TestDepthRootsRunner:

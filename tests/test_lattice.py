@@ -457,6 +457,58 @@ class TestWordLengthBfs:
         with pytest.raises(ValueError, match="outside 0..3"):
             table.least_layer(np.eye(3, dtype=np.int64)[None], radius)
 
+    @staticmethod
+    def least_layer_per_call(table, stack, radius):
+        """Keys the ball prefix with the stack on every call and looks the
+        ball keys up in the sorted stack keys."""
+        ball_keys, stack_keys = _row_keys(
+            table.elements[:table.offsets[radius + 1]], stack)
+        stack_keys = np.sort(stack_keys)
+        hits = (np.searchsorted(stack_keys, ball_keys, "right")
+                > np.searchsorted(stack_keys, ball_keys))
+        if not hits.any():
+            return None
+        return int(np.searchsorted(table.offsets, hits.argmax(),
+                                   "right")) - 1
+
+    @pytest.mark.parametrize("n, radius, big", [
+        (2, 4, 1), (3, 5, 1), (4, 3, 1), (2, 3, 256)])
+    def test_least_layer_matches_the_per_call_keys(self, n, radius, big):
+        # big = 256 puts the ball's B past the int64 packing, on the byte
+        # keys, while conjugates by the generators stay below 2^62
+        mats = []
+        for i, j in iter_product(range(n), repeat=2):
+            if i != j:
+                t = big if (i, j) == (0, 1) else 1
+                mats += [E(n, i, j, t), E(n, i, j, -t)]
+        table = enumerate_ball(GeneratorSet.from_matrices(mats), radius)
+        bound = int(np.abs(table.elements).max())
+        kind = "V" if big > 1 else "i"
+        assert _row_keys(table.elements)[0].dtype.kind == kind
+        rng = np.random.default_rng(n * radius)
+        picks = rng.choice(len(table.elements),
+                           size=min(60, len(table.elements)), replace=False)
+        # conjugates by the generators leave the ball and, at the edge,
+        # reach entries past B
+        gens = table.elements[1:table.offsets[2]]
+        conj = (gens[:, None] @ table.elements[picks]
+                @ table.inverses[1:table.offsets[2]][:, None]
+                ).reshape(-1, n, n)
+        beyond = np.array([E(n, 1, 0, bound + 1), E(n, 0, n - 1, -bound - 1),
+                           E(n, n - 1, 0, 2 ** 40)], dtype=np.int64)
+        assert (np.abs(conj).max() > bound) and (np.abs(beyond).max()
+                                                 > bound)
+        stacks = ([table.elements[[k]] for k in picks]
+                  + [conj[k:k + 40] for k in range(0, len(conj), 40)]
+                  + [beyond, np.concatenate([beyond,
+                                             table.elements[picks[:3]]])])
+        for stack in stacks:
+            for r in range(radius + 1):
+                assert table.least_layer(stack, r) == (
+                    self.least_layer_per_call(table, stack, r))
+        assert all(table.least_layer(m[None], radius) is None
+                   for m in beyond)
+
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="np.unique imports numpy.ma on numpy >= 2 "
                                "only")
