@@ -38,7 +38,7 @@ from .lattice import (
     elementary_generators,
     enumerate_ball,
     identity,
-    mat_pow,
+    mat_mul,
     translation_length_lower,
 )
 from .matgeo import (
@@ -256,9 +256,10 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
     rows_out = []
     displacements_ok = True
     lower_values = []
-    p = 1
+    p, m = 1, gamma
     while p <= cap:
-        m = mat_pow(gamma, p)
+        if p > 1:  # each row squares the previous one
+            m = mat_mul(m, m)
         disp = symmetric_space_displacement(m)
         lower = translation_length_lower(m, gens)
         lower_values.append(lower)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, count, permutations
@@ -610,15 +611,51 @@ def _strip_cyclotomic(poly: tuple[int, ...], n: int) -> tuple[int, ...]:
     return poly
 
 
+def _digits(bits: int) -> int:
+    """Working digits for roots of an integer polynomial whose largest
+    coefficient has the given bit length: a root pair spanning 2^bits
+    needs about 0.6 bits digits."""
+    return max(60, 2 * bits // 3 + 40)
+
+
+def _quadratic_log_moduli(b: int, c: int) -> tuple[float, float]:
+    """Log moduli of the roots of x^2 + b x + c (c != 0), in closed form.
+
+    D = b^2 - 4c <= 0 gives a conjugate pair or a double root, both of
+    modulus sqrt(c).  Otherwise the roots are real and the larger modulus
+    is (|b| + sqrt(D)) / 2, taken in decimal at _digits(bits) digits; the
+    smaller is |c| over it, so it suffers no cancellation.
+
+    >>> [round(x, 12) for x in _quadratic_log_moduli(-5, 6)]  # roots 3, 2
+    [1.098612288668, 0.69314718056]
+    >>> [round(x, 12) for x in _quadratic_log_moduli(2, 4)]  # 2 e^(+-2pi i/3)
+    [0.69314718056, 0.69314718056]
+    """
+    # ln at 40 digits of the exact high-precision argument is well beyond
+    # a float's 17, and far cheaper than ln at the full precision
+    ln = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN).ln
+    disc = b * b - 4 * c
+    if disc <= 0:
+        half = float(ln(c)) / 2  # halving a float is exact
+        return half, half
+    ctx = Context(prec=_digits(max(abs(b), abs(c)).bit_length()),
+                  Emax=MAX_EMAX, Emin=MIN_EMIN)
+    large = ctx.divide(ctx.add(abs(b), ctx.sqrt(disc)), 2)
+    small = ctx.divide(abs(c), large)
+    return float(ln(large)), float(ln(small))
+
+
 def log_eigenvalue_moduli(a) -> tuple[float, ...]:
     """Sorted (non-increasing) log eigenvalue moduli of an integer matrix.
 
     Cyclotomic factors of the exact characteristic polynomial contribute
-    exactly 0.0 each, so unipotents give the exact zero vector.  The rest
-    are eigenvalues of the remainder's companion matrix by mpmath QR at
-    max(60, 2 bits/3 + 40) digits (a root pair spanning 2^bits needs ~0.6
-    bits digits).  Raises SingularInput at determinant 0 and EigenFailure
-    when QR does not converge; there is no lower-precision fallback.
+    exactly 0.0 each, so unipotents give the exact zero vector.  A linear
+    remainder has an integer root and a quadratic one is solved in closed
+    form (_quadratic_log_moduli).  From degree 3 on, the roots are the
+    eigenvalues of the remainder's companion matrix by mpmath QR at
+    _digits(bits) digits.  Raises SingularInput at determinant 0 and
+    EigenFailure when QR does not converge; there is no lower-precision
+    fallback.
     """
     mat = as_int_matrix(a)
     poly = char_poly(mat)
@@ -629,11 +666,13 @@ def log_eigenvalue_moduli(a) -> tuple[float, ...]:
     logs = [0.0] * (len(mat) - d)
     if d == 1:  # x + r has the integer root -r
         logs.append(math.log(abs(rest[1])))
-    elif d > 1:
+    elif d == 2:
+        logs += _quadratic_log_moduli(rest[1], rest[2])
+    elif d > 2:
         from mpmath import mp
 
         bits = max(abs(c) for c in rest).bit_length()
-        with mp.workdps(max(60, 2 * bits // 3 + 40)):
+        with mp.workdps(_digits(bits)):
             companion = mp.matrix([[-c for c in rest[1:]]] + [
                 [int(j == i) for j in range(d)] for i in range(d - 1)])
             try:

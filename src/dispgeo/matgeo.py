@@ -11,8 +11,9 @@ Float input goes through dense LAPACK solvers in numpy.  Integer input
 takes its Jordan projection from ``lattice.log_eigenvalue_moduli``: exact
 characteristic polynomial, cyclotomic factors divided out exactly (so
 integer unipotents have displacement exactly 0.0, which the lattice
-experiments rely on), mpmath QR for the rest, and an error, never a float
-fallback, if QR fails.
+experiments rely on), a closed form for a remainder of degree at most 2,
+mpmath QR from degree 3, and an error, never a float fallback, if QR
+fails.
 """
 
 from __future__ import annotations

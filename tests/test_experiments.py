@@ -319,6 +319,11 @@ class TestProp507Runner:
          "aa0945fa220d945d91a8a2c081f8df98cce0666fa5ab17b6ab3a787e8f913e53"),
         (dict(negative_control=True, n=2, word_radius=6),
          "ab1a5adc11d7b99217e836c260f1d58a417b57f1c82446875ca022a983ed41af"),
+        # the negative controls before their quadratic left mpmath QR
+        (dict(negative_control=True),
+         "babac23ebaf1438bd4208c682da06c199361921ff4fdff90691b8592eb2b3bf3"),
+        (dict(negative_control=True, n=4, word_radius=2),
+         "ff3c0f3cafd8a19e116c8889fbba0d5b99680cb198cac95b779c7f4c8f52e368"),
     ])
     def test_pinned_report_bytes(self, cfg, digest):
         # digests of the reports of the one-search-per-row runner this one

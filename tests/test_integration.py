@@ -1,9 +1,12 @@
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dispgeo
 from dispgeo.hyperbolic import (
     certify_ping_pong,
     conjugacy_undistortion_check,
@@ -78,3 +81,21 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("extra", [[], ["--n", "2"]])
+def test_negative_control_leaves_mpmath_unimported(extra):
+    # the control's Jordan projections have quadratic remainders, which
+    # are solved in closed form
+    script = (
+        "import sys\n"
+        "from dispgeo.cli import main\n"
+        f"code = main(['prop507', '--negative-control'] + {extra!r})\n"
+        "print(code, 'mpmath' in sys.modules)\n")
+    src = str(Path(dispgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
@@ -26,7 +27,9 @@ from dispgeo.errors import (
 from dispgeo.lattice import (
     GeneratorSet,
     _det1_survivors,
+    _digits,
     _largest_box,
+    _quadratic_log_moduli,
     _row_keys,
     _unipotent_depth,
     as_int_matrix,
@@ -198,10 +201,64 @@ class TestExactHelpers:
             raise RuntimeError("qr: failed to converge")
 
         monkeypatch.setattr(mp, "eig", no_convergence)
+        # the companion of x^3 - x - 1: a cubic remainder goes to QR
+        cubic = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+        assert char_poly(cubic) == (1, 0, -1, -1)
         with pytest.raises(EigenFailure):
-            log_eigenvalue_moduli(((2, 1, 0), (1, 1, 0), (0, 0, 1)))
+            log_eigenvalue_moduli(cubic)
+        # a quadratic remainder is solved in closed form, never by QR
+        top = log_eigenvalue_moduli(((2, 1, 0), (1, 1, 0), (0, 0, 1)))[0]
+        assert top == log_eigenvalue_moduli(FIB)[0] > 0
         # a fully cyclotomic polynomial never reaches QR
         assert log_eigenvalue_moduli(E(3, 0, 2, 5)) == (0.0,) * 3
+
+    @staticmethod
+    def qr_log_moduli(b, c):
+        """The QR route on the companion of x^2 + b x + c, at the digits
+        the closed form works at."""
+        from mpmath import mp
+
+        with mp.workdps(_digits(max(1, abs(b), abs(c)).bit_length())):
+            roots = mp.eig(mp.matrix([[-b, -c], [1, 0]]), left=False,
+                           right=False)
+            return tuple(sorted((float(mp.log(abs(r))) for r in roots),
+                                reverse=True))
+
+    def test_quadratic_closed_form_matches_qr(self):
+        rng = random.Random(507)
+        cases = [(-1002, 1000), (-(2 ** 200 + 2), 2 ** 200),  # a root near 1
+                 (1002, 1000), (2 ** 200 + 2, 2 ** 200),  # ... near -1
+                 (-4, 4), (4, 4),  # (x -+ 2)^2, a double root
+                 (2, 4), (-3, 5)]  # conjugate pairs
+        for bits in range(2, 1001, 9):
+            b = rng.randrange(-2 ** bits, 2 ** bits)
+            cases.append((b, rng.choice((1, -1))))  # det +-1
+            cases.append((b, rng.randrange(1, 2 ** bits)
+                          * rng.choice((1, -1))))
+            # a conjugate pair: b^2 < 4c
+            cases.append((b, b * b // 4 + rng.randrange(1, 2 ** bits)))
+        for b, c in cases:
+            if 1 + b + c == 0 or 1 - b + c == 0:  # a root at 1 or -1
+                continue
+            assert _quadratic_log_moduli(b, c) == self.qr_log_moduli(b, c), \
+                (b, c)
+
+    def test_quadratic_closed_form_is_exact_on_the_unit_circle(self):
+        # cyclotomic quadratics never reach the closed form from a matrix
+        # (they are divided out first), but it gives them exact zeros where
+        # QR leaves ~1e-61 of noise
+        for b, c in ((0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (0, -1)):
+            assert _quadratic_log_moduli(b, c) == (0.0, 0.0)
+
+    def test_log_eigenvalue_moduli_of_a_large_power_is_fast(self):
+        big = mat_pow(FIB, 2 ** 13)
+        assert char_poly(big)[1].bit_length() == 11375
+        started = time.perf_counter()
+        logs = log_eigenvalue_moduli(big)
+        assert time.perf_counter() - started < 1.0
+        assert logs == self.qr_log_moduli(*char_poly(big)[1:])
+        top = log_eigenvalue_moduli(FIB)[0]
+        assert logs[0] == pytest.approx(2 ** 13 * top, rel=1e-12)
 
     def test_as_int_matrix_rejects(self):
         with pytest.raises(ValueError):
