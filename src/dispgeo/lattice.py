@@ -4,10 +4,12 @@ Matrices are nested tuples of Python ints, so single-matrix arithmetic
 is exact and overflow-free.  Every matrix stack is int64 instead: the
 ball search and the conjugate search bound the largest possible entry of
 each product in Python ints and raise ResourceExceeded unless it stays
-below 2^62, and the root search in a box works mod a prime p with
-n (p - 1)^2 < 2^62 and confirms its survivors exactly, so no entry ever
-wraps.  The ball search tells matrices apart by one key per matrix
-(packed int64 digits when they fit, else the matrix's bytes) and
+below 2^62.  The root search in a box walks only the integer points of
+the target's commutant (every root commutes with it), solving the pivot
+entries from the free ones mod a prime p; it powers those points mod p,
+with n (p - 1)^2 < 2^62, and confirms its survivors exactly, so no
+entry ever wraps.  The ball search tells matrices apart by one key per
+matrix (packed int64 digits when they fit, else the matrix's bytes) and
 deduplicates each layer with one stable sort of those keys.  The module
 provides the breadth-first word
 metric over a symmetric generating set (default: elementary matrices
@@ -23,8 +25,8 @@ import math
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from itertools import combinations, count, permutations
+from functools import cached_property, lru_cache
+from itertools import count
 from itertools import product as iter_product
 
 import numpy as np
@@ -763,56 +765,110 @@ class DepthBound:
 
 
 _BOX_ENUMERATION_CAP = 20_000_000
+_BOX_BLOCK = 1 << 16
+_BOX_PRIME = 1_000_000_007
 
 
 def _largest_box(n: int) -> int:
-    """The largest box b whose (2 b + 1)^(n^2) candidates fit the cap."""
+    """The largest box b whose (2 b + 1)^(n^2) matrices fit the cap.
+
+    The commutant of any n x n matrix has rank at most n^2, so the root
+    search at this box stays under the cap for every target.
+    """
     return next(b for b in count(1)
                 if (2 * b + 3) ** (n * n) > _BOX_ENUMERATION_CAP)
 
 
-@lru_cache(maxsize=8)
-def _det1_survivors(n: int, box: int) -> np.ndarray:
-    """All integer matrices with |entries| <= box and det 1, as an
-    (m, n, n) int64 array in flat-index order: the row-major entries are
-    the base-(2 box + 1) digits, entry (0, 0) fastest.
+def _commutant(a: IntMatrix) -> tuple[tuple[int, ...], tuple[int, ...],
+                                      tuple[tuple[int, ...], ...], int]:
+    """Integer coordinates on the commutant {X : a X = X a}.
 
-    Every row of the box is built once.  det is one Laplace expansion
-    along row 0: the row-0 cofactors are Leibniz sums over a grid with one
-    axis per other row, then one product with every row 0, in the
-    smallest int dtype holding n! box^n, so no partial sum can wrap.  A
-    box over the enumeration cap is an error, never truncated.
+    Puts X -> a X - X a, on X's row-major entries, into reduced row
+    echelon form over Fraction.  Returns (free, pivots, weights, den): X
+    commutes with a iff den * X[pivots[i]] = sum_j weights[i][j] *
+    X[free[j]] for every i, the free entries being arbitrary.
     """
+    n = len(a)
+    rows = [[Fraction(a[i][l] * (m == j) - (l == i) * a[m][j])
+             for l in range(n) for m in range(n)]
+            for i in range(n) for j in range(n)]
+    pivots: list[int] = []
+    for c in range(n * n):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    free = tuple(c for c in range(n * n) if c not in pivots)
+    den = math.lcm(*(rows[i][c].denominator
+                     for i in range(len(pivots)) for c in free))
+    weights = tuple(tuple(int(-rows[i][c] * den) for c in free)
+                    for i in range(len(pivots)))
+    return free, tuple(pivots), weights, den
+
+
+def _commutant_points(target: IntMatrix, box: int):
+    """Every integer X with |entries| <= box and target X = X target, as
+    (m, n, n) int64 blocks.
+
+    The free coordinates of the commutant run over [-box, box]^r in
+    blocks of _BOX_BLOCK.  Each pivot entry, weights @ free / den, is
+    solved mod the prime p = _BOX_PRIME, so no weight needs an int64
+    bound, and a point is kept when every pivot is congruent to an
+    integer in the box.  That keeps every integer point of the commutant,
+    and nothing else whenever |weights @ free| + den box < p; past that,
+    a kept point may commute with target only mod p.  A walk of more than
+    _BOX_ENUMERATION_CAP points is an error, never truncated, and so is a
+    den that p divides.
+    """
+    n = len(target)
+    p = _BOX_PRIME
+    free, pivots, weights, den = _commutant(target)
     base = 2 * box + 1
-    total = base ** (n * n)
+    total = base ** len(free)
     if total > _BOX_ENUMERATION_CAP:
         raise ResourceExceeded(
-            f"box {box} in dimension {n} has {total} candidates > cap "
-            f"{_BOX_ENUMERATION_CAP}", count=total)
-    # rows[r, j] is digit j of r, so entry 0 varies fastest
-    rows = np.indices((base,) * n, np.int64).reshape(n, -1)[::-1].T - box
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).max >= math.factorial(n) * box ** n)
-    entries = rows.astype(dtype)
-    cofactors = np.zeros((n,) + (len(rows),) * (n - 1), dtype)
-    for perm in permutations(range(n)):
-        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
-        # one grid axis per row n-1, ..., 1
-        grid = np.ix_(*(entries[:, perm[i]] for i in range(n - 1, 0, -1)))
-        cofactors[perm[0]] += sign * reduce(np.multiply, grid)
-    det = cofactors.reshape(n, -1).T @ entries.T
-    picked = np.nonzero(det.reshape((len(rows),) * n) == 1)
-    return rows[np.stack(picked[::-1], axis=1)]
+            f"box {box} on the rank-{len(free)} commutant in dimension {n} "
+            f"has {total} candidates > cap {_BOX_ENUMERATION_CAP}",
+            count=total)
+    if den % p == 0:
+        raise ResourceExceeded(f"the commutant's denominator {den} is a "
+                               f"multiple of the prime {p}", count=den)
+    _certify_int64((len(free) * (p - 1) + 1) * box,
+                   "commutant pivot sum mod p")
+    inv = pow(den, -1, p)
+    w = np.array([[x * inv % p for x in row] for row in weights],
+                 dtype=np.int64).reshape(len(pivots), len(free))
+    for start in range(0, total, _BOX_BLOCK):
+        idx = np.arange(start, min(start + _BOX_BLOCK, total))
+        coords = np.stack(np.unravel_index(idx, (base,) * len(free)),
+                          axis=-1).astype(np.int64) - box
+        shifted = (coords @ w.T + box) % p  # pivot + box, if in the box
+        keep = np.all(shifted <= 2 * box, axis=1)
+        points = np.empty((int(keep.sum()), n * n), dtype=np.int64)
+        points[:, list(free)] = coords[keep]
+        points[:, list(pivots)] = shifted[keep] - box
+        yield points.reshape(-1, n, n)
 
 
 def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
     """All integer B with |entries| <= box, det 1 and B^k = a (exact).
 
-    One int64 stack of candidates keeps those that commute with a and
-    have B^k = a mod the prime p = 1 000 000 007 (repeated squaring with
-    ``@``, each product reduced mod p, so entries stay below the certified
-    n (p - 1)^2 < 2^62).  A root passes both filters; each survivor is
-    then confirmed exactly, in flat-index order.
+    B^k = a forces B a = a B, so only the integer points of the
+    commutant of a in the box are walked (_commutant_points), up to
+    (2 box + 1)^r of them for a commutant of rank r.  Each block keeps
+    the points with B^k = a mod the prime p = _BOX_PRIME (repeated
+    squaring with ``@``, each product reduced mod p, so entries stay
+    below the certified n (p - 1)^2 < 2^62).  A root passes that filter;
+    each survivor is confirmed by det_exact and an exact power, and the
+    roots come back in flat-index order, entry (0, 0) varying fastest.
     """
     target = as_int_matrix(a)
     n = len(target)
@@ -820,20 +876,23 @@ def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
         raise DimensionUnsupported("box search supports n in {2, 3}")
     if k < 1 or box < 1:
         raise ValueError("need k >= 1 and box >= 1")
-    p = 1_000_000_007
+    p = _BOX_PRIME
     _certify_int64(n * (p - 1) ** 2, "box search product mod p")
     t = np.array(mat_mod(target, p), dtype=np.int64)
-    stack = _det1_survivors(n, box)
-    stack = stack[np.all(stack @ t % p == t @ stack % p, axis=(1, 2))]
-    power, base, e = None, stack, k
-    while e:
-        if e & 1:
-            power = base if power is None else power @ base % p
-        e >>= 1
-        if e:
-            base = base @ base % p
-    hits = stack[np.all(power % p == t, axis=(1, 2))]
-    return [b for b in map(as_int_matrix, hits) if mat_pow(b, k) == target]
+    hits = []
+    for stack in _commutant_points(target, box):
+        power, base, e = None, stack, k
+        while e:
+            if e & 1:
+                power = base if power is None else power @ base % p
+            e >>= 1
+            if e:
+                base = base @ base % p
+        hits.append(stack[np.all(power % p == t, axis=(1, 2))])
+    hits = np.concatenate(hits).reshape(-1, n * n)
+    hits = hits[np.lexsort(hits.T)].reshape(-1, n, n)
+    return [b for b in map(as_int_matrix, hits)
+            if det_exact(b) == 1 and mat_pow(b, k) == target]
 
 
 def _unipotent_depth(a: int, c: int) -> int:
@@ -845,12 +904,12 @@ def _unipotent_depth(a: int, c: int) -> int:
 def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     """Full bounded-depth-roots certificate for a non-torsion matrix.
 
-    Dimensions 2 and 3 only (the box cross-check is exhaustive there).
-    Roots of order 2, 3, depth and depth + 1 are searched in the box
-    |entries| <= box_bound, by default min(ceil(K) + 1, _largest_box(n)):
-    32 at n = 2, 2 at n = 3.  Raises TorsionInput for finite-order input,
-    ResourceExceeded for a box over the cap and SoundnessFailure for a
-    root at or past the certified depth.
+    Dimensions 2 and 3 only.  Roots of order 2, 3, depth and depth + 1
+    are searched exhaustively in the box |entries| <= box_bound, by
+    default min(ceil(K) + 1, _largest_box(n)): 32 at n = 2, 2 at n = 3.
+    Raises TorsionInput for finite-order input, ResourceExceeded when the
+    (2 box_bound + 1)^r points of the input's rank-r commutant pass the
+    cap, and SoundnessFailure for a root at or past the certified depth.
     """
     mat = as_int_matrix(a)
     n = len(mat)

@@ -150,10 +150,6 @@ class Word:
             n >>= 1
         return result
 
-    def conjugate_by(self, h: "Word") -> "Word":
-        """h * self * h^-1."""
-        return h * self * h.inverse()
-
     def is_cyclically_reduced(self) -> bool:
         ls = self.letters
         return len(ls) < 2 or ls[0] != -ls[-1]

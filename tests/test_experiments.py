@@ -533,11 +533,15 @@ class TestDepthRootsRunner:
 
     @pytest.mark.parametrize("name", ["cycle0", "cycle3", "shear3", "fib3"])
     def test_box_over_the_cap_raises(self, name):
-        # a 3x3 box of 3 has 7^9 candidates, past the 2e7 cap: a resource
-        # error for the whole run, not a SOUNDNESS-FAILURE row
+        # a 3x3 shear's rank-5 commutant has 31^5 points at box 15, and
+        # the rank-3 commutant of FIB (+) 1 has 273^3 at box 136, both
+        # past the 2e7 cap: a resource error for the whole run, not a
+        # SOUNDNESS-FAILURE row
+        box_bound, count = ((136, 273 ** 3) if name == "fib3"
+                            else (15, 31 ** 5))
         with pytest.raises(ResourceExceeded) as exc:
-            X.run_depth_roots(self.PINNED_FILES[name], box_bound=3)
-        assert exc.value.count == 7 ** 9
+            X.run_depth_roots(self.PINNED_FILES[name], box_bound=box_bound)
+        assert exc.value.count == count
 
     def test_automatic_box_stops_at_the_cap(self):
         # K = 33.97..., so ceil(K) + 1 = 35 is past the n = 2 cap; the
@@ -642,11 +646,11 @@ class TestCli:
         f = tmp_path / "m.json"
         f.write_text(json.dumps([[2, 1, 0], [1, 1, 0], [0, 0, 1]]))
         assert main(["depth-roots", "--file", str(f),
-                     "--box-bound", "3"]) == 1
+                     "--box-bound", "136"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "ResourceExceeded: box 3 in dimension 3 has 40353607" \
-            in captured.err
+        assert ("ResourceExceeded: box 136 on the rank-3 commutant in "
+                "dimension 3 has 20346417 candidates") in captured.err
         assert "SOUNDNESS" not in captured.err
 
     def test_parse_error_exit(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 from pathlib import Path
@@ -26,7 +27,7 @@ from dispgeo.errors import (
 )
 from dispgeo.lattice import (
     GeneratorSet,
-    _det1_survivors,
+    _commutant_points,
     _digits,
     _largest_box,
     _quadratic_log_moduli,
@@ -914,30 +915,59 @@ class TestFindRootsInBox:
         assert find_roots_in_box(FIB, 3, 4) == []
 
     def test_enumeration_cap_is_an_error(self):
-        with pytest.raises(ResourceExceeded):
-            find_roots_in_box(E(3, 0, 2, 1), 2, 3)  # 7^9 candidates
+        # E_13(1) has a rank-5 commutant: 31^5 points at box 15
+        with pytest.raises(ResourceExceeded) as exc:
+            find_roots_in_box(E(3, 0, 2, 1), 2, 15)
+        assert exc.value.count == 31 ** 5 == 28_629_151
 
-    @pytest.mark.parametrize("n, box, size, digest", [
-        (2, 1, 20,
-         "3973b814ab7a4f8a902f6d5a6d4c27072cb092bf7506a2956c2a4cdbc357fff5"),
-        (2, 2, 52,
-         "5b7a21cb9ab8d0da6a155da41119c9e3ef2894aa49b83d85fd14b8ddb86fd7e9"),
-        (2, 5, 308,
-         "fd22991944b44ea1a3a1cb1116f94c3c5fdb1613892d543c65e7a8cfb7ce05ae"),
-        (2, 32, 10356,
-         "540027020fdd8494fcf829b50191789c0b75da6ef4f82c00e48972de4bca26f0"),
-        (3, 1, 3480,
-         "0af4cef83cda93a58cd951e20488fc6aafba0c0b3add86e48278a8391356bce0"),
-        (3, 2, 67704,
-         "9e37c5e5f512bcdba385ddbec62e8dfa3c5c8bf62858a21835bae62ab6ede808"),
-    ])
-    def test_pinned_det1_survivors(self, n, box, size, digest):
-        # digests of the chunked flat-index enumeration with hand-written
-        # determinants that the one Laplace sum replaced: values and order
-        survivors = _det1_survivors(n, box)
-        assert survivors.dtype == np.int64
-        assert survivors.shape == (size, n, n)
-        assert hashlib.sha256(survivors.tobytes()).hexdigest() == digest
+    @pytest.mark.parametrize("n, box", [(2, 3), (3, 1)])
+    def test_commutant_matches_brute_force(self, n, box):
+        minus = tuple(tuple(-x for x in row) for row in identity(n))
+        # the last fixed target has echelon denominator 2
+        targets = [identity(n), minus, E(n, 0, 1, 1)]
+        targets += ([E(3, 0, 2, 2), ((2, 1, 0), (1, 1, 0), (0, 0, 1)),
+                     ((1, 0, 1), (0, 1, 0), (2, 0, 3))]
+                    if n == 3 else [FIB, ((1, 1), (2, 3))])
+        rng = random.Random(f"seeded:{n}")
+        for _ in range(2):
+            m = identity(n)
+            for _ in range(rng.randint(2, 4)):
+                i, j = rng.sample(range(n), 2)
+                m = mat_mul(m, E(n, i, j, rng.choice((1, -1))))
+            targets.append(m)
+        matrices = [tuple(tuple(entries[i * n:(i + 1) * n])
+                          for i in range(n))
+                    for entries in iter_product(range(-box, box + 1),
+                                                repeat=n * n)]
+        for a in targets:
+            want = {x for x in matrices if mat_mul(a, x) == mat_mul(x, a)}
+            got = [as_int_matrix(x) for block in _commutant_points(a, box)
+                   for x in block]
+            assert len(got) == len(set(got)) and set(got) == want, a
+
+    def test_large_commutant_weights(self):
+        # X -> aX - Xa has echelon weight 2^61 here: the pivot entries are
+        # solved mod p, so the walk needs no int64 bound on the weights
+        a = ((2 ** 61, 1), (-1, 0))
+        assert find_roots_in_box(a, 2, 2) == []
+        # a denominator that p divides has no inverse mod p: an error
+        p = 1_000_000_007
+        with pytest.raises(ResourceExceeded):
+            find_roots_in_box(((1, 1), (p, p + 1)), 2, 2)
+
+    def test_blocked_enumeration_memory(self):
+        # 17^5 commutant points at box 8, walked in blocks of 2^16
+        tracemalloc.start()
+        try:
+            roots = find_roots_in_box(E(3, 0, 2, 1), 2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert all(det_exact(b) == 1 and mat_pow(b, 2) == E(3, 0, 2, 1)
+                   for b in roots)
+        small = find_roots_in_box(E(3, 0, 2, 1), 2, 2)
+        assert len(small) == 4 and set(small) <= set(roots)
 
     @staticmethod
     def oracle_roots(n, box, ks):
