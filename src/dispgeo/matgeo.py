@@ -13,7 +13,8 @@ characteristic polynomial, cyclotomic factors divided out exactly (so
 integer unipotents have displacement exactly 0.0, which the lattice
 experiments rely on), a closed form for a remainder of degree at most 2,
 mpmath QR from degree 3, and an error, never a float fallback, if QR
-fails.
+fails.  ``renormalized_cartan_average`` squares exact exterior powers in
+``decimal`` at a fixed 80 digits.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 _EIG_REL_TOL = 1e-9  # relative tolerance for simplicity/reality decisions
+_RCA_DIGITS = 80  # decimal working precision of renormalized_cartan_average
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -486,43 +490,125 @@ def _gap_block(ms: np.ndarray) -> list:
     return [None if s else gap for s, gap in zip(scalar.tolist(), gaps)]
 
 
+def _exterior_powers(rows: list[list[int]]) -> list[list[list[int]]]:
+    """Lambda^k of an integer matrix for k = 1..n: the k x k minors, index
+    sets in lexicographic order, each by Laplace expansion along its first
+    row over the (k-1) x (k-1) minors.  The last one is [[det]]."""
+    n = len(rows)
+    minors = {((), ()): 1}
+    powers = []
+    for k in range(1, n + 1):
+        sets = list(combinations(range(n), k))
+        minors = {(i, j): sum((-1) ** t * rows[i[0]][c]
+                              * minors[i[1:], j[:t] + j[t + 1:]]
+                              for t, c in enumerate(j))
+                  for i in sets for j in sets}
+        powers.append([[minors[i, j] for j in sets] for i in sets])
+    return powers
+
+
+def _square(h: list) -> tuple[list, int]:
+    """h @ h = 10^e H in the current decimal context, with e the decimal
+    exponent of the largest entry, so max |H| lies in [1, 10) and the
+    shift is exact.  Raises if the product cancels more than half the
+    working digits (relative to its largest entry)."""
+    cols = list(zip(*h))
+    out, size = [], 0
+    for row in h:
+        new = []
+        for col in cols:
+            terms = [a * b for a, b in zip(row, col)]
+            new.append(sum(terms))
+            size = max(size, sum(abs(t) for t in terms))
+        out.append(new)
+    f = max(abs(x) for row in out for x in row)
+    if f.scaleb(_RCA_DIGITS // 2) <= size:
+        raise SingularInput("renormalized power lost more than half the "
+                            f"{_RCA_DIGITS} working digits to cancellation")
+    e = f.adjusted()
+    return [[x.scaleb(-e) for x in row] for row in out], e
+
+
+def _top_eigenvalue(a: list) -> Decimal:
+    """Largest eigenvalue of a symmetric positive semidefinite matrix by
+    cyclic Jacobi in the current decimal context, rotating ``a`` in place;
+    exact when ``a`` is diagonal.  Off-diagonal entries below
+    10^-(digits-10) of the trace are left in place: they move an
+    eigenvalue by at most n times that."""
+    n = len(a)
+    tol = sum(a[i][i] for i in range(n)).scaleb(10 - _RCA_DIGITS)
+    rotated = True
+    while rotated:
+        rotated = False
+        for p, q in combinations(range(n), 2):
+            apq = a[p][q]
+            if abs(apq) <= tol:
+                continue
+            rotated = True
+            theta = (a[q][q] - a[p][p]) / (2 * apq)
+            t = 1 / (abs(theta) + (theta * theta + 1).sqrt())
+            if theta < 0:
+                t = -t
+            c = 1 / (t * t + 1).sqrt()
+            s = t * c
+            for r in range(n):
+                if r != p and r != q:
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = c * arp - s * arq
+                    a[r][q] = a[q][r] = s * arp + c * arq
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = Decimal(0)
+    return max(a[i][i] for i in range(n))
+
+
 def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
     """cartan_projection(g^m)/m for m = 2^squarings.
 
-    Repeated squaring with renormalization by the largest entry; the log
-    factors accumulate exactly once per level.  The singular values of g^m
-    span a dynamic range of order exp(m * spectral spread), far beyond
-    double precision already for m ~ 100, so the squaring runs in
-    arbitrary precision (pure-Python mpmath: gmpy2 is not a dependency)
-    at 60 digits plus 1.3 m / ln 10 per unit of Jordan projection spread.
     Converges to the Jordan projection as the number of squarings grows.
+    The singular values of g^m span a dynamic range of order
+    exp(m * spectral spread), far beyond double precision, but their
+    partial sums need only top singular values: S_k = l_1 + ... + l_k is
+    (1/m) log sigma_1((Lambda^k g)^m), since Lambda^k(g^m) = (Lambda^k g)^m,
+    and S_n = log |det g|.  The float entries are taken as exact: g = M/D
+    with M an integer matrix and D a power of 2, so Lambda^k M and det M
+    are exact integer minors.  Each (Lambda^k M)^m is repeated squaring
+    with renormalization by the power of ten of the largest entry, in
+    ``decimal`` at a fixed 80 digits: a top singular value is well
+    conditioned relative to itself, so the precision need not grow with
+    m.  sigma_1^2 is the top eigenvalue of H^T H by cyclic Jacobi.
+    l_k = S_k - S_(k-1) is returned as 0.0 when it lies below the route's
+    absolute error, 10^-60 max |S|.  A zero determinant, or a squaring
+    that cancels more than half the working digits, raises SingularInput.
     """
-    from mpmath import mp, mpf, matrix as mp_matrix, svd_r
-
     m = _as_matrix(g)
     if squarings < 0:
         raise ValueError("squarings must be >= 0")
+    ratios = [x.as_integer_ratio() for x in m.ravel().tolist()]
+    denom = max(d for _, d in ratios)
     n = m.shape[0]
-    try:
-        lam = jordan_projection(m)
-        spread = float(lam[0] - lam[-1])
-    except (SingularInput, EigenFailure):
-        spread = 2.0 * n * np.log(max(2.0, float(np.max(np.abs(m)))))
-    dps = int(1.3 * (2 ** squarings) * spread / np.log(10.0)) + 60
-    with mp.workdps(dps):
-        h = mp_matrix(m.tolist())
-        # g^(2^k) = c_k H_k with H_k at unit scale; track log(c_k)/2^k
-        log_scale = mpf(0)
-        for k in range(1, squarings + 1):
-            h = h * h
-            f = max(abs(h[i, j]) for i in range(n) for j in range(n))
-            if f == 0:
-                raise SingularInput("renormalized power degenerated")
-            h = h / f
-            log_scale += mp.log(f) / (2 ** k)
-        sv = svd_r(h, compute_uv=False)
-        if min(sv) == 0:
-            raise SingularInput("renormalized power is singular")
-        scale = 2 ** squarings
-        vals = [float(log_scale + mp.log(sv[i]) / scale) for i in range(n)]
-    return np.array(sorted(vals, reverse=True))
+    ints = [num * (denom // d) for num, d in ratios]
+    powers = _exterior_powers([ints[i * n:(i + 1) * n] for i in range(n)])
+    if powers[-1][0][0] == 0:
+        raise SingularInput("matrix is singular")
+    scale = 2 ** squarings
+    with localcontext(Context(prec=_RCA_DIGITS, Emax=MAX_EMAX,
+                              Emin=MIN_EMIN)):
+        ln10 = Decimal(10).ln()
+        ln_denom = (denom.bit_length() - 1) * Decimal(2).ln()
+        sums = [Decimal(0)]
+        for k, minors in enumerate(powers, start=1):
+            # (Lambda^k M)^(2^j) = 10^x H_j
+            h = [[Decimal(v) for v in row] for row in minors]
+            x = 0
+            for _ in range(squarings):
+                h, e = _square(h)
+                x = 2 * x + e
+            cols = list(zip(*h))
+            gram = [[sum(a * b for a, b in zip(u, v)) for v in cols]
+                    for u in cols]
+            log_top = x * ln10 + _top_eigenvalue(gram).ln() / 2
+            sums.append(log_top / scale - k * ln_denom)
+        tol = max(abs(s) for s in sums).scaleb(20 - _RCA_DIGITS)
+        diffs = [b - a for a, b in zip(sums, sums[1:])]
+        return np.array([0.0 if abs(d) <= tol else float(d) for d in diffs])

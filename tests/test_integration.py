@@ -99,3 +99,18 @@ def test_negative_control_leaves_mpmath_unimported(extra):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_renormalized_cartan_average_leaves_mpmath_unimported():
+    script = (
+        "import sys\n"
+        "from dispgeo.matgeo import renormalized_cartan_average\n"
+        "avg = renormalized_cartan_average([[2.0, 1.0], [1.0, 1.0]], 12)\n"
+        "print(len(avg), 'mpmath' in sys.modules)\n")
+    src = str(Path(dispgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["2", "False"]

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import time
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from dispgeo.cli import main
 from dispgeo.errors import (
     ContractionFailed,
+    EigenFailure,
     NoDominantEigenvalue,
     SeparationFailed,
     SingularInput,
@@ -24,9 +27,11 @@ from dispgeo.lattice import (
     mat_pow,
 )
 from dispgeo.matgeo import (
+    _as_matrix,
     _certify_block,
     _projective_samples,
     _row_norms,
+    _square,
     cartan_jordan_gap,
     cartan_projection,
     certify_proximal,
@@ -53,6 +58,41 @@ def worst_contraction_distance(diag, eps):
     num = d2 * math.sqrt(1.0 - eps * eps)
     den = math.sqrt(d[0] ** 2 * eps ** 2 + d2 ** 2 * (1.0 - eps * eps))
     return num / den
+
+
+def mpmath_cartan_average(g, squarings: int) -> np.ndarray:
+    """Independent oracle: renormalized squaring of g itself in mpmath, at
+    60 digits plus 1.3 m / ln 10 per unit of Jordan projection spread,
+    then the log singular values of the renormalized power."""
+    from mpmath import mp, mpf, matrix as mp_matrix, svd_r
+
+    m = _as_matrix(g)
+    if squarings < 0:
+        raise ValueError("squarings must be >= 0")
+    n = m.shape[0]
+    try:
+        lam = jordan_projection(m)
+        spread = float(lam[0] - lam[-1])
+    except (SingularInput, EigenFailure):
+        spread = 2.0 * n * np.log(max(2.0, float(np.max(np.abs(m)))))
+    dps = int(1.3 * (2 ** squarings) * spread / np.log(10.0)) + 60
+    with mp.workdps(dps):
+        h = mp_matrix(m.tolist())
+        # g^(2^k) = c_k H_k with H_k at unit scale; track log(c_k)/2^k
+        log_scale = mpf(0)
+        for k in range(1, squarings + 1):
+            h = h * h
+            f = max(abs(h[i, j]) for i in range(n) for j in range(n))
+            if f == 0:
+                raise SingularInput("renormalized power degenerated")
+            h = h / f
+            log_scale += mp.log(f) / (2 ** k)
+        sv = svd_r(h, compute_uv=False)
+        if min(sv) == 0:
+            raise SingularInput("renormalized power is singular")
+        scale = 2 ** squarings
+        vals = [float(log_scale + mp.log(sv[i]) / scale) for i in range(n)]
+    return np.array(sorted(vals, reverse=True))
 
 
 def qr_cartan_power_average(g, m):
@@ -451,6 +491,62 @@ class TestRenormalizedCartanAverage:
         g = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert np.allclose(renormalized_cartan_average(g, 0),
                            cartan_projection(g), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bit_identical_to_mpmath_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(6):
+            g = random_special_linear(n, rng)
+            for squarings in (0, 3, 10):
+                assert np.array_equal(
+                    renormalized_cartan_average(g, squarings),
+                    mpmath_cartan_average(g, squarings))
+
+    def test_exact_zero_components(self):
+        c, s = math.cos(1.0), math.sin(1.0)
+        for squarings in (0, 3, 10):
+            assert renormalized_cartan_average(
+                np.eye(3), squarings).tolist() == [0.0, 0.0, 0.0]
+            avg = renormalized_cartan_average(np.diag([2.0, 1.0, 0.5]),
+                                              squarings)
+            assert avg[1] == 0.0 and avg[0] == -avg[2] > 0.0
+            shear = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                              [0.0, 0.0, 1.0]])
+            avg = renormalized_cartan_average(shear, squarings)
+            assert avg[1] == 0.0 and avg[0] == -avg[2] > 0.0
+            # singular values sqrt(c^2 + s^2) (twice) and 1, with
+            # c^2 + s^2 = 1 + 4.8e-17 for these two doubles
+            rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+            avg = renormalized_cartan_average(rotation, squarings)
+            assert avg[2] == 0.0 and avg[0] == avg[1] > 0.0
+
+    @pytest.mark.parametrize("g", [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+    ])
+    def test_singular_input_raises(self, g):
+        with pytest.raises(SingularInput):
+            renormalized_cartan_average(np.array(g), 3)
+
+    def test_negative_squarings_raise(self):
+        with pytest.raises(ValueError):
+            renormalized_cartan_average(np.eye(2), -1)
+
+    def test_cancelling_squaring_raises(self):
+        # h @ h keeps 1e-50 of terms of size 1: 50 of the 80 digits lost
+        with localcontext(Context(prec=80)):
+            h = [[Decimal(1), Decimal(1)],
+                 [Decimal(-1), Decimal(-1) + Decimal("1e-50")]]
+            with pytest.raises(SingularInput):
+                _square(h)
+
+    def test_forty_squarings_reach_jordan_projection(self):
+        g = random_special_linear(3, np.random.default_rng(42),
+                                  max_eigenbasis_condition=2.7)
+        start = time.perf_counter()
+        avg = renormalized_cartan_average(g, 40)
+        assert time.perf_counter() - start < 1.0
+        assert np.max(np.abs(avg - jordan_projection(g))) <= 1e-9
 
     def test_matches_qr_oracle(self):
         rng = np.random.default_rng(4)
