@@ -27,7 +27,6 @@ from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -714,20 +713,65 @@ def _coefficient_bound(n: int, ceil_k: int) -> int:
     return max(math.comb(n, m) * ceil_k ** m for m in range(1, n))
 
 
+def _has_factor(rows: np.ndarray, f: tuple[int, ...]) -> np.ndarray:
+    """Whether the monic integer polynomial f divides each int64 row of
+    coefficients (leading first), by exact long division on the stack."""
+    rem = rows.copy()
+    d = len(f) - 1
+    divisor = np.array(f, dtype=np.int64)
+    for i in range(rows.shape[1] - d):
+        rem[:, i:i + d + 1] -= rem[:, i:i + 1] * divisor
+    return ~np.any(rem[:, -d:], axis=1)
+
+
 def _family_min_expanding(n: int, k1: int) -> float | None:
     """Minimal root modulus exceeding 1 over all monic integer
     polynomials of degree n with |middle coefficients| <= k1 and constant
-    term (-1)^n (the determinant-1 pin)."""
-    constant = 1 if n % 2 == 0 else -1
-    best: float | None = None
-    ranges = [range(-k1, k1 + 1)] * (n - 1)
-    for middle in iter_product(*ranges):
-        poly = (1,) + middle + (constant,)
-        for m in _expanding_moduli(poly, n):
-            if best is None or m < best:
-                best = m
-            break  # only the smallest per polynomial matters
-    return best
+    term (-1)^n (the determinant-1 pin).
+
+    The family's coefficient rows are built in int64 blocks of _BOX_BLOCK
+    rows, in iter_product order.  A row with a cyclotomic factor of
+    degree <= n goes through _expanding_moduli, which strips it exactly.
+    Every other row is its own stripped remainder: its roots are the
+    eigenvalues of the companion matrix that np.roots builds, taken for
+    the whole block by one stacked np.linalg.eigvals.  A row with a
+    modulus within 1e-6 of 1 goes back to _expanding_moduli for its
+    60-digit recomputation.  So every row gives the moduli of the
+    per-polynomial route, bit for bit, and memory stays one block.
+    """
+    base = 2 * k1 + 1
+    total = base ** (n - 1)
+    # the Phi_m here have coefficients in {-1, 0, 1}, so each long-
+    # division step at most doubles the largest |coefficient|
+    _certify_int64(2 ** n * k1, "cyclotomic remainder")
+    factors = [_cyclotomic(m) for m in _orders(n)]
+    best = math.inf
+    for start in range(0, total, _BOX_BLOCK):
+        idx = np.arange(start, min(start + _BOX_BLOCK, total))
+        rows = np.empty((len(idx), n + 1), dtype=np.int64)
+        rows[:, 0] = 1
+        rows[:, 1:n] = np.stack(np.unravel_index(idx, (base,) * (n - 1)),
+                                axis=-1) - k1
+        rows[:, n] = 1 if n % 2 == 0 else -1
+        exact = np.zeros(len(rows), dtype=bool)
+        for f in factors:
+            exact |= _has_factor(rows, f)
+        poly = rows[~exact].astype(float)
+        companion = np.zeros((len(poly), n, n))
+        companion[:, 1:, :-1] = np.eye(n - 1)
+        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+        moduli = np.abs(np.linalg.eigvals(companion))
+        near = np.any(np.abs(moduli - 1.0) < 1e-6, axis=1)
+        exact[np.flatnonzero(~exact)[near]] = True
+        expanding = moduli[~near]
+        expanding = expanding[expanding > 1.0]
+        if expanding.size:
+            best = min(best, expanding.min())
+        for row in rows[exact]:
+            expanding = _expanding_moduli(tuple(map(int, row)), n)
+            if expanding:
+                best = min(best, expanding[0])
+    return None if best == math.inf else float(best)
 
 
 @dataclass(frozen=True)
@@ -858,41 +902,57 @@ def _commutant_points(target: IntMatrix, box: int):
         yield points.reshape(-1, n, n)
 
 
-def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
-    """All integer B with |entries| <= box, det 1 and B^k = a (exact).
+def _roots_by_power(a, powers, box: int) -> dict[int, list[IntMatrix]]:
+    """For each k in powers, all integer B with |entries| <= box, det 1
+    and B^k = a (exact), from one walk of the box.
 
     B^k = a forces B a = a B, so only the integer points of the
     commutant of a in the box are walked (_commutant_points), up to
-    (2 box + 1)^r of them for a commutant of rank r.  Each block keeps
-    the points with B^k = a mod the prime p = _BOX_PRIME (repeated
-    squaring with ``@``, each product reduced mod p, so entries stay
-    below the certified n (p - 1)^2 < 2^62).  A root passes that filter;
-    each survivor is confirmed by det_exact and an exact power, and the
-    roots come back in flat-index order, entry (0, 0) varying fastest.
+    (2 box + 1)^r of them for a commutant of rank r.  Each block is
+    squared mod the prime p = _BOX_PRIME up to the largest power, and
+    every power is the product of its bits' squares (``@``, each product
+    reduced mod p, so entries stay below the certified n (p - 1)^2 <
+    2^62).  A block keeps, per power, the points with B^k = a mod p; a
+    root passes that filter.  Each survivor is confirmed by det_exact and
+    an exact power, and the roots come back in flat-index order, entry
+    (0, 0) varying fastest.
     """
     target = as_int_matrix(a)
     n = len(target)
     if n not in (2, 3):
         raise DimensionUnsupported("box search supports n in {2, 3}")
-    if k < 1 or box < 1:
+    ks = sorted(set(powers))
+    if ks[0] < 1 or box < 1:
         raise ValueError("need k >= 1 and box >= 1")
     p = _BOX_PRIME
     _certify_int64(n * (p - 1) ** 2, "box search product mod p")
     t = np.array(mat_mod(target, p), dtype=np.int64)
-    hits = []
+    hits: dict[int, list[np.ndarray]] = {k: [] for k in ks}
     for stack in _commutant_points(target, box):
-        power, base, e = None, stack, k
-        while e:
-            if e & 1:
-                power = base if power is None else power @ base % p
-            e >>= 1
-            if e:
-                base = base @ base % p
-        hits.append(stack[np.all(power % p == t, axis=(1, 2))])
-    hits = np.concatenate(hits).reshape(-1, n * n)
-    hits = hits[np.lexsort(hits.T)].reshape(-1, n, n)
-    return [b for b in map(as_int_matrix, hits)
-            if det_exact(b) == 1 and mat_pow(b, k) == target]
+        power = dict.fromkeys(ks)
+        square = stack  # at k = 1 the block is not reduced yet
+        for bit in range(ks[-1].bit_length()):
+            if bit:
+                square = square @ square % p
+            for k in ks:
+                if k >> bit & 1:
+                    power[k] = (square if power[k] is None
+                                else power[k] @ square % p)
+        for k in ks:
+            hits[k].append(stack[np.all(power[k] % p == t, axis=(1, 2))])
+    roots = {}
+    for k in ks:
+        found = np.concatenate(hits[k]).reshape(-1, n * n)
+        found = found[np.lexsort(found.T)].reshape(-1, n, n)
+        roots[k] = [b for b in map(as_int_matrix, found)
+                    if det_exact(b) == 1 and mat_pow(b, k) == target]
+    return roots
+
+
+def find_roots_in_box(a, k: int, box: int) -> list[IntMatrix]:
+    """All integer B with |entries| <= box, det 1 and B^k = a (exact),
+    in flat-index order; see _roots_by_power."""
+    return _roots_by_power(a, (k,), box)[k]
 
 
 def _unipotent_depth(a: int, c: int) -> int:
@@ -907,6 +967,10 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     Dimensions 2 and 3 only.  Roots of order 2, 3, depth and depth + 1
     are searched exhaustively in the box |entries| <= box_bound, by
     default min(ceil(K) + 1, _largest_box(n)): 32 at n = 2, 2 at n = 3.
+    One walk of the commutant serves every checked power
+    (_roots_by_power).  The hyperbolic b is the minimum of
+    _family_min_expanding, one stacked eigvals per block of the family's
+    coefficient rows.
     Raises TorsionInput for finite-order input, ResourceExceeded when the
     (2 box_bound + 1)^r points of the input's rank-r commutant pass the
     cap, and SoundnessFailure for a root at or past the certified depth.
@@ -959,9 +1023,10 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     if box_bound is None:
         box_bound = min(ceil_k + 1, _largest_box(n))
     checked = sorted({2, 3, depth, depth + 1})
+    roots = _roots_by_power(mat, checked, box_bound)
     roots_found = []
     for k in checked:
-        for root in find_roots_in_box(mat, k, box_bound):
+        for root in roots[k]:
             if k >= depth:
                 raise SoundnessFailure(
                     f"soundness failure: found {root} with root^{k} = "

@@ -489,7 +489,8 @@ class TestDepthRootsRunner:
 
     # the depth-roots files of cycles 0 and 3 of the seed-42 sl3-lattice
     # benchmark workload (cycle 3 holds a 3x3 hyperbolic matrix), then
-    # single matrices: FIB, E_12(4), E_13(2) and FIB (+) 1
+    # single matrices: FIB, E_12(4), E_13(2) and FIB (+) 1; last two 3x3
+    # hyperbolic rows whose expanding-root families have K1 = 75 and 48
     PINNED_FILES = {
         "cycle0": [((1, 1), (0, 1)), ((1, 0), (2, 1)),
                    ((1, -1, 0), (0, 1, 0), (0, 0, 1)),
@@ -503,6 +504,8 @@ class TestDepthRootsRunner:
         "shear2": [((1, 4), (0, 1))],
         "shear3": [((1, 0, 2), (0, 1, 0), (0, 0, 1))],
         "fib3": [((2, 1, 0), (1, 1, 0), (0, 0, 1))],
+        "expanding3": [((5, 1, 0), (-1, 0, 0), (0, 0, 1)),
+                       ((4, 1, 0), (-1, 0, 0), (0, 0, 1))],
     }
 
     @pytest.mark.parametrize("name, box_bound, digest", [
@@ -522,11 +525,17 @@ class TestDepthRootsRunner:
          "d5419cae8d53ca7adfa02bd52662323643eca9bddc7a29722a889d8a2fb3fa8d"),
         ("fib3", None,
          "5e71f6eadcbadbff5ddb4456c64a4b3b70982587d50768307f19208b98645a56"),
+        # b = 1.01298698389, q = 122 and b = 1.01999984212, q = 67
+        ("expanding3", None,
+         "0c857cd2e612039c1b394b201d7a7d2b9dcdd8b7f26612aa295aabb750331ef0"),
     ])
     def test_pinned_report_bytes(self, name, box_bound, digest):
         # digests of the reports of the chunked box search with per-
         # candidate big-int powers and power-based spectral tests that the
-        # one box enumeration, one power loop and char-poly test replaced
+        # one box enumeration, one power loop and char-poly test replaced;
+        # expanding3's is of the per-polynomial family loop and the one
+        # commutant walk per checked power that the stacked eigvals and
+        # the single walk replaced
         rep = X.run_depth_roots(self.PINNED_FILES[name], box_bound=box_bound)
         text = X.render_report(rep, "csv")
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dispgeo
+from dispgeo import lattice
 from dispgeo.errors import (
     EigenFailure,
     IdentityInput,
@@ -29,9 +30,13 @@ from dispgeo.lattice import (
     GeneratorSet,
     _commutant_points,
     _digits,
+    _expanding_moduli,
+    _family_min_expanding,
     _largest_box,
     _quadratic_log_moduli,
+    _roots_by_power,
     _row_keys,
+    _strip_cyclotomic,
     _unipotent_depth,
     as_int_matrix,
     char_poly,
@@ -868,6 +873,22 @@ class TestDepthRootBound:
         assert cert.depth == 12 * 10 ** 9 + 1
         assert cert.roots_found == ()
 
+    @pytest.mark.parametrize("m", [FIB, E(3, 0, 2, 1),
+                                   ((1, 1, 2), (0, 1, 1), (0, 1, 2))])
+    def test_one_commutant_walk_per_certificate(self, m, monkeypatch):
+        # the checked powers (2, 3, depth and depth + 1) share one echelon
+        # form and one walk of the commutant points
+        calls = []
+        commutant = lattice._commutant
+
+        def counting(a):
+            calls.append(a)
+            return commutant(a)
+
+        monkeypatch.setattr(lattice, "_commutant", counting)
+        depth_root_bound(m)
+        assert calls == [m]
+
     def test_soundness_on_small_hyperbolic_family(self, ball4):
         hyperbolic = [m for m in ball4.index
                       if abs(m[0][0] + m[1][1]) >= 3][:20]
@@ -999,10 +1020,13 @@ class TestFindRootsInBox:
         oracle = self.oracle_roots(n, box, ks)
         hits = 0
         for target in targets:
+            want = {k: oracle[k].get(target, []) for k in ks}
             for k in ks:
                 got = find_roots_in_box(target, k, box)
-                assert got == oracle[k].get(target, []), (target, k)
+                assert got == want[k], (target, k)
                 hits += len(got)
+            # one walk for every power at once, k = 1 included
+            assert _roots_by_power(target, ks, box) == want, target
         assert hits > 0
 
     def test_target_beyond_int64(self):
@@ -1023,6 +1047,64 @@ class TestFindRootsInBox:
         assert all(mat_pow(b, 24) == E(3, 0, 2, 24) for b in roots)
         assert hashlib.sha256(repr(roots).encode()).hexdigest() == (
             "afd8e95385dcd1939efd03cdf4a1e0ab7f5f3c3ab8c17593988c1c38d8e05584")
+
+
+def family_min_oracle(n, k1):
+    """The per-polynomial loop that the stacked eigvals route replaced:
+    the least expanding modulus of each polynomial of the family, by
+    _expanding_moduli.  Also returns the polynomials that need its exact
+    route: those with a cyclotomic factor of degree <= n, and those with
+    a root modulus (np.roots) within 1e-6 of 1."""
+    constant = 1 if n % 2 == 0 else -1
+    best = None
+    exact = set()
+    for middle in iter_product(range(-k1, k1 + 1), repeat=n - 1):
+        poly = (1,) + middle + (constant,)
+        if _strip_cyclotomic(poly, n) != poly or np.any(
+                np.abs(np.abs(np.roots(poly)) - 1.0) < 1e-6):
+            exact.add(poly)
+        for m in _expanding_moduli(poly, n):
+            if best is None or m < best:
+                best = m
+            break  # only the smallest per polynomial matters
+    return best, exact
+
+
+class TestFamilyMinExpanding:
+    # at (2, 2) every row is x^2 + a x + 1 with a cyclotomic factor, so
+    # the eigvals stack is empty and the minimum is None
+    @pytest.mark.parametrize("n, k1", [(2, 2), (2, 4), (2, 8), (2, 60),
+                                       (3, 3), (3, 6), (3, 12), (3, 27),
+                                       (3, 48)])
+    def test_matches_per_polynomial_loop(self, n, k1, monkeypatch):
+        want, exact = family_min_oracle(n, k1)
+        calls = []
+
+        def counting(poly, n):
+            calls.append(poly)
+            return _expanding_moduli(poly, n)
+
+        monkeypatch.setattr(lattice, "_expanding_moduli", counting)
+        got = _family_min_expanding(n, k1)
+        assert got == want  # the same double, not an approximation
+        # only the cyclotomic and near-circle rows take the exact route
+        assert len(calls) == len(set(calls)) and set(calls) == exact
+
+    def test_walks_in_blocks(self, monkeypatch):
+        # 25^2 rows in blocks of 100: no eigvals stack exceeds a block,
+        # and the minimum is the one of the whole family
+        sizes = []
+        eigvals = np.linalg.eigvals
+
+        def recording(a):
+            sizes.append(len(a))
+            return eigvals(a)
+
+        want = _family_min_expanding(3, 12)
+        monkeypatch.setattr(lattice, "_BOX_BLOCK", 100)
+        monkeypatch.setattr(np.linalg, "eigvals", recording)
+        assert _family_min_expanding(3, 12) == want
+        assert len(sizes) == 7 and max(sizes) <= 100
 
 
 class TestQuotient:
