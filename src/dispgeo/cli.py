@@ -95,11 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-max", type=int, default=2 ** 20)
     p.add_argument("--negative-control", action="store_true")
     p.add_argument("--word-radius", type=int, default=4,
-                   help="radius of the one ball table that gives the "
-                   "word_length column (rows p <= 16)")
+                   help="word lengths up to this radius give the "
+                   "word_length column (rows p <= 16), from one ball "
+                   "table of half the radius, rounded up")
     p.add_argument("--max-ball", type=int, default=1_000_000,
-                   help="size cap of that ball table; a larger ball is an "
-                   "error")
+                   help="size cap of that half-radius ball table; a "
+                   "larger ball is an error")
     _add_output_flags(p)
 
     p = sub.add_parser("ams-gap", help="Cartan-Jordan gap distribution "

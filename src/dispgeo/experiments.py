@@ -229,13 +229,18 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
     0 >= A * ell - B along the powers: the action fails to displace well
     even though the orbit maps are undistorted.  The negative control
     replaces gamma by a hyperbolic element (strictly positive column).
+    The word_length column (rows p <= 16) is read from one ball table of
+    radius ceil(word_radius / 2), which ``max_ball`` caps, by meet in the
+    middle.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if power_max < 1:
         raise ValueError("power_max must be >= 1")
+    if word_radius < 0:
+        raise ValueError("word_radius must be >= 0")
     gens = elementary_generators(n)
-    table = enumerate_ball(gens, word_radius, max_size=max_ball)
+    table = enumerate_ball(gens, (word_radius + 1) // 2, max_size=max_ball)
     if negative_control:
         gamma = _padded_fibonacci(n)
         # a fixed cap keeps the control's report rows the same for every
@@ -269,8 +274,8 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
             displacements_ok = displacements_ok and disp == 0.0
         wl = ""
         if p <= 16:
-            length = table.least_layer(np.array([m], dtype=np.int64),
-                                       word_radius)
+            length = table.least_length(np.array([m], dtype=np.int64),
+                                        word_radius)
             wl = str(length) if length is not None else "not_in_ball"
         rows_out.append((str(p), render_real(disp), render_real(lower), wl))
         p *= 2

@@ -329,7 +329,8 @@ class BallTable:
     ``inverses[k]`` is the inverse of ``elements[k]``.  Layer r, the
     elements of length exactly r, is rows ``offsets[r]:offsets[r + 1]``.
     ``index`` maps each element, as a tuple of tuples, to its length in
-    the same order; it is built on first access.
+    the same order; it is built on first access.  ``least_length``
+    answers word lengths out to twice the radius, by meet in the middle.
     """
 
     radius: int
@@ -354,6 +355,48 @@ class BallTable:
         (keys,) = _row_keys(self.elements, bound=bound)
         order = np.argsort(keys)
         return bound, keys[order], order
+
+    def _entry_bound(self, radius: int) -> int:
+        """A bound on |entry| over the ball of the given radius, up to
+        twice the table's radius T: exact up to T, and n B_T B_(radius - T)
+        past it, since each element there is x y with |x| <= T and
+        |y| <= radius - T."""
+        if radius > self.radius:
+            return (self.elements.shape[1] * self._entry_bound(self.radius)
+                    * self._entry_bound(radius - self.radius))
+        return _abs_max(self.elements[:self.offsets[radius + 1]])
+
+    def least_length(self, stack: np.ndarray, radius: int) -> int | None:
+        """Least word length <= radius of a matrix of the (m, n, n) int64
+        stack, for radius up to twice the table's radius T; None when none
+        has one (or the stack is empty).  Lengths <= T are the table's
+        ``least_layer``.  A matrix c of length L > T is x y with |x| = T
+        and |y| = L - T, so past T the answer is T + the least j for which
+        some c y^-1, y of length j, lies in the table.  Stack rows with an
+        entry above ``_entry_bound(radius)`` cannot have length <= radius
+        and are dropped; the products c y^-1 are then checked against 2^62
+        like the ball's layers, and formed in blocks of about 2^16."""
+        if not 0 <= radius <= 2 * self.radius:
+            raise ValueError(f"radius {radius} outside "
+                             f"0..{2 * self.radius}")
+        found = self.least_layer(stack, min(radius, self.radius))
+        if found is not None or radius <= self.radius:
+            return found
+        n = stack.shape[-1]
+        far = radius - self.radius
+        stack = stack[(np.abs(stack) <= self._entry_bound(radius)
+                       ).all(axis=(1, 2))]
+        _certify_int64(n * _abs_max(stack) * self._entry_bound(far),
+                       "meet-in-the-middle product")
+        step = max(1, _BOX_BLOCK // max(len(stack), 1))
+        for j in range(1, far + 1):
+            layer = self.inverses[self.offsets[j]:self.offsets[j + 1]]
+            for start in range(0, len(layer), step):
+                products = stack[:, None] @ layer[start:start + step]
+                if self.least_layer(products.reshape(-1, n, n),
+                                    self.radius) is not None:
+                    return self.radius + j
+        return None
 
     def least_layer(self, stack: np.ndarray, radius: int) -> int | None:
         """Least r <= radius whose layer holds a matrix of the (m, n, n)
@@ -434,7 +477,7 @@ def enumerate_ball(gens: GeneratorSet, radius: int,
 def word_length_bfs(m, gens: GeneratorSet, radius: int) -> int | None:
     """Exact word length if <= radius, else None (not in the ball): the
     conjugate search at conjugator radius 0, whose only conjugator is the
-    identity.
+    identity, so it reads a ball table of radius ceil(radius / 2).
 
     >>> word_length_bfs(((1, 3), (0, 1)), elementary_generators(2), 4)
     3
@@ -450,12 +493,14 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
 
     An upper bound for the translation length; None when every conjugate
     escapes the word ball.  One ball table of radius
-    max(conj_radius, word_radius) supplies the conjugators, their
-    inverses and the conjugates' word lengths: every h m h^-1 is one
-    int64 product over the table's stacks, and the answer is the least
-    layer <= word_radius holding one of them.  A conjugate c in the ball
-    gives m = h^-1 c h, so a target with an entry above
-    n^2 max|h^-1| max|c| max|h| has none (None, exactly).  Otherwise every
+    max(conj_radius, ceil(word_radius / 2)) supplies the conjugators,
+    their inverses and the conjugates' word lengths: every h m h^-1 is
+    one int64 product over the table's stacks, and the answer is the
+    table's ``least_length`` of them at word_radius, which meets in the
+    middle past the table's radius.  A conjugate c in the word ball gives
+    m = h^-1 c h, so a target with an entry above
+    n^2 max|h^-1| W max|h|, W the table's bound on the word ball's
+    entries, has none (None, exactly).  Otherwise every
     partial sum of h m h^-1 is at most R max|m| C, with R the largest row
     sum of the entrywise maximum of |h| over the conjugators and C the
     largest column sum of that of |h^-1|; that bound is checked against
@@ -468,21 +513,21 @@ def translation_length_upper(m, gens: GeneratorSet, conj_radius: int,
         raise ValueError("radius must be >= 0")
     if conj_radius < 0:
         return None
-    table = enumerate_ball(gens, max(conj_radius, word_radius))
+    table = enumerate_ball(gens, max(conj_radius, (word_radius + 1) // 2))
     n = len(target)
     h = table.elements[:table.offsets[conj_radius + 1]]
     h_inv = table.inverses[:len(h)]
-    ball = table.elements[:table.offsets[word_radius + 1]]
     target_max = max(abs(x) for row in target for x in row)
     h_max, h_inv_max = _abs_max(h), _abs_max(h_inv)
-    if target_max > n * n * h_inv_max * _abs_max(ball) * h_max:
+    if target_max > (n * n * h_inv_max * table._entry_bound(word_radius)
+                     * h_max):
         return None
     # row and column sums of the entrywise maxima, in Python ints
     row_sum = max(map(sum, np.abs(h).max(axis=0).tolist()))
     col_sum = max(map(sum, zip(*np.abs(h_inv).max(axis=0).tolist())))
     _certify_int64(row_sum * target_max * col_sum, "conjugation product")
     conj = h @ np.array(target, dtype=np.int64) @ h_inv
-    return table.least_layer(conj, word_radius)
+    return table.least_length(conj, word_radius)
 
 
 def translation_length_lower(m, gens: GeneratorSet) -> float:

@@ -218,6 +218,11 @@ class TestProp422Runner:
         with pytest.raises(RankMismatch):
             X.run_prop422(radius=3, u="aab", v=Word.from_str("bba", 3))
 
+    @pytest.mark.parametrize("word_radius", [-1, -2])
+    def test_negative_word_radius_rejected(self, word_radius):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            X.run_prop507(power_max=4, word_radius=word_radius)
+
     def test_ball_cap_is_an_error(self):
         with pytest.raises(ResourceExceeded):
             X.run_prop422(radius=20)
@@ -295,9 +300,8 @@ class TestProp507Runner:
 
     def test_negative_control_positive_displacement(self):
         # the default power_max runs the powers to the cap of 256, where the
-        # entries are far beyond float range; word radius 4 would spend
-        # ~10 s in the n = 4 BFS
-        for n, word_radius in ((2, 4), (3, 4), (4, 2)):
+        # entries are far beyond float range
+        for n, word_radius in ((2, 4), (3, 4), (4, 4)):
             rep = X.run_prop507(n=n, negative_control=True,
                                 word_radius=word_radius)
             assert rep.passed
@@ -324,6 +328,11 @@ class TestProp507Runner:
          "babac23ebaf1438bd4208c682da06c199361921ff4fdff90691b8592eb2b3bf3"),
         (dict(negative_control=True, n=4, word_radius=2),
          "ff3c0f3cafd8a19e116c8889fbba0d5b99680cb198cac95b779c7f4c8f52e368"),
+        # recorded with the full-radius ball table
+        (dict(n=3, word_radius=6),
+         "2e0a16e24f22c58d5c92bc293dbb594d59e1bdc026c87e3ab91fa37625b1a907"),
+        (dict(n=4, word_radius=4),
+         "f3dc1f33756632b8a23a6de6c715fde8841aedf7d48fe87559c8c6cb32963f13"),
     ])
     def test_pinned_report_bytes(self, cfg, digest):
         # digests of the reports of the one-search-per-row runner this one
@@ -343,10 +352,25 @@ class TestProp507Runner:
         rep = X.run_prop507(power_max=2 ** 8)
         assert rep.passed
         assert len(calls) == 1
+        # the table reaches half the word radius, rounded up
+        assert calls[0][1] == 2
+        X.run_prop507(power_max=4, word_radius=5)
+        assert len(calls) == 2 and calls[1][1] == 3
+
+    @pytest.mark.parametrize("word_radius", [-1, -2])
+    def test_negative_word_radius_rejected(self, word_radius):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            X.run_prop507(power_max=4, word_radius=word_radius)
 
     def test_ball_cap_is_an_error(self):
         with pytest.raises(ResourceExceeded):
             X.run_prop507(power_max=4, max_ball=100)
+        # the cap bounds the radius-2 ball that serves word radius 4, which
+        # has 121 elements at n = 3
+        with pytest.raises(ResourceExceeded):
+            X.run_prop507(power_max=4, word_radius=4, max_ball=120)
+        rep = X.run_prop507(power_max=4, word_radius=4, max_ball=121)
+        assert [row[3] for row in rep.rows] == ["1", "2", "4"]
 
 
 class TestGapRunner:

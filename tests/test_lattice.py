@@ -470,6 +470,32 @@ class TestWordLengthBfs:
             misses += found is None
         assert misses > 0
 
+    @pytest.mark.parametrize("radius", [6, 8])
+    def test_entries_past_the_half_table_bound(self, gens2, radius):
+        # the "no conjugate in the ball" test must bound the word ball,
+        # not the half-radius table: these have entries above n^2 B_half
+        full = enumerate_ball(gens2, radius)
+        half_bound = int(np.abs(
+            enumerate_ball(gens2, (radius + 1) // 2).elements).max())
+        far = [(m, length) for m, length in full.index.items()
+               if max(map(abs, sum(m, ()))) > 4 * half_bound]
+        assert far
+        for m, length in far:
+            assert word_length_bfs(m, gens2, radius) == length
+
+    def test_far_products_are_certified(self):
+        # the full radius-2 table is refused at its second layer
+        # (2 * 2^31 * 2^31 = 2^63); the half table refuses the products
+        # c y^-1 instead
+        gens = GeneratorSet.from_matrices(
+            [E(2, 0, 1, 2 ** 31), E(2, 0, 1, -2 ** 31),
+             E(2, 1, 0, 1), E(2, 1, 0, -1)])
+        with pytest.raises(ResourceExceeded):
+            enumerate_ball(gens, 2)
+        assert word_length_bfs(E(2, 0, 1, 2 ** 31), gens, 1) == 1
+        with pytest.raises(ResourceExceeded, match="meet-in-the-middle"):
+            word_length_bfs(E(2, 0, 1, 2 ** 40), gens, 2)
+
     def test_negative_radius_rejected(self, gens2):
         with pytest.raises(ValueError):
             word_length_bfs(identity(2), gens2, -1)
@@ -572,6 +598,50 @@ class TestWordLengthBfs:
         assert all(table.least_layer(m[None], radius) is None
                    for m in beyond)
 
+    @pytest.mark.parametrize("n, half, big", [
+        (2, 3, 1), (3, 2, 1), (3, 3, 1), (4, 2, 1), (2, 3, 256)])
+    def test_least_length_matches_the_full_table(self, n, half, big):
+        # the half table meets in the middle what the full-radius table
+        # reads off its layers, for every radius up to twice its own
+        mats = []
+        for i, j in iter_product(range(n), repeat=2):
+            if i != j:
+                t = big if (i, j) == (0, 1) else 1
+                mats += [E(n, i, j, t), E(n, i, j, -t)]
+        gens = GeneratorSet.from_matrices(mats)
+        table = enumerate_ball(gens, half)
+        full = enumerate_ball(gens, 2 * half)
+        kind = "V" if big > 1 else "i"
+        assert _row_keys(table.elements)[0].dtype.kind == kind
+        bound = int(np.abs(full.elements).max())
+        rng = np.random.default_rng(10 * n + half)
+        # picks from every layer of the full table, the far ones included
+        picks = np.concatenate([
+            rng.choice(np.arange(a, b), size=min(8, b - a), replace=False)
+            for a, b in zip(full.offsets, full.offsets[1:])])
+        # conjugates by the generators of the full ball's edge leave it
+        layer1 = full.elements[1:full.offsets[2]]
+        conj = (layer1[:, None] @ full.elements[picks[-20:]]
+                @ full.inverses[1:full.offsets[2]][:, None]
+                ).reshape(-1, n, n)
+        beyond = np.array([E(n, 1, 0, bound + 1), E(n, 0, n - 1, -bound - 1),
+                           E(n, n - 1, 0, 2 ** 40)], dtype=np.int64)
+        assert any(full.least_layer(c[None], 2 * half) is None
+                   for c in conj)
+        repeats = full.elements[np.repeat(picks[-4:], 3)]
+        stacks = ([full.elements[[k]] for k in picks]
+                  + [conj[k:k + 40] for k in range(0, len(conj), 40)]
+                  + [beyond, repeats, np.concatenate([beyond, repeats]),
+                     np.empty((0, n, n), dtype=np.int64)])
+        for stack in stacks:
+            for r in range(2 * half + 1):
+                assert table.least_length(stack, r) == (
+                    full.least_layer(stack, r))
+        for radius in (-1, 2 * half + 1):
+            with pytest.raises(ValueError,
+                               match=f"outside 0..{2 * half}"):
+                table.least_length(stack, radius)
+
     @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
                         reason="np.unique imports numpy.ma on numpy >= 2 "
                                "only")
@@ -650,6 +720,19 @@ class TestTranslationLength:
                 m, gens3, conj_radius, word_radius) == expected
             found += expected is not None
         assert found > 0
+
+    def test_far_products_run_in_blocks(self, gens3):
+        # no conjugate of E_13(8) by |h| <= 3 has length <= 6, so all
+        # three far layers are searched; in one block their products
+        # with the conjugates peak at about 50 MB
+        tracemalloc.start()
+        try:
+            found = translation_length_upper(E(3, 0, 2, 8), gens3, 3, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found is None
+        assert peak < 24 * 2 ** 20
 
     def test_huge_target_has_no_conjugate_in_the_ball(self, gens3):
         # entries past int64: no conjugate of length <= 4 exists
