@@ -33,7 +33,7 @@ from .matgeo import (
     symmetric_space_norm,
 )
 from .serialize import (
-    _float_rows,
+    _real_rows,
     certificate_document,
     load_matrix_file,
     parse_int_matrix_text,
@@ -254,7 +254,7 @@ def _load_one_matrix(args, integer: bool = False):
     if args.matrix:
         if integer:
             return parse_int_matrix_text(args.matrix)
-        return _float_rows(parse_matrix_text(args.matrix))
+        return _real_rows(parse_matrix_text(args.matrix))
     if args.file:
         return load_matrix_file(args.file, integer=integer)[0]
     raise DispgeoError("need --matrix or --file")

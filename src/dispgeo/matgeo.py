@@ -14,7 +14,8 @@ integer unipotents have displacement exactly 0.0, which the lattice
 experiments rely on), a closed form for a remainder of degree at most 2,
 mpmath QR from degree 3, and an error, never a float fallback, if QR
 fails.  ``renormalized_cartan_average`` squares exact exterior powers in
-``decimal`` at a fixed 80 digits.
+``decimal`` at a fixed 80 digits; integer input takes its Cartan
+projection from that kernel at 0 squarings.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ from .errors import (
     SingularInput,
     ZeroVector,
 )
-from .lattice import (
-    as_int_matrix,
-    char_poly,
-    det_exact,
-    log_eigenvalue_moduli,
-)
+from .lattice import as_int_matrix, char_poly, log_eigenvalue_moduli
 
 __all__ = [
     "ProximalityCertificate",
@@ -63,12 +59,16 @@ _EIG_REL_TOL = 1e-9  # relative tolerance for simplicity/reality decisions
 _RCA_DIGITS = 80  # decimal working precision of renormalized_cartan_average
 
 
+def _check_shape(shape: tuple) -> None:
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("matrices must be at least 2x2")
+
+
 def _as_matrix(g) -> np.ndarray:
     m = np.asarray(g, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 2:
-        raise ValueError("matrices must be at least 2x2")
+    _check_shape(m.shape)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -125,39 +125,20 @@ def _integer_entries(g) -> list[list[int]] | None:
     return None
 
 
-def _cartan_from_integer_rows(rows: list[list[int]]) -> np.ndarray:
-    """High-precision route for integer matrices whose singular values
-    exceed double-precision dynamic range (e.g. large exact powers)."""
-    from mpmath import mp, svd_r
-
-    mat = tuple(tuple(r) for r in rows)
-    if det_exact(mat) == 0:
-        raise SingularInput("integer matrix is singular")
-    bits = max(abs(x) for row in rows for x in row).bit_length()
-    with mp.workdps(max(60, 2 * len(rows) * bits // 3 + 40)):
-        h = mp.matrix(rows)
-        sv = svd_r(h, compute_uv=False)
-        logs = sorted((float(mp.log(sv[i])) for i in range(len(rows))),
-                      reverse=True)
-    return np.array(logs)
-
-
 def cartan_projection(g) -> np.ndarray:
     """Sorted (non-increasing) log singular values.
 
     For det-1 matrices the entries sum to 0 up to roundoff.  Integer
-    matrices too large (or too ill-conditioned) for double precision go
-    through an exact-coefficient high-precision route.
+    input of any size takes the exact exterior-power kernel of
+    ``renormalized_cartan_average`` at 0 squarings; float input, LAPACK.
     """
     rows = _integer_entries(g)
-    if rows is not None and max(abs(x) for row in rows
-                                for x in row) > 10 ** 12:
-        return _cartan_from_integer_rows(rows)
+    if rows is not None:
+        _check_shape(np.shape(rows))
+        return _log_singular_values(rows, 1, 0)
     m = _as_matrix(g)
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[-1] <= sv[0] * 1e-14 or sv[-1] == 0.0:
-        if rows is not None:
-            return _cartan_from_integer_rows(rows)
         raise SingularInput(f"singular values {sv} too degenerate for logs")
     return np.sort(np.log(sv))[::-1]
 
@@ -562,18 +543,18 @@ def _top_eigenvalue(a: list) -> Decimal:
     return max(a[i][i] for i in range(n))
 
 
-def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
-    """cartan_projection(g^m)/m for m = 2^squarings.
+def _log_singular_values(rows: list[list[int]], denom: int,
+                         squarings: int) -> np.ndarray:
+    """cartan_projection(g^m)/m for g = M/D, m = 2^squarings, from the
+    exact integer rows of M and the power of two D = ``denom``.
 
-    Converges to the Jordan projection as the number of squarings grows.
     The singular values of g^m span a dynamic range of order
     exp(m * spectral spread), far beyond double precision, but their
     partial sums need only top singular values: S_k = l_1 + ... + l_k is
     (1/m) log sigma_1((Lambda^k g)^m), since Lambda^k(g^m) = (Lambda^k g)^m,
-    and S_n = log |det g|.  The float entries are taken as exact: g = M/D
-    with M an integer matrix and D a power of 2, so Lambda^k M and det M
-    are exact integer minors.  Each (Lambda^k M)^m is repeated squaring
-    with renormalization by the power of ten of the largest entry, in
+    and S_n = log |det g|.  Lambda^k M and det M are exact integer
+    minors.  Each (Lambda^k M)^m is repeated squaring with
+    renormalization by the power of ten of the largest entry, in
     ``decimal`` at a fixed 80 digits: a top singular value is well
     conditioned relative to itself, so the precision need not grow with
     m.  sigma_1^2 is the top eigenvalue of H^T H by cyclic Jacobi.
@@ -581,14 +562,7 @@ def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
     absolute error, 10^-60 max |S|.  A zero determinant, or a squaring
     that cancels more than half the working digits, raises SingularInput.
     """
-    m = _as_matrix(g)
-    if squarings < 0:
-        raise ValueError("squarings must be >= 0")
-    ratios = [x.as_integer_ratio() for x in m.ravel().tolist()]
-    denom = max(d for _, d in ratios)
-    n = m.shape[0]
-    ints = [num * (denom // d) for num, d in ratios]
-    powers = _exterior_powers([ints[i * n:(i + 1) * n] for i in range(n)])
+    powers = _exterior_powers(rows)
     if powers[-1][0][0] == 0:
         raise SingularInput("matrix is singular")
     scale = 2 ** squarings
@@ -612,3 +586,21 @@ def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
         tol = max(abs(s) for s in sums).scaleb(20 - _RCA_DIGITS)
         diffs = [b - a for a, b in zip(sums, sums[1:])]
         return np.array([0.0 if abs(d) <= tol else float(d) for d in diffs])
+
+
+def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
+    """cartan_projection(g^m)/m for m = 2^squarings.
+
+    Converges to the Jordan projection as the number of squarings grows.
+    The float entries are exact: g = M/D with M an integer matrix and D
+    a power of 2, as ``_log_singular_values`` takes them.
+    """
+    m = _as_matrix(g)
+    if squarings < 0:
+        raise ValueError("squarings must be >= 0")
+    ratios = [x.as_integer_ratio() for x in m.ravel().tolist()]
+    denom = max(d for _, d in ratios)
+    n = m.shape[0]
+    ints = [num * (denom // d) for num, d in ratios]
+    return _log_singular_values([ints[i * n:(i + 1) * n] for i in range(n)],
+                                denom, squarings)

@@ -93,14 +93,17 @@ def _int_rows(rows: list[list]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _float_rows(rows: list[list]) -> list[list[float]]:
-    """Parsed rows as floats; an entry beyond float range is a ParseError."""
+def _real_rows(rows: list[list]) -> list:
+    """Parsed rows as exact integers if every entry is one, else floats;
+    an entry beyond float range is a ParseError."""
     out = []
     for i, row in enumerate(rows):
         try:
             out.append([float(x) for x in row])
         except OverflowError as exc:
             raise ParseError(f"row {i}: entry beyond float range") from exc
+    if all(Fraction(x).denominator == 1 for row in rows for x in row):
+        return _int_rows(rows)
     return out
 
 
@@ -124,7 +127,7 @@ def load_matrix_file(path: str, integer: bool = False) -> list:
             or not isinstance(data[0], list) or not data[0]):
         raise ParseError(f"{path}: expected a matrix or array of matrices")
     batch = data if isinstance(data[0][0], list) else [data]
-    convert = _int_rows if integer else _float_rows
+    convert = _int_rows if integer else _real_rows
     return [convert(_matrix_from_data(m)) for m in batch]
 
 

@@ -104,8 +104,11 @@ def test_negative_control_leaves_mpmath_unimported(extra):
 def test_renormalized_cartan_average_leaves_mpmath_unimported():
     script = (
         "import sys\n"
-        "from dispgeo.matgeo import renormalized_cartan_average\n"
+        "from dispgeo.lattice import mat_pow\n"
+        "from dispgeo.matgeo import cartan_projection, "
+        "renormalized_cartan_average\n"
         "avg = renormalized_cartan_average([[2.0, 1.0], [1.0, 1.0]], 12)\n"
+        "cartan_projection(mat_pow(((2, 1), (1, 1)), 3000))\n"
         "print(len(avg), 'mpmath' in sys.modules)\n")
     src = str(Path(dispgeo.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import time
 from decimal import Context, Decimal, localcontext
@@ -19,6 +20,7 @@ from dispgeo.errors import (
 )
 from dispgeo.lattice import (
     char_poly,
+    det_exact,
     elementary_generators,
     identity,
     inverse_unimodular,
@@ -48,6 +50,9 @@ from dispgeo.matgeo import (
 from dispgeo.serialize import render_real
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+FIB = ((2, 1), (1, 1))
+# det 1; M^17 has entries below 6e4 and singular-value ratio 1.6e-14
+M = ((-4, -3, -4), (1, 1, 1), (7, 5, 6))
 
 
 def worst_contraction_distance(diag, eps):
@@ -95,6 +100,23 @@ def mpmath_cartan_average(g, squarings: int) -> np.ndarray:
     return np.array(sorted(vals, reverse=True))
 
 
+def _cartan_from_integer_rows(rows: list[list[int]]) -> np.ndarray:
+    """High-precision route for integer matrices whose singular values
+    exceed double-precision dynamic range (e.g. large exact powers)."""
+    from mpmath import mp, svd_r
+
+    mat = tuple(tuple(r) for r in rows)
+    if det_exact(mat) == 0:
+        raise SingularInput("integer matrix is singular")
+    bits = max(abs(x) for row in rows for x in row).bit_length()
+    with mp.workdps(max(60, 2 * len(rows) * bits // 3 + 40)):
+        h = mp.matrix(rows)
+        sv = svd_r(h, compute_uv=False)
+        logs = sorted((float(mp.log(sv[i])) for i in range(len(rows))),
+                      reverse=True)
+    return np.array(logs)
+
+
 def qr_cartan_power_average(g, m):
     """Independent oracle: QR accumulation over m sequential steps."""
     q = np.eye(g.shape[0])
@@ -129,6 +151,57 @@ class TestCartanProjection:
     def test_singular_rejected(self):
         with pytest.raises(SingularInput):
             cartan_projection(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_integer_route_matches_mpmath_svd_oracle(self, n):
+        # seeded products of elementary generators and their powers; a
+        # singular value of exactly 1 is 0.0 on the exterior-power route,
+        # where the SVD leaves a residue far below double precision
+        rng = np.random.default_rng(n)
+        gens = elementary_generators(n).elements
+        for _ in range(8):
+            w = identity(n)
+            for i in rng.integers(len(gens), size=rng.integers(3, 13)):
+                w = mat_mul(w, gens[i])
+            for p in (1, 3, 17, 200):
+                g = [list(row) for row in mat_pow(w, p)]
+                mine = cartan_projection(g)
+                oracle = _cartan_from_integer_rows(g)
+                for x, y in zip(mine.tolist(), oracle.tolist()):
+                    if x == 0.0:
+                        assert abs(y) < 1e-50
+                    else:
+                        assert x == y
+
+    def test_integer_power_below_lapack_conditioning(self):
+        g = mat_pow(M, 17)
+        assert max(abs(x) for row in g for x in row) < 6 * 10 ** 4
+        mu = cartan_projection(g)
+        assert render_real(mu[-1]) == "-20.2156538052"
+        assert abs(mu.sum()) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 40, 300, 3000])
+    def test_symmetric_power_cartan_is_jordan(self, k):
+        g = mat_pow(FIB, k)
+        assert np.allclose(cartan_projection(g), jordan_projection(g),
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("op, want", [
+        ("jordan", "[38.4969460048, -38.4969460048]"),
+        ("displacement", "54.4429031499"),
+        ("cartan", "[38.4969460048, -38.4969460048]"),
+    ])
+    @pytest.mark.parametrize("source", ["--matrix", "--file"])
+    def test_cli_keeps_integers_exact(self, op, want, source, tmp_path,
+                                      capsys):
+        # FIB^40 has entries beyond 2^53, which floats would round
+        text = json.dumps([list(row) for row in mat_pow(FIB, 40)])
+        if source == "--file":
+            path = tmp_path / "fib40.json"
+            path.write_text(text)
+            text = str(path)
+        assert main(["matgeo", op, source, text]) == 0
+        assert capsys.readouterr().out == want + "\n"
 
 
 class TestJordanProjection:
