@@ -7,15 +7,16 @@ Their Euclidean norms are the symmetric-space norm and displacement, and
 their difference measures how far an element is from acting like a
 diagonal one.
 
-Float input goes through dense LAPACK solvers in numpy.  Integer input
-takes its Jordan projection from ``lattice.log_eigenvalue_moduli``: exact
-characteristic polynomial, cyclotomic factors divided out exactly (so
-integer unipotents have displacement exactly 0.0, which the lattice
-experiments rely on), a closed form for a remainder of degree at most 2,
-mpmath QR from degree 3, and an error, never a float fallback, if QR
-fails.  ``renormalized_cartan_average`` squares exact exterior powers in
-``decimal`` at a fixed 80 digits; integer input takes its Cartan
-projection from that kernel at 0 squarings.
+Each projection has one exact route: ``_exact_rows`` writes g as M/D,
+M an integer matrix and D a power of two.  The Cartan projection is the
+exterior-power kernel of ``renormalized_cartan_average`` (``decimal`` at
+a fixed 80 digits) at 0 squarings.  The Jordan projection is
+``lattice.log_eigenvalue_moduli(M)`` less log D: exact characteristic
+polynomial, cyclotomic factors divided out exactly (so integer
+unipotents have displacement exactly 0.0, which the lattice experiments
+rely on), a closed form up to degree 2, mpmath QR from degree 3, and an
+error, never a float fallback, if QR fails.  Only ams-gap's batched
+``_gap_block`` keeps LAPACK.
 """
 
 from __future__ import annotations
@@ -59,16 +60,12 @@ _EIG_REL_TOL = 1e-9  # relative tolerance for simplicity/reality decisions
 _RCA_DIGITS = 80  # decimal working precision of renormalized_cartan_average
 
 
-def _check_shape(shape: tuple) -> None:
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
-    if shape[0] < 2:
-        raise ValueError("matrices must be at least 2x2")
-
-
 def _as_matrix(g) -> np.ndarray:
     m = np.asarray(g, dtype=float)
-    _check_shape(m.shape)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] < 2:
+        raise ValueError("matrices must be at least 2x2")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -110,37 +107,39 @@ def random_special_linear(n: int, rng,
         return g
 
 
-def _integer_entries(g) -> list[list[int]] | None:
-    """Exact integer rows when every entry is integral, else None."""
-    if isinstance(g, (list, tuple)) and all(
-            isinstance(x, int) and not isinstance(x, bool)
-            for row in g for x in row):
-        return [list(row) for row in g]
-    m = np.asarray(g)
-    if np.issubdtype(m.dtype, np.integer):
-        return [[int(x) for x in row] for row in m]
-    if (np.issubdtype(m.dtype, np.floating)
-            and np.all(np.isfinite(m)) and np.all(m == np.round(m))):
-        return [[int(x) for x in row] for row in m]
-    return None
+def _exact_rows(g) -> tuple[list[list[int]], int]:
+    """g = M/D exactly: the integer rows of M and a power of two D.
+
+    Integers and integral floats give D = 1; other entries are rounded to
+    float, each an integer over a power of two.  Raises ValueError, before
+    splitting an entry, unless g is square and nonempty.
+    """
+    shape = np.shape(g)
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    ratios = []
+    for x in np.asarray(g, dtype=object).ravel().tolist():
+        if isinstance(x, (int, np.integer)):
+            ratios.append((int(x), 1))
+        elif math.isfinite(x := float(x)):
+            ratios.append(x.as_integer_ratio())
+        else:
+            raise ValueError("matrix entries must be finite")
+    denom = max(d for _, d in ratios)
+    n = shape[0]
+    ints = [num * (denom // d) for num, d in ratios]
+    return [ints[i * n:(i + 1) * n] for i in range(n)], denom
 
 
 def cartan_projection(g) -> np.ndarray:
     """Sorted (non-increasing) log singular values.
 
-    For det-1 matrices the entries sum to 0 up to roundoff.  Integer
-    input of any size takes the exact exterior-power kernel of
-    ``renormalized_cartan_average`` at 0 squarings; float input, LAPACK.
+    For det-1 matrices the entries sum to 0 up to roundoff.  Any input
+    takes the exact kernel of ``renormalized_cartan_average`` at 0
+    squarings, so no LAPACK rounding reaches an ill-conditioned matrix.
     """
-    rows = _integer_entries(g)
-    if rows is not None:
-        _check_shape(np.shape(rows))
-        return _log_singular_values(rows, 1, 0)
-    m = _as_matrix(g)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= sv[0] * 1e-14 or sv[-1] == 0.0:
-        raise SingularInput(f"singular values {sv} too degenerate for logs")
-    return np.sort(np.log(sv))[::-1]
+    rows, denom = _exact_rows(g)
+    return _log_singular_values(rows, denom, 0)
 
 
 def is_unipotent(g) -> bool:
@@ -151,12 +150,11 @@ def is_unipotent(g) -> bool:
     tolerance is 1e-8 * max(1, scale)^n on the max entry of the power,
     with scale the largest entry modulus of g.
     """
-    rows = _integer_entries(g)
-    if rows is not None:
-        a = as_int_matrix(rows)
-        n = len(a)
-        return char_poly(a) == tuple((-1) ** k * math.comb(n, k)
-                                     for k in range(n + 1))
+    rows, denom = _exact_rows(g)
+    if denom == 1:
+        n = len(rows)
+        return char_poly(as_int_matrix(rows)) == tuple(
+            (-1) ** k * math.comb(n, k) for k in range(n + 1))
     m = _as_matrix(g)
     n = m.shape[0]
     power = np.linalg.matrix_power(m - np.eye(n), n)
@@ -167,24 +165,13 @@ def is_unipotent(g) -> bool:
 def jordan_projection(g) -> np.ndarray:
     """Sorted (non-increasing) log eigenvalue moduli.
 
-    Equals lim cartan_projection(g^m)/m.  Integer input goes through
-    ``lattice.log_eigenvalue_moduli``, so integer unipotents give the
-    exact zero vector and arbitrarily large entries stay accurate.
+    Equals lim cartan_projection(g^m)/m.  For g = M/D it is
+    ``lattice.log_eigenvalue_moduli(M)`` less log D, so integer unipotents
+    give the exact zero vector (D = 1 subtracts 0.0).
     """
-    rows = _integer_entries(g)
-    if rows is not None:
-        return np.array(log_eigenvalue_moduli(rows))
-    m = _as_matrix(g)
-    if abs(np.linalg.det(m)) < 1e-300:
-        raise SingularInput("matrix is numerically singular")
-    try:
-        eig = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
-    moduli = np.abs(eig)
-    if np.any(moduli == 0.0):
-        raise SingularInput("zero eigenvalue modulus")
-    return np.sort(np.log(moduli))[::-1]
+    rows, denom = _exact_rows(g)
+    return (np.array(log_eigenvalue_moduli(rows))
+            - (denom.bit_length() - 1) * math.log(2))
 
 
 def symmetric_space_norm(g) -> float:
@@ -448,11 +435,11 @@ def cartan_jordan_gap(g) -> float:
 
 def _gap_block(ms: np.ndarray) -> list:
     """``cartan_jordan_gap`` of each matrix of a finite (N, n, n) float
-    stack, in batched LAPACK calls; None for each row the plain float
-    route does not decide (integral entries take the exact route;
-    degenerate singular values, a determinant below 1e-300, a zero
-    eigenvalue modulus or an eigensolver failure raise there), so the
-    caller runs ``cartan_jordan_gap`` on it.
+    stack in batched LAPACK calls, the one LAPACK projection left: the
+    exact route takes milliseconds per matrix, and ams-gap has 1000.  None
+    for each row LAPACK does not decide (integral entries, degenerate
+    singular values, a determinant below 1e-300, a zero eigenvalue
+    modulus), so the caller runs the exact ``cartan_jordan_gap`` on it.
     """
     try:
         sv = np.linalg.svd(ms, compute_uv=False)
@@ -562,6 +549,8 @@ def _log_singular_values(rows: list[list[int]], denom: int,
     absolute error, 10^-60 max |S|.  A zero determinant, or a squaring
     that cancels more than half the working digits, raises SingularInput.
     """
+    if len(rows) < 2:
+        raise ValueError("matrices must be at least 2x2")
     powers = _exterior_powers(rows)
     if powers[-1][0][0] == 0:
         raise SingularInput("matrix is singular")
@@ -592,15 +581,10 @@ def renormalized_cartan_average(g, squarings: int) -> np.ndarray:
     """cartan_projection(g^m)/m for m = 2^squarings.
 
     Converges to the Jordan projection as the number of squarings grows.
-    The float entries are exact: g = M/D with M an integer matrix and D
-    a power of 2, as ``_log_singular_values`` takes them.
+    The entries are exact: g = M/D with M an integer matrix and D a
+    power of 2 (``_exact_rows``), as ``_log_singular_values`` takes them.
     """
-    m = _as_matrix(g)
+    rows, denom = _exact_rows(g)
     if squarings < 0:
         raise ValueError("squarings must be >= 0")
-    ratios = [x.as_integer_ratio() for x in m.ravel().tolist()]
-    denom = max(d for _, d in ratios)
-    n = m.shape[0]
-    ints = [num * (denom // d) for num, d in ratios]
-    return _log_singular_values([ints[i * n:(i + 1) * n] for i in range(n)],
-                                denom, squarings)
+    return _log_singular_values(rows, denom, squarings)

@@ -173,12 +173,40 @@ class TestCartanProjection:
                     else:
                         assert x == y
 
-    def test_integer_power_below_lapack_conditioning(self):
+    @pytest.mark.parametrize("denom, cartan_last, jordan_last", [
+        (1, "-20.2156538052", "-19.4944993778"),
+        (1024, "-27.1471256108", "-26.4259711834"),
+    ], ids=["M17", "M17_over_1024"])
+    def test_integer_power_below_lapack_conditioning(self, denom,
+                                                     cartan_last,
+                                                     jordan_last):
+        # M^17/1024 is a float matrix, exact in binary: LAPACK put its
+        # smallest components at -27.1485377332 and -26.4276539585
         g = mat_pow(M, 17)
         assert max(abs(x) for row in g for x in row) < 6 * 10 ** 4
+        gap = cartan_jordan_gap(g)
+        if denom > 1:
+            g = np.array(g, dtype=float) / denom
         mu = cartan_projection(g)
-        assert render_real(mu[-1]) == "-20.2156538052"
-        assert abs(mu.sum()) < 1e-12
+        assert render_real(mu[-1]) == cartan_last
+        assert abs(mu.sum() + 3 * math.log(denom)) < 1e-12
+        assert render_real(jordan_projection(g)[-1]) == jordan_last
+        # the gap does not change under scaling
+        assert abs(cartan_jordan_gap(g) - gap) <= 1e-12
+        assert render_real(gap) == "2.19856950398"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_float_route_matches_lapack(self, n):
+        # well-conditioned draws, where LAPACK's logs keep their digits
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            g = random_special_linear(n, rng)
+            sv = np.linalg.svd(g, compute_uv=False)
+            moduli = np.abs(np.linalg.eigvals(g))
+            assert np.max(np.abs(cartan_projection(g)
+                                 - np.sort(np.log(sv))[::-1])) <= 1e-12
+            assert np.max(np.abs(jordan_projection(g)
+                                 - np.sort(np.log(moduli))[::-1])) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 40, 300, 3000])
     def test_symmetric_power_cartan_is_jordan(self, k):
@@ -661,3 +689,6 @@ class TestValidation:
             cartan_projection(np.ones((2, 3)))
         with pytest.raises(ValueError):
             cartan_projection(np.array([[1.0]]))
+        for projection in (cartan_projection, jordan_projection):
+            with pytest.raises(ValueError):
+                projection([1, 2])
