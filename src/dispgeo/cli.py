@@ -43,7 +43,14 @@ from .serialize import (
     render_real,
     write_atomic,
 )
-from .words import Word, cyclic_reduce, gromov_product, parse_word
+from .words import (
+    Word,
+    cyclic_reduce,
+    gromov_product,
+    parse_word,
+    stable_norm,
+    translation_length,
+)
 
 __all__ = ["main"]
 
@@ -226,10 +233,8 @@ def _cmd_word(args) -> int:
         out = (f"core = {dec.core.to_str() or '<identity>'}\n"
                f"conjugator = {dec.conjugator.to_str() or '<identity>'}")
     elif op == "translation":
-        from .words import translation_length
         out = str(translation_length(words[0]))
     elif op == "stable":
-        from .words import stable_norm
         out = str(stable_norm(words[0]))
     elif op == "gromov":
         base = words[2] if len(words) > 2 else None

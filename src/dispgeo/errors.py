@@ -59,10 +59,6 @@ class EigenFailure(DispgeoError, RuntimeError):
     """The dense eigenvalue solver failed to converge."""
 
 
-class ZeroVector(DispgeoError, ValueError):
-    """A projective-space operation received the zero vector."""
-
-
 class NoDominantEigenvalue(DispgeoError, ValueError):
     """Top eigenvalue modulus is not simple and real within tolerance."""
 
@@ -118,10 +114,6 @@ class DimensionUnsupported(DispgeoError, ValueError):
 class NoModulusFound(DispgeoError, ValueError):
     """No prime modulus below the cap keeps every class representative
     away from the identity (impossible for genuine nonidentity inputs)."""
-
-
-class ZeroScale(DispgeoError, ValueError):
-    """The scaling parameter of a diagonal conjugation must be nonzero."""
 
 
 class ParseError(DispgeoError, ValueError):

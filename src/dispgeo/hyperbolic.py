@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +33,8 @@ from .words import (
     Word,
     _block_peel,
     _block_product,
-    _layer,
     _peel,
     _product,
-    ball_size,
-    distance,
     gromov_product,
     multiply,
     translation_length,
@@ -50,13 +47,11 @@ __all__ = [
     "LengthBound",
     "is_almost_cyclically_reduced",
     "stable_length_lower_bound",
-    "check_chain_separation",
     "certify_ping_pong",
     "find_ping_pong_pair",
     "select_acr",
     "stable_norm_length_bound",
     "pair_offset",
-    "conjugacy_undistortion_check",
 ]
 
 
@@ -142,33 +137,6 @@ def stable_length_lower_bound(g: Word, delta=0) -> Fraction:
         raise NotAlmostCyclicallyReduced(
             f"{g!r}: <g,g^-1> = {verdict.product} > {verdict.threshold}")
     return Fraction(len(g), 3)
-
-
-def check_chain_separation(points: Sequence[Word], a, delta=0) -> bool:
-    """Check that a chain with uniformly spaced consecutive triples
-    diverges linearly.
-
-    Hypothesis (verified first, HypothesisViolated(n) on the first bad
-    triple): d(x_{n+2}, x_n) >= max(d(x_{n+2}, x_{n+1}), d(x_{n+1}, x_n))
-    + a + 2 delta.  Returns True iff d(x_n, x_p) >= |n - p| a for every
-    pair of indices.
-    """
-    a = Fraction(a)
-    d = _as_delta(delta)
-    pts = list(points)
-    for n in range(len(pts) - 2):
-        d02 = distance(pts[n], pts[n + 2])
-        d01 = distance(pts[n], pts[n + 1])
-        d12 = distance(pts[n + 1], pts[n + 2])
-        if d02 < max(d01, d12) + a + 2 * d:
-            raise HypothesisViolated(
-                f"triple at index {n}: d(x_n, x_n+2) = {d02} < "
-                f"max({d01}, {d12}) + {a} + 2*{d}", index=n)
-    for n in range(len(pts)):
-        for p in range(n + 1, len(pts)):
-            if distance(pts[n], pts[p]) < (p - n) * a:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -303,38 +271,3 @@ def stable_norm_length_bound(g: Word, pair: PingPongCertificate
     return LengthBound(lhs=len(g), rhs=len(g) - excess + offset,
                        holds=offset.denominator * excess <= offset.numerator)
 
-
-def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
-                                 radius: int) -> bool:
-    """Check |g| <= A * max_i ell(w_i g) + B for every g in the ball.
-
-    ``gens`` is the finite witness family (may contain the identity), A > 0
-    and B >= 0 exact rationals, ``ell`` the translation length.  Returns
-    False as soon as one element fails.
-
-    Runs on whole ``_layer`` blocks: w g and g w are conjugate, so
-    ell(w g) = ell(g w) comes from ``_block_product``, and since A > 0 a
-    block fails exactly when its row with the least max_i ell(w_i g) does.
-    """
-    ws = list(gens)
-    if not ws:
-        raise ValueError("witness family must be nonempty")
-    rank = ws[0].rank
-    A = Fraction(A)
-    B = Fraction(B)
-    if A <= 0 or B < 0:
-        raise ValueError("need A > 0 and B >= 0")
-    ball_size(rank, radius)  # validates the radius
-    for w in ws:
-        if w.rank != rank:
-            raise RankMismatch(f"rank {w.rank} vs {rank}")
-    ws = [w.letters for w in ws]
-    den = A.denominator * B.denominator  # |g| <= A best + B, times den
-    a, b = A.numerator * B.denominator, B.numerator * A.denominator
-    for L in range(radius + 1):
-        for block in _layer(rank, L):
-            best = np.max([length - 2 * peel for length, peel in
-                           (_block_product(block, w) for w in ws)], axis=0)
-            if den * L > a * int(best.min()) + b:
-                return False
-    return True

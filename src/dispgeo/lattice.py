@@ -14,9 +14,9 @@ deduplicates each layer with one stable sort of those keys.  The module
 provides the breadth-first word
 metric over a symmetric generating set (default: elementary matrices
 E_ij(+-1)), upper and lower bounds for the translation length, the
-bounded-depth-roots certificate, contortion witnesses through reduction
-mod a prime, and the diagonal conjugation identity that rescales a
-unipotent inside SL(2, Z[1/p]).
+bounded-depth-roots certificate, and contortion witnesses through
+reduction mod a prime.  The diagonal conjugation identity that rescales
+a unipotent inside SL(2, Z[1/p]) is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     SingularInput,
     SoundnessFailure,
     TorsionInput,
-    ZeroScale,
 )
 
 __all__ = [
@@ -70,8 +69,6 @@ __all__ = [
     "sl_group_order",
     "ContortionWitness",
     "contortion_witness",
-    "unipotent_conjugation_identity",
-    "is_p_unit_denominator",
 ]
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -1172,39 +1169,3 @@ def contortion_witness(gamma, class_reps,
             k //= q
     return ContortionWitness(gamma=g, class_reps=reps, modulus=modulus, k=k)
 
-
-# ---------------------------------------------------------------------------
-# SL(2, Z[1/p]): rescaling a unipotent by a diagonal conjugation
-
-
-def is_p_unit_denominator(x: Fraction, p: int) -> bool:
-    """True iff x lies in Z[1/p]: the denominator is a power of p."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    d = Fraction(x).denominator
-    while d % p == 0:
-        d //= p
-    return d == 1
-
-
-def unipotent_conjugation_identity(t, p: int | None = None
-                                   ) -> tuple[tuple, tuple]:
-    """diag(t, 1/t) [[1,1],[0,1]] diag(1/t, t) computed exactly.
-
-    Returns (conjugator, result); the result is [[1, t^2], [0, 1]], so for
-    t = p^k the p^(2k)-th power of the unipotent is conjugate to the
-    unipotent itself inside SL(2, Z[1/p]).  Passing ``p`` additionally
-    enforces that t (hence every matrix entry) lies in Z[1/p].
-    """
-    t = Fraction(t)
-    if t == 0:
-        raise ZeroScale("t must be nonzero")
-    if p is not None and not (is_p_unit_denominator(t, p)
-                              and is_p_unit_denominator(1 / t, p)):
-        raise ValueError(f"{t} is not a unit of Z[1/{p}]")
-    conj = ((t, Fraction(0)), (Fraction(0), 1 / t))
-    u = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
-    inv = ((1 / t, Fraction(0)), (Fraction(0), t))
-    result = mat_mul(mat_mul(conj, u), inv)
-    assert result == ((1, t * t), (0, 1))
-    return conj, result

@@ -36,7 +36,6 @@ from .errors import (
     NoDominantEigenvalue,
     SeparationFailed,
     SingularInput,
-    ZeroVector,
 )
 from .lattice import as_int_matrix, char_poly, log_eigenvalue_moduli
 
@@ -46,13 +45,10 @@ __all__ = [
     "jordan_projection",
     "symmetric_space_norm",
     "symmetric_space_displacement",
-    "projective_metric",
-    "point_hyperplane_distance",
     "certify_proximal",
     "cartan_jordan_gap",
     "is_unipotent",
     "renormalized_cartan_average",
-    "check_special_linear",
     "random_special_linear",
 ]
 
@@ -69,14 +65,6 @@ def _as_matrix(g) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def check_special_linear(g) -> None:
-    """Raise if |det(g) - 1| > 1e-9 scale^n with scale = max |entry|."""
-    m = _as_matrix(g)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if abs(np.linalg.det(m) - 1.0) > 1e-9 * scale ** m.shape[0]:
-        raise ValueError(f"determinant {np.linalg.det(m)} is not 1")
 
 
 def random_special_linear(n: int, rng,
@@ -186,28 +174,6 @@ def symmetric_space_displacement(g) -> float:
     0.0 for integer unipotents.
     """
     return float(np.linalg.norm(jordan_projection(g)))
-
-
-def _unit(x, name: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0.0 or not np.all(np.isfinite(v)):
-        raise ZeroVector(f"{name} must be nonzero and finite")
-    return v / norm
-
-
-def projective_metric(x, y) -> float:
-    """Sine of the angle between the lines Rx and Ry; in [0, 1]."""
-    ux, uy = _unit(x, "x"), _unit(y, "y")
-    cos = min(1.0, abs(float(np.dot(ux, uy))))
-    return float(np.sqrt(max(0.0, 1.0 - cos * cos)))
-
-
-def point_hyperplane_distance(x, normal) -> float:
-    """Sine-metric distance from the line Rx to the projectivized
-    hyperplane with the given normal vector; in [0, 1]."""
-    ux, un = _unit(x, "x"), _unit(normal, "normal")
-    return min(1.0, abs(float(np.dot(ux, un))))
 
 
 @functools.lru_cache(maxsize=8)

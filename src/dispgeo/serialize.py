@@ -169,15 +169,28 @@ def certificate_document(cert) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+    """Write via a temp file in the same directory plus rename.
+
+    The file gets the mode a plain ``open(path, "w")`` leaves: an existing
+    file keeps its mode, a new one gets 0o666 less the umask (mkstemp
+    alone would leave it owner-only).
+    """
     import os
+    import stat
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "Word",
     "GromovProduct",
     "CyclicDecomposition",
-    "reduce_word",
     "multiply",
     "word_length",
     "distance",
@@ -38,7 +37,6 @@ __all__ = [
     "cyclic_reduce",
     "translation_length",
     "stable_norm",
-    "four_point_holds",
     "parse_word",
     "ball",
     "ball_size",
@@ -153,15 +151,6 @@ class Word:
     def is_cyclically_reduced(self) -> bool:
         ls = self.letters
         return len(ls) < 2 or ls[0] != -ls[-1]
-
-
-def reduce_word(letters: Sequence[int], rank: int) -> Word:
-    """Freely reduce a raw letter sequence.
-
-    >>> reduce_word([2, 1, -1, -2, 1], rank=2).to_str()
-    'a'
-    """
-    return Word(letters, rank)
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -298,20 +287,6 @@ def stable_norm(g: Word) -> int:
     g^n = c w^n c^-1 and |g^n| = n |w| + 2 |c|.
     """
     return translation_length(g)
-
-
-def four_point_holds(g: Word, h: Word, k: Word, delta) -> bool:
-    """The four-point condition <g,k> >= min(<g,h>, <h,k>) - delta at the
-    identity; exact comparison (delta may be int or Fraction), made on
-    doubled products scaled by den with delta = num/den."""
-    if not (g.rank == h.rank == k.rank):
-        raise RankMismatch("mixed ranks in four-point check")
-    gk = gromov_product(g, k).doubled
-    gh = gromov_product(g, h).doubled
-    hk = gromov_product(h, k).doubled
-    d = Fraction(delta)
-    num, den = d.numerator, d.denominator
-    return den * gk >= den * min(gh, hk) - 2 * num
 
 
 def parse_word(text: str, rank: int = 2) -> Word:

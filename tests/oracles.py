@@ -1,0 +1,206 @@
+"""Reference checks of the paper's setting, kept beside the tests.
+
+No report runs these, so they live here rather than in ``dispgeo``: the
+tests compare the package against them, or run them as checks of the
+setting itself.
+
+- ``reduce_word`` and ``four_point_holds``: free reduction and the
+  delta = 0 four-point condition of F_k (``dispgeo.words``);
+- ``check_chain_separation`` and ``conjugacy_undistortion_check``:
+  separated chains and undistortion in conjugacy classes
+  (``dispgeo.hyperbolic``);
+- ``check_special_linear``, ``projective_metric`` and
+  ``point_hyperplane_distance``: the det-1 check and the projective
+  sine metrics (``dispgeo.matgeo``);
+- ``unipotent_conjugation_identity`` and ``is_p_unit_denominator``: the
+  diagonal rescaling identity in SL(2, Z[1/p]) (``dispgeo.lattice``).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from dispgeo.errors import DispgeoError, HypothesisViolated, RankMismatch
+from dispgeo.hyperbolic import _as_delta
+from dispgeo.lattice import mat_mul
+from dispgeo.matgeo import _as_matrix
+from dispgeo.words import (
+    Word,
+    _block_product,
+    _layer,
+    ball_size,
+    distance,
+    gromov_product,
+)
+
+
+class ZeroVector(DispgeoError, ValueError):
+    """A projective-space operation received the zero vector."""
+
+
+class ZeroScale(DispgeoError, ValueError):
+    """The scaling parameter of a diagonal conjugation must be nonzero."""
+
+
+# ---------------------------------------------------------------------------
+# free groups
+
+
+def reduce_word(letters: Sequence[int], rank: int) -> Word:
+    """Freely reduce a raw letter sequence.
+
+    >>> reduce_word([2, 1, -1, -2, 1], rank=2).to_str()
+    'a'
+    """
+    return Word(letters, rank)
+
+
+def four_point_holds(g: Word, h: Word, k: Word, delta) -> bool:
+    """The four-point condition <g,k> >= min(<g,h>, <h,k>) - delta at the
+    identity; exact comparison (delta may be int or Fraction), made on
+    doubled products scaled by den with delta = num/den."""
+    if not (g.rank == h.rank == k.rank):
+        raise RankMismatch("mixed ranks in four-point check")
+    gk = gromov_product(g, k).doubled
+    gh = gromov_product(g, h).doubled
+    hk = gromov_product(h, k).doubled
+    d = Fraction(delta)
+    num, den = d.numerator, d.denominator
+    return den * gk >= den * min(gh, hk) - 2 * num
+
+
+def check_chain_separation(points: Sequence[Word], a, delta=0) -> bool:
+    """Check that a chain with uniformly spaced consecutive triples
+    diverges linearly.
+
+    Hypothesis (verified first, HypothesisViolated(n) on the first bad
+    triple): d(x_{n+2}, x_n) >= max(d(x_{n+2}, x_{n+1}), d(x_{n+1}, x_n))
+    + a + 2 delta.  Returns True iff d(x_n, x_p) >= |n - p| a for every
+    pair of indices.
+    """
+    a = Fraction(a)
+    d = _as_delta(delta)
+    pts = list(points)
+    for n in range(len(pts) - 2):
+        d02 = distance(pts[n], pts[n + 2])
+        d01 = distance(pts[n], pts[n + 1])
+        d12 = distance(pts[n + 1], pts[n + 2])
+        if d02 < max(d01, d12) + a + 2 * d:
+            raise HypothesisViolated(
+                f"triple at index {n}: d(x_n, x_n+2) = {d02} < "
+                f"max({d01}, {d12}) + {a} + 2*{d}", index=n)
+    for n in range(len(pts)):
+        for p in range(n + 1, len(pts)):
+            if distance(pts[n], pts[p]) < (p - n) * a:
+                return False
+    return True
+
+
+def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
+                                 radius: int) -> bool:
+    """Check |g| <= A * max_i ell(w_i g) + B for every g in the ball.
+
+    ``gens`` is the finite witness family (may contain the identity), A > 0
+    and B >= 0 exact rationals, ``ell`` the translation length.  Returns
+    False as soon as one element fails.
+
+    Runs on whole ``_layer`` blocks: w g and g w are conjugate, so
+    ell(w g) = ell(g w) comes from ``_block_product``, and since A > 0 a
+    block fails exactly when its row with the least max_i ell(w_i g) does.
+    """
+    ws = list(gens)
+    if not ws:
+        raise ValueError("witness family must be nonempty")
+    rank = ws[0].rank
+    A = Fraction(A)
+    B = Fraction(B)
+    if A <= 0 or B < 0:
+        raise ValueError("need A > 0 and B >= 0")
+    ball_size(rank, radius)  # validates the radius
+    for w in ws:
+        if w.rank != rank:
+            raise RankMismatch(f"rank {w.rank} vs {rank}")
+    ws = [w.letters for w in ws]
+    den = A.denominator * B.denominator  # |g| <= A best + B, times den
+    a, b = A.numerator * B.denominator, B.numerator * A.denominator
+    for L in range(radius + 1):
+        for block in _layer(rank, L):
+            best = np.max([length - 2 * peel for length, peel in
+                           (_block_product(block, w) for w in ws)], axis=0)
+            if den * L > a * int(best.min()) + b:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# real matrices and projective space
+
+
+def check_special_linear(g) -> None:
+    """Raise if |det(g) - 1| > 1e-9 scale^n with scale = max |entry|."""
+    m = _as_matrix(g)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if abs(np.linalg.det(m) - 1.0) > 1e-9 * scale ** m.shape[0]:
+        raise ValueError(f"determinant {np.linalg.det(m)} is not 1")
+
+
+def _unit(x, name: str = "vector") -> np.ndarray:
+    v = np.asarray(x, dtype=float).reshape(-1)
+    norm = np.linalg.norm(v)
+    if norm == 0.0 or not np.all(np.isfinite(v)):
+        raise ZeroVector(f"{name} must be nonzero and finite")
+    return v / norm
+
+
+def projective_metric(x, y) -> float:
+    """Sine of the angle between the lines Rx and Ry; in [0, 1]."""
+    ux, uy = _unit(x, "x"), _unit(y, "y")
+    cos = min(1.0, abs(float(np.dot(ux, uy))))
+    return float(np.sqrt(max(0.0, 1.0 - cos * cos)))
+
+
+def point_hyperplane_distance(x, normal) -> float:
+    """Sine-metric distance from the line Rx to the projectivized
+    hyperplane with the given normal vector; in [0, 1]."""
+    ux, un = _unit(x, "x"), _unit(normal, "normal")
+    return min(1.0, abs(float(np.dot(ux, un))))
+
+
+# ---------------------------------------------------------------------------
+# SL(2, Z[1/p]): rescaling a unipotent by a diagonal conjugation
+
+
+def is_p_unit_denominator(x: Fraction, p: int) -> bool:
+    """True iff x lies in Z[1/p]: the denominator is a power of p."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    d = Fraction(x).denominator
+    while d % p == 0:
+        d //= p
+    return d == 1
+
+
+def unipotent_conjugation_identity(t, p: int | None = None
+                                   ) -> tuple[tuple, tuple]:
+    """diag(t, 1/t) [[1,1],[0,1]] diag(1/t, t) computed exactly.
+
+    Returns (conjugator, result); the result is [[1, t^2], [0, 1]], so for
+    t = p^k the p^(2k)-th power of the unipotent is conjugate to the
+    unipotent itself inside SL(2, Z[1/p]).  Passing ``p`` additionally
+    enforces that t (hence every matrix entry) lies in Z[1/p].
+    """
+    t = Fraction(t)
+    if t == 0:
+        raise ZeroScale("t must be nonzero")
+    if p is not None and not (is_p_unit_denominator(t, p)
+                              and is_p_unit_denominator(1 / t, p)):
+        raise ValueError(f"{t} is not a unit of Z[1/{p}]")
+    conj = ((t, Fraction(0)), (Fraction(0), 1 / t))
+    u = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))
+    inv = ((1 / t, Fraction(0)), (Fraction(0), t))
+    result = mat_mul(mat_mul(conj, u), inv)
+    assert result == ((1, t * t), (0, 1))
+    return conj, result

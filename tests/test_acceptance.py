@@ -34,7 +34,6 @@ from dispgeo.lattice import (
     sl_group_order,
     translation_length_lower,
     unipotence_exponent,
-    unipotent_conjugation_identity,
 )
 from dispgeo.matgeo import (
     cartan_jordan_gap,
@@ -48,7 +47,6 @@ from dispgeo.words import (
     ball_size,
     cyclic_reduce,
     distance,
-    four_point_holds,
     gromov_product,
     multiply,
     parse_word,
@@ -56,6 +54,7 @@ from dispgeo.words import (
     translation_length,
     word_length,
 )
+from oracles import four_point_holds, unipotent_conjugation_identity
 
 W = parse_word
 PHI = (1.0 + math.sqrt(5.0)) / 2.0

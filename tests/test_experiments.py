@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestSerialize:
         assert target.read_text() == "hello\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+        # the mode a plain open() leaves, not mkstemp's owner-only 0o600
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w") as fh:
+            fh.write("hello\n")
+        mode = stat.S_IMODE(target.stat().st_mode)
+        assert mode == stat.S_IMODE(plain.stat().st_mode)
+        # rewriting an existing file keeps its mode, as open() does
+        os.chmod(target, 0o640)
+        write_atomic(str(target), "again\n")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
     def test_certificate_document(self):
         from dispgeo.hyperbolic import certify_ping_pong

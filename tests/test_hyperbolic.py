@@ -17,8 +17,6 @@ from dispgeo.hyperbolic import (
     _excess,
     _first_acr,
     certify_ping_pong,
-    check_chain_separation,
-    conjugacy_undistortion_check,
     find_ping_pong_pair,
     is_almost_cyclically_reduced,
     pair_offset,
@@ -38,6 +36,7 @@ from dispgeo.words import (
     stable_norm,
     word_length,
 )
+from oracles import check_chain_separation, conjugacy_undistortion_check
 
 W = parse_word
 

@@ -9,7 +9,6 @@ import pytest
 import dispgeo
 from dispgeo.hyperbolic import (
     certify_ping_pong,
-    conjugacy_undistortion_check,
     find_ping_pong_pair,
     is_almost_cyclically_reduced,
     pair_offset,
@@ -17,6 +16,7 @@ from dispgeo.hyperbolic import (
     stable_norm_length_bound,
 )
 from dispgeo.words import Word, ball, parse_word
+from oracles import conjugacy_undistortion_check
 
 
 def test_pair_to_bound_workflow():

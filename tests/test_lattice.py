@@ -24,7 +24,6 @@ from dispgeo.errors import (
     ResourceExceeded,
     SingularInput,
     TorsionInput,
-    ZeroScale,
 )
 from dispgeo.lattice import (
     GeneratorSet,
@@ -49,7 +48,6 @@ from dispgeo.lattice import (
     has_trivial_hyperbolic_part,
     identity,
     inverse_unimodular,
-    is_p_unit_denominator,
     is_torsion,
     log_eigenvalue_moduli,
     mat_mod,
@@ -60,10 +58,14 @@ from dispgeo.lattice import (
     translation_length_lower,
     translation_length_upper,
     unipotence_exponent,
-    unipotent_conjugation_identity,
     word_length_bfs,
 )
 from dispgeo.matgeo import is_unipotent
+from oracles import (
+    ZeroScale,
+    is_p_unit_denominator,
+    unipotent_conjugation_identity,
+)
 
 
 def E(n, i, j, t):

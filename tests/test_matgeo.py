@@ -16,7 +16,6 @@ from dispgeo.errors import (
     NoDominantEigenvalue,
     SeparationFailed,
     SingularInput,
-    ZeroVector,
 )
 from dispgeo.lattice import (
     char_poly,
@@ -37,17 +36,20 @@ from dispgeo.matgeo import (
     cartan_jordan_gap,
     cartan_projection,
     certify_proximal,
-    check_special_linear,
     is_unipotent,
     jordan_projection,
-    point_hyperplane_distance,
-    projective_metric,
     random_special_linear,
     renormalized_cartan_average,
     symmetric_space_displacement,
     symmetric_space_norm,
 )
 from dispgeo.serialize import render_real
+from oracles import (
+    ZeroVector,
+    check_special_linear,
+    point_hyperplane_distance,
+    projective_metric,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 FIB = ((2, 1), (1, 1))

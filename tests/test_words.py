@@ -20,15 +20,14 @@ from dispgeo.words import (
     ball_size,
     cyclic_reduce,
     distance,
-    four_point_holds,
     gromov_product,
     multiply,
     parse_word,
-    reduce_word,
     stable_norm,
     translation_length,
     word_length,
 )
+from oracles import four_point_holds, reduce_word
 
 
 def oracle_reduce(letters):
