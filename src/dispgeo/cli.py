@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, experiments
-from .errors import DispgeoError, NotPingPong
+from .errors import DispgeoError, NotPingPong, ParseError
 from .hyperbolic import (
     certify_ping_pong,
     find_ping_pong_pair,
@@ -261,7 +261,10 @@ def _load_one_matrix(args, integer: bool = False):
             return parse_int_matrix_text(args.matrix)
         return _real_rows(parse_matrix_text(args.matrix))
     if args.file:
-        return load_matrix_file(args.file, integer=integer)[0]
+        matrices = load_matrix_file(args.file, integer=integer)
+        if len(matrices) != 1:
+            raise ParseError(f"expected one matrix, got {len(matrices)}")
+        return matrices[0]
     raise DispgeoError("need --matrix or --file")
 
 

@@ -688,25 +688,21 @@ def _quadratic_log_moduli(b: int, c: int) -> tuple[float, float]:
     return float(ln(large)), float(ln(small))
 
 
-def log_eigenvalue_moduli(a) -> tuple[float, ...]:
-    """Sorted (non-increasing) log eigenvalue moduli of an integer matrix.
+def _log_root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
+    """Sorted (non-increasing) log root moduli of an integer polynomial,
+    leading coefficient first, with a nonzero constant term.
 
-    Cyclotomic factors of the exact characteristic polynomial contribute
-    exactly 0.0 each, so unipotents give the exact zero vector.  A linear
-    remainder has an integer root and a quadratic one is solved in closed
-    form (_quadratic_log_moduli).  From degree 3 on, the roots are the
-    eigenvalues of the remainder's companion matrix by mpmath QR at
-    _digits(bits) digits.  Raises SingularInput at determinant 0 and
-    EigenFailure when QR does not converge; there is no lower-precision
-    fallback.
+    Cyclotomic factors of degree <= deg(poly) contribute exactly 0.0 each.
+    A linear remainder has an integer root and a quadratic one is solved
+    in closed form (_quadratic_log_moduli).  From degree 3 on, the roots
+    are the eigenvalues of the remainder's companion matrix by mpmath QR
+    at _digits(bits) digits.  Raises EigenFailure when QR does not
+    converge; there is no lower-precision fallback.
     """
-    mat = as_int_matrix(a)
-    poly = char_poly(mat)
-    if poly[-1] == 0:
-        raise SingularInput("integer matrix is singular")
-    rest = _strip_cyclotomic(poly, len(mat))
+    n = len(poly) - 1
+    rest = _strip_cyclotomic(poly, n)
     d = len(rest) - 1
-    logs = [0.0] * (len(mat) - d)
+    logs = [0.0] * (n - d)
     if d == 1:  # x + r has the integer root -r
         logs.append(math.log(abs(rest[1])))
     elif d == 2:
@@ -727,28 +723,16 @@ def log_eigenvalue_moduli(a) -> tuple[float, ...]:
     return tuple(sorted(logs, reverse=True))
 
 
-@lru_cache(maxsize=None)
-def _expanding_moduli(poly: tuple[int, ...], n: int) -> tuple[float, ...]:
-    """Moduli > 1 among the roots, after exact cyclotomic stripping.
-
-    For degrees <= 3 the stripped remainder has no roots of modulus
-    exactly 1 (a unit-circle pair would force an integer quadratic factor
-    x^2 - tx + 1 with |t| < 2, all of which are cyclotomic), so a root
-    within 1e-6 of the circle only needs more precision, not a tie-break:
-    those are recomputed with 60-digit arithmetic.
-    """
-    stripped = _strip_cyclotomic(poly, n)
-    if len(stripped) <= 1:
-        return ()
-    roots = np.roots(np.array(stripped, dtype=float))
-    moduli = list(np.abs(roots))
-    if any(abs(m - 1.0) < 1e-6 for m in moduli):
-        from mpmath import mp
-        with mp.workdps(60):
-            roots = mp.polyroots(list(stripped), maxsteps=200,
-                                 extraprec=200)
-            moduli = [float(abs(r)) for r in roots]
-    return tuple(sorted(m for m in moduli if m > 1.0))
+def log_eigenvalue_moduli(a) -> tuple[float, ...]:
+    """Sorted (non-increasing) log eigenvalue moduli of an integer matrix,
+    by _log_root_moduli of its exact characteristic polynomial, so
+    unipotents give the exact zero vector.  Raises SingularInput at
+    determinant 0 and EigenFailure when QR does not converge."""
+    mat = as_int_matrix(a)
+    poly = char_poly(mat)
+    if poly[-1] == 0:
+        raise SingularInput("integer matrix is singular")
+    return _log_root_moduli(poly)
 
 
 def _coefficient_bound(n: int, ceil_k: int) -> int:
@@ -773,13 +757,11 @@ def _family_min_expanding(n: int, k1: int) -> float | None:
 
     The family's coefficient rows are built in int64 blocks of _BOX_BLOCK
     rows, in iter_product order.  A row with a cyclotomic factor of
-    degree <= n goes through _expanding_moduli, which strips it exactly.
-    Every other row is its own stripped remainder: its roots are the
-    eigenvalues of the companion matrix that np.roots builds, taken for
-    the whole block by one stacked np.linalg.eigvals.  A row with a
-    modulus within 1e-6 of 1 goes back to _expanding_moduli for its
-    60-digit recomputation.  So every row gives the moduli of the
-    per-polynomial route, bit for bit, and memory stays one block.
+    degree <= n takes the exact route of log_eigenvalue_moduli
+    (_log_root_moduli).  The other rows' roots are the eigenvalues of
+    their companion matrices, one stacked np.linalg.eigvals per block,
+    and a row with a modulus within 1e-6 of 1 takes the exact route too.
+    Memory stays one block.
     """
     base = 2 * k1 + 1
     total = base ** (n - 1)
@@ -810,9 +792,10 @@ def _family_min_expanding(n: int, k1: int) -> float | None:
         if expanding.size:
             best = min(best, expanding.min())
         for row in rows[exact]:
-            expanding = _expanding_moduli(tuple(map(int, row)), n)
+            expanding = [x for x in _log_root_moduli(tuple(map(int, row)))
+                         if x > 0.0]
             if expanding:
-                best = min(best, expanding[0])
+                best = min(best, math.exp(expanding[-1]))
     return None if best == math.inf else float(best)
 
 
@@ -1010,9 +993,9 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     are searched exhaustively in the box |entries| <= box_bound, by
     default min(ceil(K) + 1, _largest_box(n)): 32 at n = 2, 2 at n = 3.
     One walk of the commutant serves every checked power
-    (_roots_by_power).  The hyperbolic b is the minimum of
-    _family_min_expanding, one stacked eigvals per block of the family's
-    coefficient rows.
+    (_roots_by_power).  The hyperbolic K is exp of the top log modulus by
+    _log_root_moduli, and b the minimum of _family_min_expanding, one
+    stacked eigvals per block of the family's coefficient rows.
     Raises TorsionInput for finite-order input, ResourceExceeded when the
     (2 box_bound + 1)^r points of the input's rank-r commutant pass the
     cap, and SoundnessFailure for a root at or past the certified depth.
@@ -1047,7 +1030,7 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
         depth = _unipotent_depth(a_max, c_max)
     else:
         branch = "hyperbolic"
-        k_spectral = float(max(_expanding_moduli(coeffs, n)))
+        k_spectral = math.exp(_log_root_moduli(coeffs)[0])
         ceil_k = math.ceil(k_spectral - 1e-9)
         k1 = _coefficient_bound(n, ceil_k)
         b_raw = _family_min_expanding(n, k1)

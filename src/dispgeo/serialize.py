@@ -173,13 +173,14 @@ def write_atomic(path: str, text: str) -> None:
 
     The file gets the mode a plain ``open(path, "w")`` leaves: an existing
     file keeps its mode, a new one gets 0o666 less the umask (mkstemp
-    alone would leave it owner-only).
+    alone would leave it owner-only); a symlink is written through.
     """
     import os
     import stat
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

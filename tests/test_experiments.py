@@ -187,6 +187,15 @@ class TestSerialize:
         os.chmod(target, 0o640)
         write_atomic(str(target), "again\n")
         assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        # through a symlink, as open() writes: the link stays a link
+        link = tmp_path / "link.csv"
+        link.symlink_to(target.name)
+        write_atomic(str(link), "linked\n")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == "linked\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+        assert leftovers == []
 
     def test_certificate_document(self):
         from dispgeo.hyperbolic import certify_ping_pong
@@ -697,6 +706,28 @@ class TestCli:
         assert ("ResourceExceeded: box 136 on the rank-3 commutant in "
                 "dimension 3 has 20346417 candidates") in captured.err
         assert "SOUNDNESS" not in captured.err
+
+    def test_depth_roots_beyond_dimension_three_exits_1(self, tmp_path,
+                                                         capsys):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0],
+                                 [0, 0, 0, 1]]))
+        assert main(["depth-roots", "--file", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("DimensionUnsupported: depth_root_bound supports n in "
+                "{2, 3}, got 4") in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_matgeo_file_with_two_matrices_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "two.json"
+        f.write_text(json.dumps([[[2, 1], [1, 1]], [[1, 1], [0, 1]]]))
+        for op in ("cartan", "unipotent"):
+            assert main(["matgeo", op, "--file", str(f)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "ParseError: expected one matrix, got 2" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_parse_error_exit(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

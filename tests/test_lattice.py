@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iter_product
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import dispgeo
 from dispgeo import lattice
 from dispgeo.errors import (
+    DimensionUnsupported,
     EigenFailure,
     IdentityInput,
     NoModulusFound,
@@ -29,9 +31,9 @@ from dispgeo.lattice import (
     GeneratorSet,
     _commutant_points,
     _digits,
-    _expanding_moduli,
     _family_min_expanding,
     _largest_box,
+    _log_root_moduli,
     _quadratic_log_moduli,
     _roots_by_power,
     _row_keys,
@@ -935,8 +937,33 @@ class TestDepthRootBound:
             assert k == 2 and mat_pow(root, 2) == E(3, 0, 2, 1)
 
     def test_dimension_guard(self):
-        with pytest.raises(Exception):
-            depth_root_bound(identity(4))
+        with pytest.raises(DimensionUnsupported):
+            depth_root_bound(E(4, 0, 3, 1))
+        with pytest.raises(DimensionUnsupported):
+            find_roots_in_box(E(4, 0, 3, 1), 2, 1)
+
+    @pytest.mark.parametrize("n, length", [(2, 6), (3, 4)])
+    def test_k_is_the_exact_spectral_radius(self, n, length):
+        # K comes from the route of log_eigenvalue_moduli, bit for bit
+        gens = elementary_generators(n).elements
+        rng = random.Random(7)
+        products = []
+        while len(products) < 30:
+            m = identity(n)
+            for _ in range(length):
+                m = mat_mul(m, rng.choice(gens))
+            if not has_trivial_hyperbolic_part(m) and m not in products:
+                products.append(m)
+        for m in products:
+            want = math.exp(log_eigenvalue_moduli(m)[0])
+            assert depth_root_bound(m).K == want
+
+    def test_k_of_a_cubic_takes_qr(self):
+        # the companion of x^3 - x - 1 is irreducible, so its K comes from
+        # QR: the plastic number, rounded to a double
+        cert = depth_root_bound(((0, 0, 1), (1, 0, 1), (0, 1, 0)))
+        assert cert.branch == "hyperbolic"
+        assert cert.K == 1.324717957244746
 
     def test_closed_form_depth_matches_the_linear_search(self):
         # the linear search the closed form replaced, as the oracle
@@ -1134,12 +1161,37 @@ class TestFindRootsInBox:
             "afd8e95385dcd1939efd03cdf4a1e0ab7f5f3c3ab8c17593988c1c38d8e05584")
 
 
+@lru_cache(maxsize=None)
+def _expanding_moduli(poly: tuple[int, ...], n: int) -> tuple[float, ...]:
+    """Moduli > 1 among the roots, after exact cyclotomic stripping.
+
+    For degrees <= 3 the stripped remainder has no roots of modulus
+    exactly 1 (a unit-circle pair would force an integer quadratic factor
+    x^2 - tx + 1 with |t| < 2, all of which are cyclotomic), so a root
+    within 1e-6 of the circle only needs more precision, not a tie-break:
+    those are recomputed with 60-digit arithmetic.
+    """
+    stripped = _strip_cyclotomic(poly, n)
+    if len(stripped) <= 1:
+        return ()
+    roots = np.roots(np.array(stripped, dtype=float))
+    moduli = list(np.abs(roots))
+    if any(abs(m - 1.0) < 1e-6 for m in moduli):
+        from mpmath import mp
+        with mp.workdps(60):
+            roots = mp.polyroots(list(stripped), maxsteps=200,
+                                 extraprec=200)
+            moduli = [float(abs(r)) for r in roots]
+    return tuple(sorted(m for m in moduli if m > 1.0))
+
+
 def family_min_oracle(n, k1):
     """The per-polynomial loop that the stacked eigvals route replaced:
     the least expanding modulus of each polynomial of the family, by
-    _expanding_moduli.  Also returns the polynomials that need its exact
-    route: those with a cyclotomic factor of degree <= n, and those with
-    a root modulus (np.roots) within 1e-6 of 1."""
+    _expanding_moduli, the np.roots route that the package's exact
+    _log_root_moduli replaced.  Also returns the polynomials that need the
+    exact route: those with a cyclotomic factor of degree <= n, and those
+    with a root modulus (np.roots) within 1e-6 of 1."""
     constant = 1 if n % 2 == 0 else -1
     best = None
     exact = set()
@@ -1165,11 +1217,11 @@ class TestFamilyMinExpanding:
         want, exact = family_min_oracle(n, k1)
         calls = []
 
-        def counting(poly, n):
+        def counting(poly):
             calls.append(poly)
-            return _expanding_moduli(poly, n)
+            return _log_root_moduli(poly)
 
-        monkeypatch.setattr(lattice, "_expanding_moduli", counting)
+        monkeypatch.setattr(lattice, "_log_root_moduli", counting)
         got = _family_min_expanding(n, k1)
         assert got == want  # the same double, not an approximation
         # only the cyclotomic and near-circle rows take the exact route
