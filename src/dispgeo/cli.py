@@ -4,7 +4,8 @@ Subcommands map one-to-one onto the experiment runners plus ad-hoc word
 and matrix queries.  Reports are written atomically when --out is given,
 otherwise to stdout; wall-clock timing goes to stderr so report bytes
 depend only on the config.  Exit status is 0 exactly when every assertion
-of the run passed.
+of the run passed, and 2 on usage errors.  A call that names a subcommand
+first builds that subparser alone; help and errors read the same.
 """
 
 from __future__ import annotations
@@ -73,7 +74,12 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "report"), default="csv")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("prop422", "prop507", "ams-gap", "depth-roots", "pingpong",
+             "contortion", "word", "matgeo")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a subcommand name, with that subparser only."""
     parser = argparse.ArgumentParser(
         prog="dispgeo",
         description="Displacement geometry toolkit: word metrics, "
@@ -81,95 +87,105 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments built on them.")
     parser.add_argument("--version", action="version",
                         version=f"dispgeo {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(_COMMANDS) + "}" if command else None))
 
-    p = sub.add_parser("prop422", help="exhaustive word-length vs stable-"
-                       "norm bound scan over a free-group ball")
-    p.add_argument("--radius", type=int, default=12)
-    p.add_argument("--u", default="aab")
-    p.add_argument("--v", default="bba")
-    p.add_argument("--delta", type=parse_rational, default=Fraction(0))
-    p.add_argument("--alpha-override", type=parse_rational, default=None,
-                   help="negative-control hook: replace the derived "
-                        "additive offset")
-    p.add_argument("--max-ball", type=int, default=2_000_000,
-                   help="error out (never truncate) beyond this ball size")
-    _add_output_flags(p)
+    if command in (None, "prop422"):
+        p = sub.add_parser("prop422", help="exhaustive word-length vs stable-"
+                           "norm bound scan over a free-group ball")
+        p.add_argument("--radius", type=int, default=12)
+        p.add_argument("--u", default="aab")
+        p.add_argument("--v", default="bba")
+        p.add_argument("--delta", type=parse_rational, default=Fraction(0))
+        p.add_argument("--alpha-override", type=parse_rational, default=None,
+                       help="negative-control hook: replace the derived "
+                            "additive offset")
+        p.add_argument("--max-ball", type=int, default=2_000_000,
+                       help="error out (never truncate) beyond this ball size")
+        _add_output_flags(p)
 
-    p = sub.add_parser("prop507", help="zero displacement vs divergent "
-                       "translation length along unipotent powers")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--power-max", type=int, default=2 ** 20)
-    p.add_argument("--negative-control", action="store_true")
-    p.add_argument("--word-radius", type=int, default=4,
-                   help="word lengths up to this radius give the "
-                   "word_length column (rows p <= 16), from one ball "
-                   "table of half the radius, rounded up")
-    p.add_argument("--max-ball", type=int, default=1_000_000,
-                   help="size cap of that half-radius ball table; a "
-                   "larger ball is an error")
-    _add_output_flags(p)
+    if command in (None, "prop507"):
+        p = sub.add_parser("prop507", help="zero displacement vs divergent "
+                           "translation length along unipotent powers")
+        p.add_argument("--n", type=int, default=3)
+        p.add_argument("--power-max", type=int, default=2 ** 20)
+        p.add_argument("--negative-control", action="store_true")
+        p.add_argument("--word-radius", type=int, default=4,
+                       help="word lengths up to this radius give the "
+                       "word_length column (rows p <= 16), from one ball "
+                       "table of half the radius, rounded up")
+        p.add_argument("--max-ball", type=int, default=1_000_000,
+                       help="size cap of that half-radius ball table; a "
+                       "larger ball is an error")
+        _add_output_flags(p)
 
-    p = sub.add_parser("ams-gap", help="Cartan-Jordan gap distribution "
-                       "over certified proximal samples")
-    p.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--seed", type=int, required=True,
-                   help="mandatory: the run is randomized")
-    p.add_argument("--diagonal-only", action="store_true")
-    p.add_argument("--gap-bound", type=float, default=None)
-    _add_output_flags(p)
+    if command in (None, "ams-gap"):
+        p = sub.add_parser("ams-gap", help="Cartan-Jordan gap distribution "
+                           "over certified proximal samples")
+        p.add_argument("--dim", type=int, default=2, choices=(2, 3))
+        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--r", type=float, default=0.5)
+        p.add_argument("--epsilon", type=float, default=0.05)
+        p.add_argument("--seed", type=int, required=True,
+                       help="mandatory: the run is randomized")
+        p.add_argument("--diagonal-only", action="store_true")
+        p.add_argument("--gap-bound", type=float, default=None)
+        _add_output_flags(p)
 
-    p = sub.add_parser("depth-roots", help="bounded-depth-roots "
-                       "certificates for integer matrices from a file")
-    p.add_argument("--file", required=True,
-                   help="JSON matrix or array of matrices")
-    p.add_argument("--box-bound", type=int, default=None)
-    _add_output_flags(p)
+    if command in (None, "depth-roots"):
+        p = sub.add_parser("depth-roots", help="bounded-depth-roots "
+                           "certificates for integer matrices from a file")
+        p.add_argument("--file", required=True,
+                       help="JSON matrix or array of matrices")
+        p.add_argument("--box-bound", type=int, default=None)
+        _add_output_flags(p)
 
-    p = sub.add_parser("pingpong", help="certify a ping-pong pair or "
-                       "search for a certified power")
-    p.add_argument("--u", help="first word (certify mode)")
-    p.add_argument("--v", help="second word (certify mode)")
-    p.add_argument("--find-f", help="cyclically reduced word f "
-                                    "(search mode)")
-    p.add_argument("--find-conjugator", default="a",
-                   help="generator a for the pair (f^N, a f^N a^-1)")
-    p.add_argument("--n-max", type=int, default=32)
-    p.add_argument("--delta", type=parse_rational, default=Fraction(0))
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--out")
+    if command in (None, "pingpong"):
+        p = sub.add_parser("pingpong", help="certify a ping-pong pair or "
+                           "search for a certified power")
+        p.add_argument("--u", help="first word (certify mode)")
+        p.add_argument("--v", help="second word (certify mode)")
+        p.add_argument("--find-f", help="cyclically reduced word f "
+                                        "(search mode)")
+        p.add_argument("--find-conjugator", default="a",
+                       help="generator a for the pair (f^N, a f^N a^-1)")
+        p.add_argument("--n-max", type=int, default=32)
+        p.add_argument("--delta", type=parse_rational, default=Fraction(0))
+        p.add_argument("--rank", type=int, default=2)
+        p.add_argument("--out")
 
-    p = sub.add_parser("contortion", help="finite-quotient witness that "
-                       "a power escapes the given conjugacy classes")
-    p.add_argument("--gamma", required=True, help="JSON integer matrix")
-    p.add_argument("--rep", action="append", required=True,
-                   help="JSON class representative (repeatable)")
-    p.add_argument("--prime-cap", type=int, default=10_000)
-    p.add_argument("--out")
+    if command in (None, "contortion"):
+        p = sub.add_parser("contortion", help="finite-quotient witness that "
+                           "a power escapes the given conjugacy classes")
+        p.add_argument("--gamma", required=True, help="JSON integer matrix")
+        p.add_argument("--rep", action="append", required=True,
+                       help="JSON class representative (repeatable)")
+        p.add_argument("--prime-cap", type=int, default=10_000)
+        p.add_argument("--out")
 
-    p = sub.add_parser("word", help="ad-hoc word-algebra queries")
-    p.add_argument("op", choices=("length", "multiply", "invert", "cyclic",
-                                  "translation", "stable", "gromov", "acr",
-                                  "bound"))
-    p.add_argument("args", nargs="*", help="word arguments in a..z/A..Z "
-                                           "notation")
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--delta", type=parse_rational, default=Fraction(0))
-    p.add_argument("--out")
+    if command in (None, "word"):
+        p = sub.add_parser("word", help="ad-hoc word-algebra queries")
+        p.add_argument("op", choices=("length", "multiply", "invert", "cyclic",
+                                      "translation", "stable", "gromov", "acr",
+                                      "bound"))
+        p.add_argument("args", nargs="*", help="word arguments in a..z/A..Z "
+                                               "notation")
+        p.add_argument("--rank", type=int, default=2)
+        p.add_argument("--delta", type=parse_rational, default=Fraction(0))
+        p.add_argument("--out")
 
-    p = sub.add_parser("matgeo", help="ad-hoc matrix projections")
-    p.add_argument("op", choices=("cartan", "jordan", "norm",
-                                  "displacement", "gap", "unipotent",
-                                  "proximal"))
-    p.add_argument("--matrix", help="JSON rows, entries int/float/'p/q'")
-    p.add_argument("--file", help="read the matrix from this JSON file")
-    p.add_argument("--r", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--out")
+    if command in (None, "matgeo"):
+        p = sub.add_parser("matgeo", help="ad-hoc matrix projections")
+        p.add_argument("op", choices=("cartan", "jordan", "norm",
+                                      "displacement", "gap", "unipotent",
+                                      "proximal"))
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--matrix", help="JSON rows, entries int/float/'p/q'")
+        g.add_argument("--file", help="read the matrix from this JSON file")
+        p.add_argument("--r", type=float, default=0.5)
+        p.add_argument("--epsilon", type=float, default=0.05)
+        p.add_argument("--samples", type=int, default=1000)
+        p.add_argument("--out")
     return parser
 
 
@@ -254,18 +270,14 @@ def _cmd_word(args) -> int:
 
 
 def _load_one_matrix(args, integer: bool = False):
-    if args.matrix and args.file:
-        raise DispgeoError("give --matrix or --file, not both")
-    if args.matrix:
+    if args.file is None:
         if integer:
             return parse_int_matrix_text(args.matrix)
         return _real_rows(parse_matrix_text(args.matrix))
-    if args.file:
-        matrices = load_matrix_file(args.file, integer=integer)
-        if len(matrices) != 1:
-            raise ParseError(f"expected one matrix, got {len(matrices)}")
-        return matrices[0]
-    raise DispgeoError("need --matrix or --file")
+    matrices = load_matrix_file(args.file, integer=integer)
+    if len(matrices) != 1:
+        raise ParseError(f"expected one matrix, got {len(matrices)}")
+    return matrices[0]
 
 
 def _cmd_matgeo(args) -> int:
@@ -297,8 +309,9 @@ def _cmd_matgeo(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     started = time.monotonic()
     try:
         if args.command == "prop422":

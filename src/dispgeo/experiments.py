@@ -409,7 +409,8 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     accept test is predicted in closed form as it is drawn and confirmed
     by one batched LAPACK det and cond per block (``_gap_draws``).
     Certification and the gap then run on the block, on the same
-    deterministic sample lattice ``certify_proximal`` uses, so reports
+    deterministic sample lattice ``certify_proximal`` uses (its sample
+    test only on rows past the eigen and separation checks), so reports
     are byte-identical to drawing and certifying one sample at a time;
     the first uncaught error in sample order is the one raised.  Elements
     failing (r, epsilon) certification are recorded and skipped.  The

@@ -318,10 +318,11 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
     stack and one sample lattice ``pts``.
 
     ``errors[i]`` is the exception ``certify_proximal`` raises for
-    matrix i, unraised, or None when it certifies.
+    matrix i, unraised, or None when it certifies.  The sample test runs
+    only on rows past the eigen and separation checks; elsewhere
+    ``contraction_margin`` and ``samples_tested`` are left at zero.
     """
-    count = len(ms)
-    rows = np.arange(count)
+    count, n = ms.shape[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         x_plus, errors = _dominant_real_eigenvector(ms)
         normal, normal_errors = _dominant_real_eigenvector(
@@ -329,32 +330,35 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
         separation = np.minimum(1.0, np.abs(_row_dots(
             x_plus / _row_norms(x_plus)[:, None],
             normal / _row_norms(normal)[:, None])))
-        far = np.abs(np.matmul(pts, normal[:, :, None])[..., 0]) >= epsilon
-        images = pts @ ms.transpose(0, 2, 1)
-        norms = np.linalg.norm(images, axis=2)
-        cos = np.abs(np.matmul(images, x_plus[:, :, None])[..., 0]) / norms
+        for i, sep in enumerate(separation.tolist()):
+            if errors[i] is None:
+                errors[i] = normal_errors[i]
+            if errors[i] is None and sep < r:
+                errors[i] = SeparationFailed(sep, r)
+        live = [i for i, exc in enumerate(errors) if exc is None]
+        far = np.abs(np.matmul(pts, normal[live, :, None])[..., 0]) >= epsilon
+        images = pts @ ms[live].transpose(0, 2, 1)
+        # the bits of np.linalg.norm, which adds under 8 columns in order
+        norms = (np.sqrt(sum(images[..., k] ** 2 for k in range(n))) if n < 8
+                 else np.linalg.norm(images, axis=2))
+        cos = np.abs(np.matmul(images, x_plus[live, :, None])[..., 0]) / norms
         dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))
     # first worst among the tested samples, as over the band's subset
     worst = np.argmax(np.where(far, dist, -1.0), axis=1)
-    worst_dist = dist[rows, worst]
-    margin = epsilon - worst_dist
-    tested = np.count_nonzero(far, axis=1)
+    worst_dist = dist[np.arange(len(live)), worst]
+    margin, tested = np.zeros(count), np.zeros(count, dtype=int)
+    margin[live] = epsilon - worst_dist
+    tested[live] = hits = np.count_nonzero(far, axis=1)
     collapsed = np.any(far & (norms == 0.0), axis=1)
-    for i in range(count):
-        if errors[i] is None:
-            errors[i] = normal_errors[i]
-        if errors[i] is not None:
-            continue
-        if separation[i] < r:
-            errors[i] = SeparationFailed(float(separation[i]), r)
-        elif tested[i] == 0:
+    for i, t, k, d, gone in zip(live, hits.tolist(), worst.tolist(),
+                                worst_dist.tolist(), collapsed.tolist()):
+        if t == 0:
             errors[i] = ValueError("no sample point clears the epsilon band; "
                                    "increase samples or decrease epsilon")
-        elif collapsed[i]:
+        elif gone:
             errors[i] = SingularInput("sample collapsed to zero under g")
-        elif margin[i] < 0.0:
-            errors[i] = ContractionFailed(tuple(pts[worst[i]].tolist()),
-                                          float(worst_dist[i]), epsilon)
+        elif epsilon - d < 0.0:
+            errors[i] = ContractionFailed(tuple(pts[k].tolist()), d, epsilon)
     return _ProximalBlock(errors, x_plus, normal, separation, margin, tested)
 
 

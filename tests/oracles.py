@@ -12,6 +12,9 @@ setting itself.
 - ``check_special_linear``, ``projective_metric`` and
   ``point_hyperplane_distance``: the det-1 check and the projective
   sine metrics (``dispgeo.matgeo``);
+- ``certify_block_every_row``: the batched proximality checks with the
+  sample test on every row, which ``dispgeo.matgeo._certify_block``
+  now runs only on rows past the eigen and separation checks;
 - ``unipotent_conjugation_identity`` and ``is_p_unit_denominator``: the
   diagonal rescaling identity in SL(2, Z[1/p]) (``dispgeo.lattice``).
 """
@@ -23,10 +26,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from dispgeo.errors import DispgeoError, HypothesisViolated, RankMismatch
+from dispgeo.errors import (
+    ContractionFailed,
+    DispgeoError,
+    HypothesisViolated,
+    RankMismatch,
+    SeparationFailed,
+    SingularInput,
+)
 from dispgeo.hyperbolic import _as_delta
 from dispgeo.lattice import mat_mul
-from dispgeo.matgeo import _as_matrix
+from dispgeo.matgeo import (
+    _as_matrix,
+    _dominant_real_eigenvector,
+    _ProximalBlock,
+    _row_dots,
+    _row_norms,
+)
 from dispgeo.words import (
     Word,
     _block_product,
@@ -167,6 +183,53 @@ def point_hyperplane_distance(x, normal) -> float:
     hyperplane with the given normal vector; in [0, 1]."""
     ux, un = _unit(x, "x"), _unit(normal, "normal")
     return min(1.0, abs(float(np.dot(ux, un))))
+
+
+def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
+                            pts: np.ndarray) -> _ProximalBlock:
+    """``dispgeo.matgeo._certify_block`` as it was when its sample test
+    ran on every row, rejected or not; the checks of ``certify_proximal``
+    over a finite (N, n, n) float stack and one sample lattice ``pts``.
+
+    ``errors[i]`` is the exception ``certify_proximal`` raises for
+    matrix i, unraised, or None when it certifies.
+    """
+    count = len(ms)
+    rows = np.arange(count)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_plus, errors = _dominant_real_eigenvector(ms)
+        normal, normal_errors = _dominant_real_eigenvector(
+            ms.transpose(0, 2, 1))
+        separation = np.minimum(1.0, np.abs(_row_dots(
+            x_plus / _row_norms(x_plus)[:, None],
+            normal / _row_norms(normal)[:, None])))
+        far = np.abs(np.matmul(pts, normal[:, :, None])[..., 0]) >= epsilon
+        images = pts @ ms.transpose(0, 2, 1)
+        norms = np.linalg.norm(images, axis=2)
+        cos = np.abs(np.matmul(images, x_plus[:, :, None])[..., 0]) / norms
+        dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))
+    # first worst among the tested samples, as over the band's subset
+    worst = np.argmax(np.where(far, dist, -1.0), axis=1)
+    worst_dist = dist[rows, worst]
+    margin = epsilon - worst_dist
+    tested = np.count_nonzero(far, axis=1)
+    collapsed = np.any(far & (norms == 0.0), axis=1)
+    for i in range(count):
+        if errors[i] is None:
+            errors[i] = normal_errors[i]
+        if errors[i] is not None:
+            continue
+        if separation[i] < r:
+            errors[i] = SeparationFailed(float(separation[i]), r)
+        elif tested[i] == 0:
+            errors[i] = ValueError("no sample point clears the epsilon band; "
+                                   "increase samples or decrease epsilon")
+        elif collapsed[i]:
+            errors[i] = SingularInput("sample collapsed to zero under g")
+        elif margin[i] < 0.0:
+            errors[i] = ContractionFailed(tuple(pts[worst[i]].tolist()),
+                                          float(worst_dist[i]), epsilon)
+    return _ProximalBlock(errors, x_plus, normal, separation, margin, tested)
 
 
 # ---------------------------------------------------------------------------

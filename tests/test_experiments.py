@@ -2,12 +2,15 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dispgeo import cli
 from dispgeo import experiments as X
 from dispgeo import matgeo
 from dispgeo.cli import main
@@ -654,7 +657,72 @@ class TestDeterminism:
         assert data[0].split(",")[0] == "power"
 
 
+SUBCOMMANDS = ("prop422", "prop507", "ams-gap", "depth-roots", "pingpong",
+               "contortion", "word", "matgeo")
+# every subcommand's help, usage errors, stray top-level flag and bare
+# run, and the top-level calls that need the full parser
+CLI_ARGVS = [[name, *tail] for name in SUBCOMMANDS
+             for tail in (["--help"], ["--bogus"], ["x", "y"], ["--version"],
+                          [])] + [
+    [], ["--help"], ["--version"], ["-h", "prop507"],
+    ["--version", "prop507"], ["bogus"]]
+TIMING = re.compile(r"^\[dispgeo\] .* finished in .*\n", re.M)
+
+
+def _cli_result(argv, capsys) -> tuple:
+    """Exit code, stdout and stderr of one CLI call, timing line dropped."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, TIMING.sub("", err)
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", CLI_ARGVS, ids=" ".join)
+    def test_filtered_parser_is_invisible(self, argv, capsys, monkeypatch):
+        # the one-subparser parser of a named subcommand prints what the
+        # full parser prints, byte for byte
+        filtered = _cli_result(argv, capsys)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: full())
+        assert _cli_result(argv, capsys) == filtered
+
+    def test_named_subcommand_parser_holds_only_that_subparser(self):
+        assert cli.build_parser("word").parse_args(
+            ["word", "length", "ab"]).command == "word"
+        with pytest.raises(SystemExit):
+            cli.build_parser("word").parse_args(["prop507"])
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        # the console script calls main() with no arguments
+        monkeypatch.setattr(sys, "argv", ["dispgeo", "word", "length",
+                                          "abAB"])
+        assert main() == 0
+        assert capsys.readouterr().out == "4\n"
+        monkeypatch.setattr(sys, "argv", ["dispgeo", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("dispgeo ")
+
+    @pytest.mark.parametrize("source, message", [
+        ([], "one of the arguments --matrix --file is required"),
+        (["--matrix", "[[1]]", "--file", "m.json"],
+         "argument --file: not allowed with argument --matrix")])
+    def test_matgeo_matrix_source_is_a_usage_error(self, source, message,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["matgeo", "cartan", *source])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: dispgeo matgeo")
+        assert captured.err.endswith(f"dispgeo matgeo: error: {message}\n")
+        assert "Traceback" not in captured.err
+
     def test_prop507_exit_and_file(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(["prop507", "--power-max", "256", "--out", str(out)])

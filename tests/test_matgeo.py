@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispgeo.cli import main
+from dispgeo.experiments import _GAP_BLOCK, _PROXIMAL_SAMPLES, _gap_draws
 from dispgeo.errors import (
     ContractionFailed,
     EigenFailure,
@@ -46,6 +47,7 @@ from dispgeo.matgeo import (
 from dispgeo.serialize import render_real
 from oracles import (
     ZeroVector,
+    certify_block_every_row,
     check_special_linear,
     point_hyperplane_distance,
     projective_metric,
@@ -393,6 +395,82 @@ class TestPointHyperplaneDistance:
                           math.sqrt(2) / 2)
 
 
+def _rotation_stack() -> np.ndarray:
+    """Scaled rotations (complex spectra) every fourth row, proximal
+    conjugated diagonals between them."""
+    rng = np.random.default_rng(3)
+    ms = []
+    for k in range(60):
+        if k % 4 == 0:
+            c, s = np.cos(k), np.sin(k)
+            ms.append(np.array([[c, -s], [s, c]]) * (1 + k))
+        else:
+            h = rng.standard_normal((2, 2))
+            d = np.exp(rng.uniform(1.0, 5.0))
+            ms.append(h @ np.diag([d, 1 / d]) @ np.linalg.inv(h))
+    return np.stack(ms)
+
+
+def _assert_block_matches_every_row_oracle(ms, r, epsilon, pts) -> list:
+    """_certify_block against the kernel that ran the sample test on
+    every row: the same errors, the same eigen rows and separations, and
+    the same margin and sample count wherever a row certifies.  Returns
+    the errors."""
+    got = _certify_block(ms, r, epsilon, pts)
+    want = certify_block_every_row(ms, r, epsilon, pts)
+    assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
+    assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
+    for field in ("attracting", "repelling_normal", "separation"):
+        assert np.all(getattr(got, field) == getattr(want, field)), field
+    ok = [i for i, e in enumerate(got.errors) if e is None]
+    assert np.all(got.contraction_margin[ok] == want.contraction_margin[ok])
+    assert np.all(got.samples_tested[ok] == want.samples_tested[ok])
+    return got.errors
+
+
+class TestCertifyBlockOracle:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_every_block_of_an_ams_gap_run(self, dimension, seed):
+        # the blocks run_ams_gap certifies at 1000 samples, r = 0.5,
+        # epsilon = 0.05, drawn from the stream in the run's order
+        rng = np.random.default_rng(seed)
+        pts = _projective_samples(dimension, _PROXIMAL_SAMPLES)
+        kinds = set()
+        for start in range(0, 1000, _GAP_BLOCK):
+            block = _gap_draws(dimension, min(_GAP_BLOCK, 1000 - start),
+                               rng, False)
+            errors = _assert_block_matches_every_row_oracle(
+                block, 0.5, 0.05, pts)
+            kinds.update(type(e).__name__ for e in errors)
+        assert {"NoneType", "SeparationFailed"} <= kinds
+
+    def test_rotation_stack(self):
+        errors = _assert_block_matches_every_row_oracle(
+            _rotation_stack(), 0.3, 0.05, _projective_samples(2, 400))
+        assert {type(e) for e in errors} >= {type(None),
+                                             NoDominantEigenvalue}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_sample_lattice_tests_nothing(self, n):
+        # the lone sample lies in the epsilon band of the repelling
+        # hyperplane of a diagonal g that expands the sample's smallest
+        # coordinate axis, so that row is rejected as untested
+        pts = _projective_samples(n, 1)
+        diag = np.full(n, 0.5)
+        diag[np.argmin(np.abs(pts[0]))] = 4.0
+        rng = np.random.default_rng(5)
+        ms = [np.diag(diag)]
+        for _ in range(20):
+            h = rng.standard_normal((n, n))
+            d = np.exp(rng.uniform(-2.0, 2.0, n))
+            ms.append(h @ np.diag(d) @ np.linalg.inv(h))
+        errors = _assert_block_matches_every_row_oracle(
+            np.stack(ms), 0.3, 0.05, pts)
+        assert type(errors[0]) is ValueError
+        assert "no sample point clears the epsilon band" in str(errors[0])
+
+
 class TestCertifyProximal:
     def test_strong_diagonal_certifies(self):
         cert = certify_proximal(np.diag([30.0, 1 / 30.0]), 0.5, 0.05, 1000)
@@ -491,16 +569,7 @@ class TestCertifyProximal:
     def test_block_rows_equal_single_certificates(self):
         # rotations give the stack complex eigenvalues, so its real-spectrum
         # rows must still be normalised as a real one-matrix eig would be
-        rng = np.random.default_rng(3)
-        ms = []
-        for k in range(60):
-            if k % 4 == 0:
-                c, s = np.cos(k), np.sin(k)
-                ms.append(np.array([[c, -s], [s, c]]) * (1 + k))
-            else:
-                h = rng.standard_normal((2, 2))
-                d = np.exp(rng.uniform(1.0, 5.0))
-                ms.append(h @ np.diag([d, 1 / d]) @ np.linalg.inv(h))
+        ms = list(_rotation_stack())
         out = _certify_block(np.stack(ms), 0.3, 0.05,
                              _projective_samples(2, 400))
         certified = 0
