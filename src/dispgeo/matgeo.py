@@ -322,7 +322,7 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
     only on rows past the eigen and separation checks; elsewhere
     ``contraction_margin`` and ``samples_tested`` are left at zero.
     """
-    count, n = ms.shape[:2]
+    count = len(ms)
     with np.errstate(divide="ignore", invalid="ignore"):
         x_plus, errors = _dominant_real_eigenvector(ms)
         normal, normal_errors = _dominant_real_eigenvector(
@@ -338,9 +338,7 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
         live = [i for i, exc in enumerate(errors) if exc is None]
         far = np.abs(np.matmul(pts, normal[live, :, None])[..., 0]) >= epsilon
         images = pts @ ms[live].transpose(0, 2, 1)
-        # the bits of np.linalg.norm, which adds under 8 columns in order
-        norms = (np.sqrt(sum(images[..., k] ** 2 for k in range(n))) if n < 8
-                 else np.linalg.norm(images, axis=2))
+        norms = np.linalg.norm(images, axis=2)
         cos = np.abs(np.matmul(images, x_plus[live, :, None])[..., 0]) / norms
         dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))
     # first worst among the tested samples, as over the band's subset

@@ -657,11 +657,9 @@ class TestDeterminism:
         assert data[0].split(",")[0] == "power"
 
 
-SUBCOMMANDS = ("prop422", "prop507", "ams-gap", "depth-roots", "pingpong",
-               "contortion", "word", "matgeo")
 # every subcommand's help, usage errors, stray top-level flag and bare
 # run, and the top-level calls that need the full parser
-CLI_ARGVS = [[name, *tail] for name in SUBCOMMANDS
+CLI_ARGVS = [[name, *tail] for name in cli._COMMANDS
              for tail in (["--help"], ["--bogus"], ["x", "y"], ["--version"],
                           [])] + [
     [], ["--help"], ["--version"], ["-h", "prop507"],
