@@ -15,8 +15,12 @@ provides the breadth-first word
 metric over a symmetric generating set (default: elementary matrices
 E_ij(+-1)), upper and lower bounds for the translation length, the
 bounded-depth-roots certificate, and contortion witnesses through
-reduction mod a prime.  The diagonal conjugation identity that rescales
-a unipotent inside SL(2, Z[1/p]) is a test oracle in ``tests/oracles.py``.
+reduction mod a prime.  The root moduli of an integer polynomial (the
+integer Jordan projection, the depth certificate's K) come from closed
+forms up to degree 2 and from exact Schur-Cohn root counts in discs
+beyond, so no float iteration decides them.  The diagonal conjugation
+identity that rescales a unipotent inside SL(2, Z[1/p]) is a test oracle
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import numpy as np
 
 from .errors import (
     DimensionUnsupported,
-    EigenFailure,
     IdentityInput,
     NoModulusFound,
     ResourceExceeded,
@@ -654,6 +657,9 @@ def _strip_cyclotomic(poly: tuple[int, ...], n: int) -> tuple[int, ...]:
     return poly
 
 
+_LN40 = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def _digits(bits: int) -> int:
     """Working digits for roots of an integer polynomial whose largest
     coefficient has the given bit length: a root pair spanning 2^bits
@@ -676,7 +682,7 @@ def _quadratic_log_moduli(b: int, c: int) -> tuple[float, float]:
     """
     # ln at 40 digits of the exact high-precision argument is well beyond
     # a float's 17, and far cheaper than ln at the full precision
-    ln = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN).ln
+    ln = _LN40.ln
     disc = b * b - 4 * c
     if disc <= 0:
         half = float(ln(c)) / 2  # halving a float is exact
@@ -688,16 +694,172 @@ def _quadratic_log_moduli(b: int, c: int) -> tuple[float, float]:
     return float(ln(large)), float(ln(small))
 
 
+def _roots_inside(poly: tuple[int, ...], num: int, k: int) -> int:
+    """Number of roots of an integer polynomial (leading coefficient
+    first, nonzero constant term) in |z| < num / 2^k, by the Schur-Cohn
+    recursion (Marden, Geometry of Polynomials, sections 42-43).
+
+    The recursion runs on the integer coefficients c of
+    2^(k d) poly(num w / 2^k), whose roots in |w| < 1 are the ones
+    counted.  Each step replaces c (formal degree m) by c_0 c - c_m c*,
+    c* the coefficients reversed, of formal degree m - 1.  By Rouche's
+    theorem c has as many roots in |w| < 1 as the new polynomial when
+    |c_0| > |c_m|, and m minus that many when |c_0| < |c_m|.  A step with
+    |c_0| = |c_m| is singular and raises ArithmeticError; a root on the
+    circle makes some step singular.  For a monic poly and a radius that
+    is not an integer no root lies on the circle: |z|^2 would be a
+    rational algebraic integer that is not an integer.
+
+    >>> poly = (1, -1, -1, -1, 1)  # a Salem quartic: two roots on |z| = 1
+    >>> [_roots_inside(poly, num, 2) for num in (2, 3, 5, 9)]
+    [0, 1, 3, 4]
+    """
+    d = len(poly) - 1
+    c = [p * num ** i << k * (d - i) for i, p in enumerate(reversed(poly))]
+    inside, sign, last = 0, 1, 1
+    for m in range(d, 0, -1):
+        head, tail = c[0] * c[0], c[m] * c[m]
+        if head == tail:
+            raise ArithmeticError(
+                f"singular Schur-Cohn step at radius {num}/2^{k}")
+        if head < tail:
+            inside += sign * m
+            sign = -sign
+        # from the third step on, the constant term of the polynomial two
+        # steps back divides each new coefficient (fraction-free, as in
+        # Bareiss elimination), so their lengths grow linearly, not 2^d
+        step = [divmod(c[0] * c[i] - c[m] * c[m - i], last)
+                for i in range(m)]
+        if any(r for _, r in step):
+            raise ArithmeticError("inexact fraction-free Schur-Cohn step")
+        last = c[0] if m < d else 1
+        c = [q for q, _ in step]
+    return inside
+
+
+Dyadic = tuple[int, int]  # (num, k) is num / 2^k, num odd unless k = 0
+
+
+def _mean(p: Dyadic, q: Dyadic) -> Dyadic:
+    """(p + q) / 2 in lowest terms, for positive p and q."""
+    k = max(p[1], q[1])
+    num = (p[0] << k - p[1]) + (q[0] << k - q[1])
+    shift = min(k + 1, (num & -num).bit_length() - 1)
+    return num >> shift, k + 1 - shift
+
+
+def _float_ln(x: Dyadic) -> float:
+    """ln x to a few float ulps, also near 1."""
+    num, k = x
+    one = 1 << k
+    if 2 * abs(num - one) < one:
+        return math.log1p((num - one) / one)
+    return math.log(num) - k * math.log(2)
+
+
+def _certified_log_moduli(rest: tuple[int, ...]) -> list[float]:
+    """Log root moduli of a monic integer polynomial of degree d >= 3 with
+    a nonzero constant term, each the float nearest to the exact value
+    (decided at 40 digits).
+
+    Radii are dyadic and never integers, so _roots_inside counts the
+    roots in each disc exactly.  With B the bit length of the largest
+    |coefficient|, every root lies in 2^-B < |z| < 2^B (Cauchy's bound on
+    the polynomial and on its reverse).  The moduli of one np.roots are
+    guesses: each gets a bracket of relative width 2^-45 on either side,
+    and counts at the bracket ends split that annulus into annuli.  An
+    annulus [lo, hi) that holds roots is bisected (at a power of two near
+    the geometric mean while hi > 16 lo, so a root with no guess costs
+    few counts; integer radii such as 1, and radii where a count is
+    singular, are stepped round) until the
+    40-digit decimal ln of lo and of hi round to the same float, which is
+    then the log modulus of each root in it.
+
+    An annulus around |z| = 1 narrower than a separation bound holds
+    only roots of modulus exactly 1.  All roots lie in |z| < H, H the
+    least bracket end that has every root below it.  A root z is an
+    algebraic integer; |z|^2 = z conj(z) is a product of two of its
+    conjugates (z^2 when z is real), so |z|^2 - 1 is an algebraic integer
+    of degree at most D = d (d - 1) / 2, whose conjugates have modulus
+    at most H^2 + 1.  Its norm is an integer, so it is 0 or at least
+    (H^2 + 1)^-(D - 1) in modulus.
+    """
+    d = len(rest) - 1
+    bits = max(map(abs, rest)).bit_length()
+    ends = [((1, bits), 0), ((1 << bits, 0), d)]
+    try:
+        guesses = np.abs(np.roots(np.array(rest, dtype=float)))
+    except (OverflowError, np.linalg.LinAlgError):  # guesses are optional
+        guesses = ()
+    for m in guesses:
+        for end in (m * (1 - 2.0 ** -45), m * (1 + 2.0 ** -45)):
+            if 0 < end < math.inf:
+                num, den = end.as_integer_ratio()
+                # a float from 2^53 up is an integer: step half a unit off
+                rho = ((num, den.bit_length() - 1) if den > 1
+                       else (2 * num + 1, 1))
+                try:
+                    ends.append((rho, _roots_inside(rest, *rho)))
+                except ArithmeticError:  # a guess's bracket is optional
+                    pass
+    ends.sort(key=lambda end: Fraction(end[0][0], 1 << end[0][1]))
+    hn, hk = next(rho for rho, n in ends if n == d)  # H
+    power = d * (d - 1) // 2 - 1
+    sep_num = (hn * hn + (1 << 2 * hk)) ** power
+    sep_shift = 2 * hk * power  # the bound is 2^sep_shift / sep_num
+    lns: dict[Dyadic, float] = {}
+
+    def ln(x: Dyadic) -> float:
+        if x not in lns:
+            lns[x] = float(_LN40.ln(_LN40.divide(x[0], 1 << x[1])))
+        return lns[x]
+
+    logs: list[float] = []
+    work = [(lo, n_lo, hi, n_hi) for (lo, n_lo), (hi, n_hi)
+            in zip(ends, ends[1:]) if n_hi > n_lo]
+    while work:
+        lo, n_lo, hi, n_hi = work.pop()
+        k = max(lo[1], hi[1])
+        a, b, one = lo[0] << k - lo[1], hi[0] << k - hi[1], 1 << k
+        if a < one < b:
+            if (b * b - a * a) * sep_num < 1 << 2 * k + sep_shift:
+                logs += [0.0] * (n_hi - n_lo)  # all of modulus exactly 1
+                continue
+        elif (b < 2 * a  # both ends near one float: worth the 40-digit ln
+              and (b - a) / a <= 4 * math.ulp(_float_ln(lo if b < one
+                                                        else hi))
+              and ln(lo) == ln(hi)):
+            logs += [ln(lo)] * (n_hi - n_lo)
+            continue
+        if b > 16 * a:  # a power of two near the geometric mean
+            e = (a.bit_length() + b.bit_length()) // 2 - k
+            mid = (1 << e, 0) if e >= 0 else (1, -e)
+        else:
+            mid = _mean(lo, hi)
+        while True:
+            if mid[1]:  # not an integer
+                try:
+                    n_mid = _roots_inside(rest, *mid)
+                    break
+                except ArithmeticError:
+                    pass
+            mid = _mean(lo, mid)
+        for part in ((lo, n_lo, mid, n_mid), (mid, n_mid, hi, n_hi)):
+            if part[3] > part[1]:
+                work.append(part)
+    return logs
+
+
 def _log_root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
-    """Sorted (non-increasing) log root moduli of an integer polynomial,
-    leading coefficient first, with a nonzero constant term.
+    """Sorted (non-increasing) log root moduli of a monic integer
+    polynomial, leading coefficient first, with a nonzero constant term.
 
     Cyclotomic factors of degree <= deg(poly) contribute exactly 0.0 each.
     A linear remainder has an integer root and a quadratic one is solved
-    in closed form (_quadratic_log_moduli).  From degree 3 on, the roots
-    are the eigenvalues of the remainder's companion matrix by mpmath QR
-    at _digits(bits) digits.  Raises EigenFailure when QR does not
-    converge; there is no lower-precision fallback.
+    in closed form (_quadratic_log_moduli).  From degree 3 on, each log
+    modulus is certified by exact root counts in discs
+    (_certified_log_moduli), so it is the float nearest to the exact
+    value, and roots of modulus 1 give exactly 0.0.
     """
     n = len(poly) - 1
     rest = _strip_cyclotomic(poly, n)
@@ -708,18 +870,7 @@ def _log_root_moduli(poly: tuple[int, ...]) -> tuple[float, ...]:
     elif d == 2:
         logs += _quadratic_log_moduli(rest[1], rest[2])
     elif d > 2:
-        from mpmath import mp
-
-        bits = max(abs(c) for c in rest).bit_length()
-        with mp.workdps(_digits(bits)):
-            companion = mp.matrix([[-c for c in rest[1:]]] + [
-                [int(j == i) for j in range(d)] for i in range(d - 1)])
-            try:
-                roots = mp.eig(companion, left=False, right=False)
-            except RuntimeError as exc:  # QR ran out of iterations
-                raise EigenFailure(f"QR did not converge on a degree {d} "
-                                   "factor") from exc
-            logs += [float(mp.log(abs(r))) for r in roots]
+        logs += _certified_log_moduli(rest)
     return tuple(sorted(logs, reverse=True))
 
 
@@ -727,7 +878,7 @@ def log_eigenvalue_moduli(a) -> tuple[float, ...]:
     """Sorted (non-increasing) log eigenvalue moduli of an integer matrix,
     by _log_root_moduli of its exact characteristic polynomial, so
     unipotents give the exact zero vector.  Raises SingularInput at
-    determinant 0 and EigenFailure when QR does not converge."""
+    determinant 0."""
     mat = as_int_matrix(a)
     poly = char_poly(mat)
     if poly[-1] == 0:

@@ -14,9 +14,10 @@ a fixed 80 digits) at 0 squarings.  The Jordan projection is
 ``lattice.log_eigenvalue_moduli(M)`` less log D: exact characteristic
 polynomial, cyclotomic factors divided out exactly (so integer
 unipotents have displacement exactly 0.0, which the lattice experiments
-rely on), a closed form up to degree 2, mpmath QR from degree 3, and an
-error, never a float fallback, if QR fails.  Only ams-gap's batched
-``_gap_block`` keeps LAPACK.
+rely on), a closed form up to degree 2, and from degree 3 moduli
+certified by exact Schur-Cohn root counts, each the float nearest to the
+exact value.  Unipotency is read from the same exact polynomial.  Only
+ams-gap's batched ``_gap_block`` keeps LAPACK.
 """
 
 from __future__ import annotations
@@ -131,23 +132,17 @@ def cartan_projection(g) -> np.ndarray:
 
 
 def is_unipotent(g) -> bool:
-    """(g - I)^n == 0; exact for integer input, tolerance otherwise.
+    """(g - I)^n == 0, decided exactly for integer and float input alike.
 
-    Integer input is unipotent iff its exact characteristic polynomial is
-    (x - 1)^n (Cayley-Hamilton gives (g - I)^n = 0 from it).  Float
-    tolerance is 1e-8 * max(1, scale)^n on the max entry of the power,
-    with scale the largest entry modulus of g.
+    With g = M/D (``_exact_rows``), g is unipotent iff the exact
+    characteristic polynomial of M is (x - D)^n (Cayley-Hamilton gives
+    (M - D I)^n = 0 from it).  A float is the binary fraction it is, so a
+    float product that only approximates a unipotent is not one.
     """
     rows, denom = _exact_rows(g)
-    if denom == 1:
-        n = len(rows)
-        return char_poly(as_int_matrix(rows)) == tuple(
-            (-1) ** k * math.comb(n, k) for k in range(n + 1))
-    m = _as_matrix(g)
-    n = m.shape[0]
-    power = np.linalg.matrix_power(m - np.eye(n), n)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    return float(np.max(np.abs(power))) <= 1e-8 * scale ** n
+    n = len(rows)
+    return char_poly(as_int_matrix(rows)) == tuple(
+        math.comb(n, k) * (-denom) ** k for k in range(n + 1))
 
 
 def jordan_projection(g) -> np.ndarray:

@@ -83,37 +83,65 @@ def test_module_invocation():
     assert proc.stdout.strip() == "1"
 
 
-@pytest.mark.parametrize("extra", [[], ["--n", "2"]])
-def test_negative_control_leaves_mpmath_unimported(extra):
-    # the control's Jordan projections have quadratic remainders, which
-    # are solved in closed form
+# every CLI command of the README, with its files under the test's tmp dir
+README_COMMANDS = [
+    "prop422 --radius 12 --u aab --v bba --delta 0 --out {tmp}/scan.csv",
+    "prop507 --power-max 1048576 --format report",
+    "prop507 --n 3 --word-radius 12 --format report",
+    "ams-gap --dim 2 --samples 1000 --seed 42 --out {tmp}/gap.csv",
+    "depth-roots --file {tmp}/matrices.json --box-bound 2",
+    "pingpong --u aab --v bba --delta 0",
+    "pingpong --find-f ab --find-conjugator a --n-max 10",
+    "contortion --gamma [[1,1],[0,1]] --rep [[1,1],[0,1]]",
+    "word length bbbbaBBBB",
+    "word gromov aab bba",
+    "word acr bbbbaBBBB --delta 0",
+    "word bound bbbbaBBBB aab bba",
+    "matgeo cartan --matrix [[1,1],[0,1]]",
+    'matgeo proximal --matrix [[30,0],[0,"1/30"]] --r 0.5 --epsilon 0.05',
+    "prop507 --negative-control",
+    "prop507 --negative-control --n 2",
+]
+
+
+def test_runs_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: with its import blocked, every
+    # README command and each public projection still runs
+    (tmp_path / "matrices.json").write_text(
+        "[[[2, 1], [1, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 1]], "
+        "[[2, 1, 0], [1, 1, 0], [0, 0, 1]]]")
+    commands = [c.format(tmp=tmp_path).split() for c in README_COMMANDS]
     script = (
         "import sys\n"
+        "sys.modules['mpmath'] = None  # import mpmath raises ImportError\n"
+        "import contextlib, io\n"
         "from dispgeo.cli import main\n"
-        f"code = main(['prop507', '--negative-control'] + {extra!r})\n"
-        "print(code, 'mpmath' in sys.modules)\n")
-    src = str(Path(dispgeo.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
-
-
-def test_renormalized_cartan_average_leaves_mpmath_unimported():
-    script = (
-        "import sys\n"
         "from dispgeo.lattice import mat_pow\n"
-        "from dispgeo.matgeo import cartan_projection, "
-        "renormalized_cartan_average\n"
+        "from dispgeo.matgeo import (cartan_jordan_gap, cartan_projection,\n"
+        "                            jordan_projection,\n"
+        "                            renormalized_cartan_average)\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
         "avg = renormalized_cartan_average([[2.0, 1.0], [1.0, 1.0]], 12)\n"
+        "print(len(avg))\n"
         "cartan_projection(mat_pow(((2, 1), (1, 1)), 3000))\n"
-        "print(len(avg), 'mpmath' in sys.modules)\n")
+        "float_m17 = [[57.37109375, 44.3818359375, 26.5302734375],\n"
+        "             [-17.76171875, -13.630859375, -8.8583984375],\n"
+        "             [-44.2021484375, -35.388671875, -13.40625]]\n"
+        "salem = [[0, 0, 0, -1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]]\n"
+        "for g in (float_m17, salem):\n"
+        "    print([format(x, '.12g') for x in jordan_projection(g)],\n"
+        "          format(cartan_jordan_gap(g), '.12g'))\n")
     src = str(Path(dispgeo.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["2", "False"]
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "2"
+    assert lines[1] == ("['2.81577788332', '2.81577788332', "
+                        "'-26.4259711834'] 2.19856950398")
+    assert lines[2].startswith(
+        "['0.543535072498', '0', '0', '-0.543535072498'] ")

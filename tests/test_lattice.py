@@ -20,7 +20,6 @@ import dispgeo
 from dispgeo import lattice
 from dispgeo.errors import (
     DimensionUnsupported,
-    EigenFailure,
     IdentityInput,
     NoModulusFound,
     ResourceExceeded,
@@ -36,6 +35,7 @@ from dispgeo.lattice import (
     _log_root_moduli,
     _quadratic_log_moduli,
     _roots_by_power,
+    _roots_inside,
     _row_keys,
     _strip_cyclotomic,
     _unipotent_depth,
@@ -77,6 +77,34 @@ def E(n, i, j, t):
 
 
 FIB = ((2, 1), (1, 1))
+
+
+def companion_matrix(poly):
+    """The integer companion matrix of a monic poly, leading coefficient
+    first: ones below the diagonal, -poly reversed in the last column."""
+    d = len(poly) - 1
+    return tuple(tuple(int(j == i - 1) for j in range(d - 1)) + (-poly[d - i],)
+                 for i in range(d))
+
+
+def qr_log_root_moduli(poly):
+    """The route that the certified counts replaced: the cyclotomic factors
+    divided out exactly, then the eigenvalues of the remainder's companion
+    matrix by mpmath QR at _digits(bits) digits.  QR leaves about 1e-61
+    where a modulus is exactly 1 (a Salem factor); that reads as 0.0."""
+    from mpmath import mp
+
+    rest = _strip_cyclotomic(poly, len(poly) - 1)
+    d = len(rest) - 1
+    logs = [0.0] * (len(poly) - len(rest))
+    bits = max(abs(c) for c in rest).bit_length()
+    with mp.workdps(_digits(bits)):
+        companion = mp.matrix([[-c for c in rest[1:]]] + [
+            [int(j == i) for j in range(d)] for i in range(d - 1)])
+        roots = mp.eig(companion, left=False, right=False)
+        logs += [float(mp.log(abs(r))) for r in roots]
+    return tuple(sorted((0.0 if abs(x) < 1e-40 else x for x in logs),
+                        reverse=True))
 
 
 @pytest.fixture(scope="module")
@@ -204,23 +232,49 @@ class TestExactHelpers:
         with pytest.raises(SingularInput):
             log_eigenvalue_moduli(((1, 2), (2, 4)))
 
-    def test_log_eigenvalue_moduli_raises_without_fallback(self, monkeypatch):
-        from mpmath import mp
-
-        def no_convergence(*args, **kwargs):
-            raise RuntimeError("qr: failed to converge")
-
-        monkeypatch.setattr(mp, "eig", no_convergence)
-        # the companion of x^3 - x - 1: a cubic remainder goes to QR
-        cubic = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
-        assert char_poly(cubic) == (1, 0, -1, -1)
-        with pytest.raises(EigenFailure):
-            log_eigenvalue_moduli(cubic)
-        # a quadratic remainder is solved in closed form, never by QR
+    def test_log_eigenvalue_moduli_raises_without_fallback(self):
+        # a root on the circle makes the Schur-Cohn count singular, and it
+        # raises rather than guess: x^4 - x^3 - x^2 - x + 1, a Salem
+        # quartic, has two roots of modulus exactly 1
+        salem = (1, -1, -1, -1, 1)
+        with pytest.raises(ArithmeticError):
+            _roots_inside(salem, 1, 0)
+        assert [_roots_inside(salem, num, 3) for num in (7, 9)] == [1, 3]
+        # the certified route never counts on that circle, and a
+        # separation bound proves the two moduli exactly 1
+        companion = ((0, 0, 0, -1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+        assert char_poly(companion) == salem
+        assert log_eigenvalue_moduli(companion) == (
+            0.5435350724978696, 0.0, 0.0, -0.5435350724978696)
+        # a quadratic remainder is solved in closed form
         top = log_eigenvalue_moduli(((2, 1, 0), (1, 1, 0), (0, 0, 1)))[0]
         assert top == log_eigenvalue_moduli(FIB)[0] > 0
-        # a fully cyclotomic polynomial never reaches QR
+        # a fully cyclotomic polynomial gives exact zeros
         assert log_eigenvalue_moduli(E(3, 0, 2, 5)) == (0.0,) * 3
+
+    @pytest.mark.parametrize("degree", [3, 4, 5])
+    def test_certified_moduli_match_the_qr_oracle(self, degree):
+        rng = random.Random(2700 + degree)
+        checked = 0
+        while checked < 300:
+            poly = (1, *(rng.randint(-30, 30) for _ in range(degree - 1)),
+                    rng.choice((1, -1)))
+            if len(_strip_cyclotomic(poly, degree)) < len(poly):
+                continue  # the remainder would have a lower degree
+            assert (log_eigenvalue_moduli(companion_matrix(poly))
+                    == qr_log_root_moduli(poly)), poly
+            checked += 1
+
+    def test_certified_moduli_of_equal_moduli(self):
+        # FIB (+) FIB repeats the factor x^2 - 3x + 1; x^4 - 3x^2 + 1 has
+        # the roots +-lambda and +-1/lambda
+        fib2 = ((2, 1, 0, 0), (1, 1, 0, 0), (0, 0, 2, 1), (0, 0, 1, 1))
+        assert char_poly(fib2) == (1, -6, 11, -6, 1)
+        for m in (fib2, companion_matrix((1, 0, -3, 0, 1))):
+            top = log_eigenvalue_moduli(m)[0]
+            assert log_eigenvalue_moduli(m) == (top, top, -top, -top)
+            assert log_eigenvalue_moduli(m) == qr_log_root_moduli(
+                char_poly(m))
 
     @staticmethod
     def qr_log_moduli(b, c):

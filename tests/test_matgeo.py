@@ -325,7 +325,7 @@ class TestDisplacement:
     ])
     def test_torsion_companion_exactly_zero(self, poly):
         # the cyclotomic factors of degree 4 are stripped exactly, so their
-        # roots never reach QR and cannot come back as ~1e-60
+        # roots give exact zeros, never ~1e-60 of noise
         companion = tuple(
             tuple(int(j == i - 1) for j in range(3)) + (-poly[4 - i],)
             for i in range(4))
@@ -649,9 +649,22 @@ class TestIsUnipotent:
         assert not is_unipotent([[1 + n, n], [0, 1]])
 
     def test_float_conjugated_unipotent(self):
+        # h U h^-1 in floats only approximates a unipotent: as the exact
+        # binary fractions it holds, it is not one
         h = np.array([[1.3, 0.2], [-0.4, 0.9]])
         g = h @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ np.linalg.inv(h)
-        assert is_unipotent(g)
+        assert not is_unipotent(g)
+
+    def test_float_exactly_unipotent(self):
+        u = np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert is_unipotent(u)
+        # a dyadic conjugate is exact in floats: h = [[1, 0.25], [0.5, 1.125]]
+        # has determinant 1 and a dyadic inverse
+        h = np.array([[1.0, 0.25], [0.5, 1.125]])
+        h_inv = np.array([[1.125, -0.25], [-0.5, 1.0]])
+        assert np.array_equal(h @ h_inv, np.eye(2))
+        assert is_unipotent(h @ u @ h_inv)
+        assert not is_unipotent(np.array([[1.0, 0.5], [2.0 ** -60, 1.0]]))
 
 
 class TestRenormalizedCartanAverage:
