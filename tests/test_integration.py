@@ -83,6 +83,42 @@ def test_module_invocation():
     assert proc.stdout.strip() == "1"
 
 
+@pytest.mark.parametrize("extra", [[], ["--n", "2"]])
+def test_negative_control_leaves_mpmath_unimported(extra):
+    # the control's Jordan projections have quadratic remainders, which
+    # are solved in closed form
+    script = (
+        "import sys\n"
+        "from dispgeo.cli import main\n"
+        f"code = main(['prop507', '--negative-control'] + {extra!r})\n"
+        "print(code, 'mpmath' in sys.modules)\n")
+    src = str(Path(dispgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_renormalized_cartan_average_leaves_mpmath_unimported():
+    script = (
+        "import sys\n"
+        "from dispgeo.lattice import mat_pow\n"
+        "from dispgeo.matgeo import cartan_projection, "
+        "renormalized_cartan_average\n"
+        "avg = renormalized_cartan_average([[2.0, 1.0], [1.0, 1.0]], 12)\n"
+        "cartan_projection(mat_pow(((2, 1), (1, 1)), 3000))\n"
+        "print(len(avg), 'mpmath' in sys.modules)\n")
+    src = str(Path(dispgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["2", "False"]
+
+
 # every CLI command of the README, with its files under the test's tmp dir
 README_COMMANDS = [
     "prop422 --radius 12 --u aab --v bba --delta 0 --out {tmp}/scan.csv",
