@@ -765,19 +765,18 @@ def _certified_log_moduli(rest: tuple[int, ...]) -> list[float]:
     Radii are dyadic and never integers, so _roots_inside counts the
     roots in each disc exactly.  With B the bit length of the largest
     |coefficient|, every root lies in 2^-B < |z| < 2^B (Cauchy's bound on
-    the polynomial and on its reverse).  The moduli of one np.roots are
-    guesses: each gets a bracket of relative width 2^-45 on either side,
-    and counts at the bracket ends split that annulus into annuli.  An
-    annulus [lo, hi) that holds roots is bisected (at a power of two near
-    the geometric mean while hi > 16 lo, so a root with no guess costs
-    few counts; integer radii such as 1, and radii where a count is
-    singular, are stepped round) until the
-    40-digit decimal ln of lo and of hi round to the same float, which is
-    then the log modulus of each root in it.
+    the polynomial and on its reverse).  One loop splits that annulus: an
+    annulus [lo, hi) that holds roots is split at the largest guess inside
+    it, a modulus of one np.roots times 1 -+ 2^-45; with none inside, at a
+    power of two near the geometric mean while hi > 16 lo, so a root with
+    no guess costs few counts, else at the midpoint.  Integer radii such
+    as 1, and radii where a count is singular, are stepped round.  An
+    annulus is done once the 40-digit decimal ln of lo and of hi round
+    to the same float, which is then the log modulus of each root in it.
 
     An annulus around |z| = 1 narrower than a separation bound holds
     only roots of modulus exactly 1.  All roots lie in |z| < H, H the
-    least bracket end that has every root below it.  A root z is an
+    least counted radius with every root below it, or 2^B.  A root z is an
     algebraic integer; |z|^2 = z conj(z) is a product of two of its
     conjugates (z^2 when z is real), so |z|^2 - 1 is an algebraic integer
     of degree at most D = d (d - 1) / 2, whose conjugates have modulus
@@ -786,27 +785,20 @@ def _certified_log_moduli(rest: tuple[int, ...]) -> list[float]:
     """
     d = len(rest) - 1
     bits = max(map(abs, rest)).bit_length()
-    ends = [((1, bits), 0), ((1 << bits, 0), d)]
     try:
         guesses = np.abs(np.roots(np.array(rest, dtype=float)))
     except (OverflowError, np.linalg.LinAlgError):  # guesses are optional
         guesses = ()
-    for m in guesses:
-        for end in (m * (1 - 2.0 ** -45), m * (1 + 2.0 ** -45)):
-            if 0 < end < math.inf:
-                num, den = end.as_integer_ratio()
-                # a float from 2^53 up is an integer: step half a unit off
-                rho = ((num, den.bit_length() - 1) if den > 1
-                       else (2 * num + 1, 1))
-                try:
-                    ends.append((rho, _roots_inside(rest, *rho)))
-                except ArithmeticError:  # a guess's bracket is optional
-                    pass
-    ends.sort(key=lambda end: Fraction(end[0][0], 1 << end[0][1]))
-    hn, hk = next(rho for rho, n in ends if n == d)  # H
+    splits: list[Dyadic] = []
+    for end in sorted((end for m in guesses
+                       for end in (m * (1 - 2.0 ** -45), m * (1 + 2.0 ** -45))
+                       if 0 < end < math.inf), reverse=True):
+        num, den = end.as_integer_ratio()
+        # a float from 2^53 up is an integer: step half a unit off
+        splits.append((num, den.bit_length() - 1) if den > 1
+                      else (2 * num + 1, 1))
+    hn, hk = 1 << bits, 0  # H
     power = d * (d - 1) // 2 - 1
-    sep_num = (hn * hn + (1 << 2 * hk)) ** power
-    sep_shift = 2 * hk * power  # the bound is 2^sep_shift / sep_num
     lns: dict[Dyadic, float] = {}
 
     def ln(x: Dyadic) -> float:
@@ -815,14 +807,14 @@ def _certified_log_moduli(rest: tuple[int, ...]) -> list[float]:
         return lns[x]
 
     logs: list[float] = []
-    work = [(lo, n_lo, hi, n_hi) for (lo, n_lo), (hi, n_hi)
-            in zip(ends, ends[1:]) if n_hi > n_lo]
+    work = [((1, bits), 0, (1 << bits, 0), d)]
     while work:
         lo, n_lo, hi, n_hi = work.pop()
         k = max(lo[1], hi[1])
         a, b, one = lo[0] << k - lo[1], hi[0] << k - hi[1], 1 << k
         if a < one < b:
-            if (b * b - a * a) * sep_num < 1 << 2 * k + sep_shift:
+            sep = (hn * hn + (1 << 2 * hk)) ** power
+            if (b * b - a * a) * sep < 1 << 2 * (k + hk * power):
                 logs += [0.0] * (n_hi - n_lo)  # all of modulus exactly 1
                 continue
         elif (b < 2 * a  # both ends near one float: worth the 40-digit ln
@@ -831,11 +823,14 @@ def _certified_log_moduli(rest: tuple[int, ...]) -> list[float]:
               and ln(lo) == ln(hi)):
             logs += [ln(lo)] * (n_hi - n_lo)
             continue
-        if b > 16 * a:  # a power of two near the geometric mean
-            e = (a.bit_length() + b.bit_length()) // 2 - k
-            mid = (1 << e, 0) if e >= 0 else (1, -e)
-        else:
-            mid = _mean(lo, hi)
+        mid = next((s for s in splits
+                    if a << s[1] < s[0] << k < b << s[1]), None)
+        if mid is None:
+            if b > 16 * a:  # a power of two near the geometric mean
+                e = (a.bit_length() + b.bit_length()) // 2 - k
+                mid = (1 << e, 0) if e >= 0 else (1, -e)
+            else:
+                mid = _mean(lo, hi)
         while True:
             if mid[1]:  # not an integer
                 try:
@@ -844,6 +839,8 @@ def _certified_log_moduli(rest: tuple[int, ...]) -> list[float]:
                 except ArithmeticError:
                     pass
             mid = _mean(lo, mid)
+        if n_mid == d and mid[0] << hk < hn << mid[1]:
+            hn, hk = mid
         for part in ((lo, n_lo, mid, n_mid), (mid, n_mid, hi, n_hi)):
             if part[3] > part[1]:
                 work.append(part)
@@ -907,12 +904,16 @@ def _family_min_expanding(n: int, k1: int) -> float | None:
     term (-1)^n (the determinant-1 pin).
 
     The family's coefficient rows are built in int64 blocks of _BOX_BLOCK
-    rows, in iter_product order.  A row with a cyclotomic factor of
-    degree <= n takes the exact route of log_eigenvalue_moduli
-    (_log_root_moduli).  The other rows' roots are the eigenvalues of
-    their companion matrices, one stacked np.linalg.eigvals per block,
-    and a row with a modulus within 1e-6 of 1 takes the exact route too.
-    Memory stays one block.
+    rows, in iter_product order.  Rows with a cyclotomic factor of degree
+    <= n are dropped: none holds the minimum.  At n = 2 they are
+    x^2 + t x + 1, |t| <= 2, with no expanding root.  At n = 3 their
+    expanding moduli are none or >= (1 + sqrt 5) / 2, while x^3 - x - 1
+    (1.3247...) lies in every family with k1 >= 1.  The other rows' roots
+    are the eigenvalues of their companion matrices, one stacked
+    np.linalg.eigvals per block.  None is within 1/(25 k1 + 60) of the
+    circle (|p(+-1)| >= 1, |p'| <= 12 + 5 k1 on |z| <= 2, and
+    alpha |beta|^2 = 1 for a complex pair beta), so a modulus within 1e-6
+    of 1 raises SoundnessFailure.  Memory stays one block.
     """
     base = 2 * k1 + 1
     total = base ** (n - 1)
@@ -928,25 +929,21 @@ def _family_min_expanding(n: int, k1: int) -> float | None:
         rows[:, 1:n] = np.stack(np.unravel_index(idx, (base,) * (n - 1)),
                                 axis=-1) - k1
         rows[:, n] = 1 if n % 2 == 0 else -1
-        exact = np.zeros(len(rows), dtype=bool)
+        cyclotomic = np.zeros(len(rows), dtype=bool)
         for f in factors:
-            exact |= _has_factor(rows, f)
-        poly = rows[~exact].astype(float)
+            cyclotomic |= _has_factor(rows, f)
+        poly = rows[~cyclotomic].astype(float)
         companion = np.zeros((len(poly), n, n))
         companion[:, 1:, :-1] = np.eye(n - 1)
         companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
         moduli = np.abs(np.linalg.eigvals(companion))
-        near = np.any(np.abs(moduli - 1.0) < 1e-6, axis=1)
-        exact[np.flatnonzero(~exact)[near]] = True
-        expanding = moduli[~near]
-        expanding = expanding[expanding > 1.0]
+        if np.any(np.abs(moduli - 1.0) < 1e-6):
+            raise SoundnessFailure(
+                "a root modulus of a non-cyclotomic polynomial within 1e-6 "
+                f"of 1 at K1 = {k1}")
+        expanding = moduli[moduli > 1.0]
         if expanding.size:
             best = min(best, expanding.min())
-        for row in rows[exact]:
-            expanding = [x for x in _log_root_moduli(tuple(map(int, row)))
-                         if x > 0.0]
-            if expanding:
-                best = min(best, math.exp(expanding[-1]))
     return None if best == math.inf else float(best)
 
 
@@ -955,9 +952,9 @@ class DepthBound:
     """Certificate that eta^k = matrix has no solution for k >= depth.
 
     Hyperbolic branch: K is the spectral radius, K1 the coefficient bound
-    for characteristic polynomials of potential roots, b > 1 the smallest
-    expanding root modulus over that finite polynomial family, q the least
-    power with b^q > K; a root of order >= q would be forced to have
+    for characteristic polynomials of potential roots, b > 1 the least
+    expanding root modulus of that family's non-cyclotomic members, q the
+    least power with b^q > K; a root of order >= q would be forced to have
     trivial hyperbolic part, contradicting K > 1, so depth = q.
 
     Quasi-unipotent branch (all eigenvalue moduli 1, b and q are None):
@@ -1146,10 +1143,11 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     One walk of the commutant serves every checked power
     (_roots_by_power).  The hyperbolic K is exp of the top log modulus by
     _log_root_moduli, and b the minimum of _family_min_expanding, one
-    stacked eigvals per block of the family's coefficient rows.
+    stacked eigvals per block of the family's non-cyclotomic rows.
     Raises TorsionInput for finite-order input, ResourceExceeded when the
     (2 box_bound + 1)^r points of the input's rank-r commutant pass the
-    cap, and SoundnessFailure for a root at or past the certified depth.
+    cap, and SoundnessFailure for a root at or past the certified depth
+    or a family root modulus within 1e-6 of 1.
     """
     mat = as_int_matrix(a)
     n = len(mat)
@@ -1186,12 +1184,7 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
         k1 = _coefficient_bound(n, ceil_k)
         b_raw = _family_min_expanding(n, k1)
         assert b_raw is not None  # the input's own polynomial is expanding
-        b = b_raw * (1.0 - 1e-9)
-        if b <= 1.0:
-            # unreachable for n <= 3 at sane K1 (expanding roots of the
-            # family stay ~1/(4 K1) away from the circle), but never loop
-            raise RuntimeError("expanding modulus too close to 1 to "
-                               "certify a power threshold")
+        b = b_raw * (1.0 - 1e-9)  # > 1: b_raw is at least 1 + 1e-6
         q = next(q for q in count(1) if b ** q > k_spectral * (1.0 + 1e-9))
         assert q >= 2
         depth = q

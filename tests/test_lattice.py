@@ -24,6 +24,7 @@ from dispgeo.errors import (
     NoModulusFound,
     ResourceExceeded,
     SingularInput,
+    SoundnessFailure,
     TorsionInput,
 )
 from dispgeo.lattice import (
@@ -252,9 +253,24 @@ class TestExactHelpers:
         # a fully cyclotomic polynomial gives exact zeros
         assert log_eigenvalue_moduli(E(3, 0, 2, 5)) == (0.0,) * 3
 
+    @staticmethod
+    def count_roots_inside(monkeypatch):
+        """Patch lattice._roots_inside to count its calls in the list
+        returned."""
+        calls = []
+        roots_inside = lattice._roots_inside
+
+        def counting(*args):
+            calls.append(args)
+            return roots_inside(*args)
+
+        monkeypatch.setattr(lattice, "_roots_inside", counting)
+        return calls
+
     @pytest.mark.parametrize("degree", [3, 4, 5])
-    def test_certified_moduli_match_the_qr_oracle(self, degree):
+    def test_certified_moduli_match_the_qr_oracle(self, degree, monkeypatch):
         rng = random.Random(2700 + degree)
+        calls = self.count_roots_inside(monkeypatch)
         checked = 0
         while checked < 300:
             poly = (1, *(rng.randint(-30, 30) for _ in range(degree - 1)),
@@ -264,6 +280,28 @@ class TestExactHelpers:
             assert (log_eigenvalue_moduli(companion_matrix(poly))
                     == qr_log_root_moduli(poly)), poly
             checked += 1
+        # the counts that the two-pass route (a counted bracket at each
+        # guess, then bisection) made on the same 300 polynomials
+        assert len(calls) <= {3: 9933, 4: 12890, 5: 15840}[degree]
+
+    def test_certified_moduli_past_the_guesses(self, monkeypatch):
+        # M^100's bracket ends pass 2^53, so they are stepped half a unit
+        # off the integers; M^1000's coefficients pass the float range, so
+        # np.roots gives no guesses; Lehmer's degree-10 polynomial has
+        # eight roots of modulus exactly 1 and gives exact zeros
+        m = ((-4, -3, -4), (1, 1, 1), (7, 5, 6))
+        calls = self.count_roots_inside(monkeypatch)
+        for k in (17, 100, 1000):
+            poly = char_poly(mat_pow(m, k))
+            assert _log_root_moduli(poly) == qr_log_root_moduli(poly), k
+        with pytest.raises(OverflowError):
+            np.array(char_poly(mat_pow(m, 1000)), dtype=float)
+        # the two-pass route made 205 counts on these three
+        assert len(calls) <= 205
+        lehmer = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+        logs = _log_root_moduli(lehmer)
+        assert logs == qr_log_root_moduli(lehmer)
+        assert logs[1:9] == (0.0,) * 8 and logs[0] == -logs[9] > 0
 
     def test_certified_moduli_of_equal_moduli(self):
         # FIB (+) FIB repeats the factor x^2 - 3x + 1; x^4 - 3x^2 + 1 has
@@ -1239,26 +1277,25 @@ def _expanding_moduli(poly: tuple[int, ...], n: int) -> tuple[float, ...]:
     return tuple(sorted(m for m in moduli if m > 1.0))
 
 
+def family(n, k1):
+    """The family's polynomials, in iter_product order."""
+    constant = 1 if n % 2 == 0 else -1
+    for middle in iter_product(range(-k1, k1 + 1), repeat=n - 1):
+        yield (1,) + middle + (constant,)
+
+
 def family_min_oracle(n, k1):
     """The per-polynomial loop that the stacked eigvals route replaced:
     the least expanding modulus of each polynomial of the family, by
     _expanding_moduli, the np.roots route that the package's exact
-    _log_root_moduli replaced.  Also returns the polynomials that need the
-    exact route: those with a cyclotomic factor of degree <= n, and those
-    with a root modulus (np.roots) within 1e-6 of 1."""
-    constant = 1 if n % 2 == 0 else -1
+    _log_root_moduli replaced."""
     best = None
-    exact = set()
-    for middle in iter_product(range(-k1, k1 + 1), repeat=n - 1):
-        poly = (1,) + middle + (constant,)
-        if _strip_cyclotomic(poly, n) != poly or np.any(
-                np.abs(np.abs(np.roots(poly)) - 1.0) < 1e-6):
-            exact.add(poly)
+    for poly in family(n, k1):
         for m in _expanding_moduli(poly, n):
             if best is None or m < best:
                 best = m
             break  # only the smallest per polynomial matters
-    return best, exact
+    return best
 
 
 class TestFamilyMinExpanding:
@@ -1268,7 +1305,7 @@ class TestFamilyMinExpanding:
                                        (3, 3), (3, 6), (3, 12), (3, 27),
                                        (3, 48)])
     def test_matches_per_polynomial_loop(self, n, k1, monkeypatch):
-        want, exact = family_min_oracle(n, k1)
+        want = family_min_oracle(n, k1)
         calls = []
 
         def counting(poly):
@@ -1278,8 +1315,35 @@ class TestFamilyMinExpanding:
         monkeypatch.setattr(lattice, "_log_root_moduli", counting)
         got = _family_min_expanding(n, k1)
         assert got == want  # the same double, not an approximation
-        # only the cyclotomic and near-circle rows take the exact route
-        assert len(calls) == len(set(calls)) and set(calls) == exact
+        # the cyclotomic rows are dropped, and no row takes the exact route
+        assert calls == []
+
+    @pytest.mark.parametrize("k1", [12, 27])
+    def test_cyclotomic_rows_never_hold_the_minimum(self, k1):
+        # the premise of dropping them: their expanding moduli are at least
+        # the golden ratio, and x^3 - x - 1 keeps the minimum below it
+        golden = (1 + math.sqrt(5)) / 2
+        cyclotomic = [poly for poly in family(3, k1)
+                      if _strip_cyclotomic(poly, 3) != poly]
+        assert len(cyclotomic) > 2 * k1
+        for poly in cyclotomic:
+            assert all(m > golden - 1e-12
+                       for m in _expanding_moduli(poly, 3)), poly
+        assert _family_min_expanding(3, k1) < 1.3248 < golden
+
+    def test_near_circle_modulus_raises(self, monkeypatch):
+        # a non-cyclotomic row has no root that close to the circle, so a
+        # float modulus there is a fault to report, not an answer
+        eigvals = np.linalg.eigvals
+
+        def nudged(a):
+            values = eigvals(a)
+            values[0, 0] = 1 + 5e-7
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvals", nudged)
+        with pytest.raises(SoundnessFailure, match="within 1e-6 of 1"):
+            _family_min_expanding(3, 3)
 
     def test_walks_in_blocks(self, monkeypatch):
         # 25^2 rows in blocks of 100: no eigvals stack exceeds a block,
