@@ -887,64 +887,44 @@ def _coefficient_bound(n: int, ceil_k: int) -> int:
     return max(math.comb(n, m) * ceil_k ** m for m in range(1, n))
 
 
-def _has_factor(rows: np.ndarray, f: tuple[int, ...]) -> np.ndarray:
-    """Whether the monic integer polynomial f divides each int64 row of
-    coefficients (leading first), by exact long division on the stack."""
-    rem = rows.copy()
-    d = len(f) - 1
-    divisor = np.array(f, dtype=np.int64)
-    for i in range(rows.shape[1] - d):
-        rem[:, i:i + d + 1] -= rem[:, i:i + 1] * divisor
-    return ~np.any(rem[:, -d:], axis=1)
+def _family_min_expanding(n: int, k1: int) -> float:
+    """Minimal root modulus exceeding 1 over the monic integer polynomials
+    of degree n in {2, 3} with |middle coefficients| <= k1, constant term
+    (-1)^n (the determinant-1 pin) and no cyclotomic factor, in closed
+    form: the float nearest to the one member's root that attains it.
 
+    n = 2: x^2 + t x + 1 has no cyclotomic factor iff |t| >= 3, and its
+    expanding root (|t| + sqrt(t^2 - 4)) / 2 grows with |t|, so the
+    minimum is (3 + sqrt 5) / 2 for every k1 >= 3.
 
-def _family_min_expanding(n: int, k1: int) -> float | None:
-    """Minimal root modulus exceeding 1 over all monic integer
-    polynomials of degree n with |middle coefficients| <= k1 and constant
-    term (-1)^n (the determinant-1 pin).
+    n = 3: take p = x^3 + a x^2 + b x - 1 with |a|, |b| <= k1.
+    1. p has a cyclotomic factor iff p(1) p(-1) = 0: a rational root
+       divides 1, and a quadratic cyclotomic factor leaves x -+ 1.  So
+       each other p is irreducible, with no root on |z| = 1 (a non-real
+       z there brings 1/z = conj(z), and then the third root is 1).
+    2. If the least expanding root is real, rho = +-r with r > 1, write
+       p = (x - rho)(x^2 + s x + t).  Then rho t = 1 and b = t - rho s,
+       so |s| <= (k1 + 1/r) / r, and 1 <= |p(+-1)| = (r - 1) |1 +- s + t|
+       <= (r - 1)(1 + (k1 + 1) / r + 1 / r^2).  That is
+       r^3 + (k1 - 1) r^2 - k1 r - 1 >= 0, so r >= beta*(k1), the root
+       above 1 of P = x^3 + (k1 - 1) x^2 - k1 x - 1.
+    3. If they are a complex pair beta, conj(beta) of modulus m, the real
+       root alpha has |alpha| = 1/m^2, and 1 <= |p(sgn alpha)| =
+       (1 - 1/m^2) |sgn alpha - beta|^2 <= (1 - 1/m^2)(1 + m)^2.  That
+       forces m >= 1.1322 > 1.1248 = beta*(6) >= beta*(k1) for k1 >= 6.
+    4. P is a member: P(1) = -1 and P(-1) = 2 k1 - 3.  So the minimum is
+       beta*(k1) for every k1 >= 6.  (At k1 = 3 and 4 it is the house of
+       x^3 + x^2 - 1 instead, 1.15096...)
 
-    The family's coefficient rows are built in int64 blocks of _BOX_BLOCK
-    rows, in iter_product order.  Rows with a cyclotomic factor of degree
-    <= n are dropped: none holds the minimum.  At n = 2 they are
-    x^2 + t x + 1, |t| <= 2, with no expanding root.  At n = 3 their
-    expanding moduli are none or >= (1 + sqrt 5) / 2, while x^3 - x - 1
-    (1.3247...) lies in every family with k1 >= 1.  The other rows' roots
-    are the eigenvalues of their companion matrices, one stacked
-    np.linalg.eigvals per block.  None is within 1/(25 k1 + 60) of the
-    circle (|p(+-1)| >= 1, |p'| <= 12 + 5 k1 on |z| <= 2, and
-    alpha |beta|^2 = 1 for a complex pair beta), so a modulus within 1e-6
-    of 1 raises SoundnessFailure.  Memory stays one block.
+    The root comes from _log_root_moduli: the quadratic closed form at
+    n = 2, and exact Schur-Cohn counts for the irreducible P at n = 3.
+    Raises ValueError for k1 below the lemma's range.
     """
-    base = 2 * k1 + 1
-    total = base ** (n - 1)
-    # the Phi_m here have coefficients in {-1, 0, 1}, so each long-
-    # division step at most doubles the largest |coefficient|
-    _certify_int64(2 ** n * k1, "cyclotomic remainder")
-    factors = [_cyclotomic(m) for m in _orders(n)]
-    best = math.inf
-    for start in range(0, total, _BOX_BLOCK):
-        idx = np.arange(start, min(start + _BOX_BLOCK, total))
-        rows = np.empty((len(idx), n + 1), dtype=np.int64)
-        rows[:, 0] = 1
-        rows[:, 1:n] = np.stack(np.unravel_index(idx, (base,) * (n - 1)),
-                                axis=-1) - k1
-        rows[:, n] = 1 if n % 2 == 0 else -1
-        cyclotomic = np.zeros(len(rows), dtype=bool)
-        for f in factors:
-            cyclotomic |= _has_factor(rows, f)
-        poly = rows[~cyclotomic].astype(float)
-        companion = np.zeros((len(poly), n, n))
-        companion[:, 1:, :-1] = np.eye(n - 1)
-        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-        moduli = np.abs(np.linalg.eigvals(companion))
-        if np.any(np.abs(moduli - 1.0) < 1e-6):
-            raise SoundnessFailure(
-                "a root modulus of a non-cyclotomic polynomial within 1e-6 "
-                f"of 1 at K1 = {k1}")
-        expanding = moduli[moduli > 1.0]
-        if expanding.size:
-            best = min(best, expanding.min())
-    return None if best == math.inf else float(best)
+    if k1 < (3 if n == 2 else 6):
+        raise ValueError(f"the closed-form family minimum needs K1 >= 3 at "
+                         f"n = 2 and >= 6 at n = 3, got K1 = {k1} at n = {n}")
+    poly = (1, -3, 1) if n == 2 else (1, k1 - 1, -k1, -1)
+    return math.exp(min(x for x in _log_root_moduli(poly) if x > 0))
 
 
 @dataclass(frozen=True)
@@ -953,7 +933,8 @@ class DepthBound:
 
     Hyperbolic branch: K is the spectral radius, K1 the coefficient bound
     for characteristic polynomials of potential roots, b > 1 the least
-    expanding root modulus of that family's non-cyclotomic members, q the
+    expanding root modulus of that family's non-cyclotomic members (in
+    closed form, see _family_min_expanding), shaved by 1e-9, q the
     least power with b^q > K; a root of order >= q would be forced to have
     trivial hyperbolic part, contradicting K > 1, so depth = q.
 
@@ -1142,12 +1123,12 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
     default min(ceil(K) + 1, _largest_box(n)): 32 at n = 2, 2 at n = 3.
     One walk of the commutant serves every checked power
     (_roots_by_power).  The hyperbolic K is exp of the top log modulus by
-    _log_root_moduli, and b the minimum of _family_min_expanding, one
-    stacked eigvals per block of the family's non-cyclotomic rows.
-    Raises TorsionInput for finite-order input, ResourceExceeded when the
-    (2 box_bound + 1)^r points of the input's rank-r commutant pass the
-    cap, and SoundnessFailure for a root at or past the certified depth
-    or a family root modulus within 1e-6 of 1.
+    _log_root_moduli, and b the closed-form family minimum of
+    _family_min_expanding.  Raises TorsionInput for finite-order input,
+    ResourceExceeded when the (2 box_bound + 1)^r points of the input's
+    rank-r commutant pass the cap, ValueError when the shaved b is not
+    above 1 (ceil(K) >= 18258 at n = 3), and SoundnessFailure for a root
+    at or past the certified depth.
     """
     mat = as_int_matrix(a)
     n = len(mat)
@@ -1182,10 +1163,16 @@ def depth_root_bound(a, box_bound: int | None = None) -> DepthBound:
         k_spectral = math.exp(_log_root_moduli(coeffs)[0])
         ceil_k = math.ceil(k_spectral - 1e-9)
         k1 = _coefficient_bound(n, ceil_k)
-        b_raw = _family_min_expanding(n, k1)
-        assert b_raw is not None  # the input's own polynomial is expanding
-        b = b_raw * (1.0 - 1e-9)  # > 1: b_raw is at least 1 + 1e-6
-        q = next(q for q in count(1) if b ** q > k_spectral * (1.0 + 1e-9))
+        b = _family_min_expanding(n, k1) * (1.0 - 1e-9)
+        if b <= 1.0:
+            raise ValueError(f"the family minimum at K1 = {k1}, shaved to "
+                             f"b = {b!r}, is not above 1")
+        # the least q with b^q > K (1 + 1e-9): the floor of the log ratio
+        # is at most q, as its float error is far below 1
+        target = k_spectral * (1.0 + 1e-9)
+        q = int(math.log(target) / math.log(b))
+        while not b ** q > target:
+            q += 1
         assert q >= 2
         depth = q
 

@@ -132,8 +132,7 @@ def load_matrix_file(path: str, integer: bool = False) -> list:
 
 
 def _render_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    """A certificate field: a Fraction, float, int, Word or tuple of them."""
     if isinstance(v, Fraction):
         return render_rational(v)
     if isinstance(v, float):
@@ -142,16 +141,9 @@ def _render_value(v) -> str:
         return str(v)
     if isinstance(v, Word):
         return v.to_str() if len(v) else "<identity>"
-    if v is None:
-        return "none"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (tuple, list)):
+    if isinstance(v, tuple):
         return "[" + ", ".join(_render_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{k}: {_render_value(x)}"
-                               for k, x in sorted(v.items())) + "}"
-    return str(v)
+    raise TypeError(f"no certificate rendering for {type(v).__name__}")
 
 
 def certificate_document(cert) -> str:

@@ -22,6 +22,7 @@ from dispgeo.errors import (
     SingularInput,
     SoundnessFailure,
 )
+from dispgeo.lattice import depth_root_bound
 from dispgeo.matgeo import cartan_jordan_gap
 from dispgeo.serialize import (
     certificate_document,
@@ -208,6 +209,14 @@ class TestSerialize:
         assert "type = PingPongCertificate" in doc
         assert "margin2 = 3/2" in doc
         assert doc.endswith("\n")
+
+    @pytest.mark.parametrize("value", [None, "text", {"a": 1}, [1, 2]])
+    def test_certificate_document_rejects_other_fields(self, value):
+        # certificates hold Fractions, floats, ints, Words and tuples
+        from dataclasses import make_dataclass
+        cert = make_dataclass("Odd", [("field", object)])(value)
+        with pytest.raises(TypeError, match="no certificate rendering"):
+            certificate_document(cert)
 
 
 class TestProp422Runner:
@@ -617,6 +626,57 @@ class TestDepthRootsRunner:
         assert row["branch_or_status"] == "quasi_unipotent"
         assert row["depth"] == str(12 * 10 ** 12 + 1)
         assert row["roots_below_depth"] == "none"
+
+    def test_large_spectral_radius_finishes(self):
+        # K1 = 3 * 30^2 = 2700, a family of 5401^2 polynomials: the closed-
+        # form minimum and the log start of q make it milliseconds
+        rep = X.run_depth_roots([((30, 1, 0), (-1, 0, 0), (0, 0, 1))])
+        row = dict(zip(rep.columns, rep.rows[0]))
+        assert rep.passed
+        assert (row["K"], row["K1"], row["b"], row["q"], row["depth"]) == (
+            "29.9666295471", "2700", "1.00037009522", "9189", "9189")
+
+    @staticmethod
+    def linear_q(cert):
+        return next(q for q in range(1, 10 ** 8)
+                    if cert.b ** q > cert.K * (1.0 + 1e-9))
+
+    # every t at n = 2; at n = 3 the linear search takes about 3 t^2 log t
+    # steps, so t runs to 60 and then samples the rest up to 300
+    @pytest.mark.parametrize("n, ts", [
+        (2, range(3, 301)),
+        (3, [*range(3, 61), 97, 150, 211, 300])], ids=["n2", "n3"])
+    def test_q_matches_linear_search(self, n, ts):
+        for t in ts:
+            m = (((t, 1), (-1, 0)) if n == 2
+                 else ((t, 1, 0), (-1, 0, 0), (0, 0, 1)))
+            cert = depth_root_bound(m)
+            assert cert.q == cert.depth == self.linear_q(cert), (n, t)
+
+    def test_q_is_least_at_t_1000(self):
+        # q = 20785638: a linear search from 1 takes seconds here
+        cert = depth_root_bound(((1000, 1, 0), (-1, 0, 0), (0, 0, 1)))
+        target = cert.K * (1.0 + 1e-9)
+        assert cert.b ** cert.q > target >= cert.b ** (cert.q - 1)
+        assert cert.q == 20785638
+
+    def test_shaved_b_at_one_raises(self):
+        # K1 = 3 * 20000^2: the family minimum is within 1e-9 of 1, so the
+        # shaved b is not above 1 and no power of it passes K
+        with pytest.raises(ValueError, match="K1 = 1200000000"):
+            X.run_depth_roots([((20000, 1, 0), (-1, 0, 0), (0, 0, 1))])
+
+    def test_pinned_reports_take_no_eigvals(self, monkeypatch):
+        want = {name: X.render_report(X.run_depth_roots(files), "csv")
+                for name, files in self.PINNED_FILES.items()}
+
+        def refuse(a):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for name, files in self.PINNED_FILES.items():
+            assert X.render_report(X.run_depth_roots(files), "csv") \
+                == want[name], name
 
     def test_soundness_failure_is_a_row(self, monkeypatch):
         def found_root(m, box_bound=None):

@@ -24,7 +24,6 @@ from dispgeo.errors import (
     NoModulusFound,
     ResourceExceeded,
     SingularInput,
-    SoundnessFailure,
     TorsionInput,
 )
 from dispgeo.lattice import (
@@ -1284,39 +1283,51 @@ def family(n, k1):
         yield (1,) + middle + (constant,)
 
 
-def family_min_oracle(n, k1):
-    """The per-polynomial loop that the stacked eigvals route replaced:
-    the least expanding modulus of each polynomial of the family, by
-    _expanding_moduli, the np.roots route that the package's exact
-    _log_root_moduli replaced."""
-    best = None
+def family_minima(n, k1):
+    """The least expanding modulus of each polynomial of the family that
+    has one, by _expanding_moduli, the np.roots route that the package's
+    exact _log_root_moduli replaced."""
+    minima = {}
     for poly in family(n, k1):
-        for m in _expanding_moduli(poly, n):
-            if best is None or m < best:
-                best = m
-            break  # only the smallest per polynomial matters
-    return best
+        moduli = _expanding_moduli(poly, n)
+        if moduli:
+            minima[poly] = moduli[0]
+    return minima
 
 
 class TestFamilyMinExpanding:
-    # at (2, 2) every row is x^2 + a x + 1 with a cyclotomic factor, so
-    # the eigvals stack is empty and the minimum is None
-    @pytest.mark.parametrize("n, k1", [(2, 2), (2, 4), (2, 8), (2, 60),
-                                       (3, 3), (3, 6), (3, 12), (3, 27),
-                                       (3, 48)])
-    def test_matches_per_polynomial_loop(self, n, k1, monkeypatch):
-        want = family_min_oracle(n, k1)
-        calls = []
+    # the lemma in _family_min_expanding's docstring, checked against the
+    # whole family: the closed form's polynomial holds the minimum, and
+    # its root is the float nearest to the exact one
+    @pytest.mark.parametrize("n, k1", [(2, 3), (2, 4), (2, 8), (2, 60),
+                                       (3, 6), (3, 12), (3, 27), (3, 48)])
+    def test_matches_per_polynomial_loop(self, n, k1):
+        from mpmath import mp
 
-        def counting(poly):
-            calls.append(poly)
-            return _log_root_moduli(poly)
-
-        monkeypatch.setattr(lattice, "_log_root_moduli", counting)
+        minima = family_minima(n, k1)
+        argmin = min(minima, key=minima.get)
+        # x^2 + 3x + 1 has the roots of x^2 - 3x + 1 negated: a tie
+        closed = ((1, -3, 1), (1, 3, 1)) if n == 2 else ((1, k1 - 1, -k1, -1),)
+        assert argmin in closed
         got = _family_min_expanding(n, k1)
-        assert got == want  # the same double, not an approximation
-        # the cyclotomic rows are dropped, and no row takes the exact route
-        assert calls == []
+        assert abs(minima[argmin] - got) <= 4 * math.ulp(got)
+        with mp.workdps(50):
+            roots = mp.polyroots(list(closed[0]), maxsteps=200, extraprec=200)
+            want = min(abs(r) for r in roots if abs(r) > 1)
+            assert abs(got - want) <= math.ulp(got)
+
+    @pytest.mark.parametrize("n, k1", [(2, 2), (3, 3), (3, 5)])
+    def test_below_the_lemma_raises(self, n, k1):
+        with pytest.raises(ValueError, match=f"got K1 = {k1} at n = {n}"):
+            _family_min_expanding(n, k1)
+
+    def test_lemma_stops_below_six(self):
+        # at k1 = 4 the minimum is Boyd's h_3 = 1.15096..., the house of
+        # x^3 + x^2 - 1, below the root of x^3 + 3 x^2 - 4 x - 1
+        minima = family_minima(3, 4)
+        argmin = min(minima, key=minima.get)
+        assert argmin == (1, 1, 0, -1)
+        assert minima[argmin] == pytest.approx(1.150964, abs=1e-6)
 
     @pytest.mark.parametrize("k1", [12, 27])
     def test_cyclotomic_rows_never_hold_the_minimum(self, k1):
@@ -1330,36 +1341,6 @@ class TestFamilyMinExpanding:
             assert all(m > golden - 1e-12
                        for m in _expanding_moduli(poly, 3)), poly
         assert _family_min_expanding(3, k1) < 1.3248 < golden
-
-    def test_near_circle_modulus_raises(self, monkeypatch):
-        # a non-cyclotomic row has no root that close to the circle, so a
-        # float modulus there is a fault to report, not an answer
-        eigvals = np.linalg.eigvals
-
-        def nudged(a):
-            values = eigvals(a)
-            values[0, 0] = 1 + 5e-7
-            return values
-
-        monkeypatch.setattr(np.linalg, "eigvals", nudged)
-        with pytest.raises(SoundnessFailure, match="within 1e-6 of 1"):
-            _family_min_expanding(3, 3)
-
-    def test_walks_in_blocks(self, monkeypatch):
-        # 25^2 rows in blocks of 100: no eigvals stack exceeds a block,
-        # and the minimum is the one of the whole family
-        sizes = []
-        eigvals = np.linalg.eigvals
-
-        def recording(a):
-            sizes.append(len(a))
-            return eigvals(a)
-
-        want = _family_min_expanding(3, 12)
-        monkeypatch.setattr(lattice, "_BOX_BLOCK", 100)
-        monkeypatch.setattr(np.linalg, "eigvals", recording)
-        assert _family_min_expanding(3, 12) == want
-        assert len(sizes) == 7 and max(sizes) <= 100
 
 
 class TestQuotient:
