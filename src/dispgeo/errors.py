@@ -29,7 +29,8 @@ class NotPingPong(DispgeoError, ValueError):
     """A pair fails one of the three ping-pong conditions.
 
     ``condition`` is 1, 2 or 3 (the first condition that fails) and
-    ``margin`` the (negative) slack of that condition.
+    ``margin`` the slack of that condition: negative, or -100 delta for
+    an empty word, which fails condition 1 at any delta.
     """
 
     def __init__(self, condition, margin):

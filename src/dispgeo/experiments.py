@@ -28,7 +28,7 @@ from .errors import (
     SoundnessFailure,
 )
 from .hyperbolic import (
-    _block_scan,
+    _range_scan,
     certify_ping_pong,
     pair_offset,
 )
@@ -49,7 +49,7 @@ from .matgeo import (
     symmetric_space_displacement,
 )
 from .serialize import render_rational, render_real
-from .words import Word, _layer, ball_size, parse_word
+from .words import _SCAN_ROWS, Word, _LayerTables, ball_size, parse_word
 
 __all__ = [
     "ExperimentReport",
@@ -131,7 +131,10 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
     and records its outcomes.  Any bound violation or selector failure
     fails the run (the bound is a theorem at delta = 0, so violations
     only appear under the alpha override, the negative-control hook).
-    Balls larger than ``max_ball`` are an error, never truncated.
+    Balls larger than ``max_ball`` are an error, never truncated.  Each
+    layer is read from ``words._LayerTables`` in contiguous index ranges
+    of lexicographic order; only the listed example violations are
+    decoded to words.
     """
     uw = parse_word(u) if isinstance(u, str) else u
     vw = parse_word(v) if isinstance(v, str) else v
@@ -158,47 +161,40 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
     # the bound holds iff excess = |g| - 3 best <= alpha, i.e. excess <=
     # floor(alpha), so min_slack is alpha minus the largest excess; the
     # selector hypothesis |g| >= offset depends on the length alone
-    per_length = {
-        L: {"count": 0, "violations": 0, "max_excess": -math.inf,
-            "selects": offset.denominator * L >= offset.numerator,
-            "sel_g": 0, "sel_gu": 0, "sel_gv": 0, "falsified": 0}
-        for L in range(radius + 1)}
-    selected = ("sel_g", "sel_gu", "sel_gv", "falsified")
     floor_alpha = alpha.numerator // alpha.denominator
-    example_violations: list[str] = []
-
-    for L, stats in per_length.items():
-        for block in _layer(2, L):
-            excess, first = _block_scan(block, uw.letters, vw.letters, delta)
+    tables = _LayerTables(radius)
+    rows, example_violations, total_violations, total_falsified = [], [], 0, 0
+    for L in range(radius + 1):
+        violations, top, chosen = 0, -math.inf, np.zeros(4, np.int64)
+        count = len(tables.peel[L])
+        for start in range(0, count, _SCAN_ROWS):
+            excess, first = _range_scan(tables, L, start,
+                                        min(start + _SCAN_ROWS, count),
+                                        uw.letters, vw.letters, delta)
             lo, hi = int(excess.min()), int(excess.max())
-            stats["count"] += len(block)
-            stats["max_excess"] = max(stats["max_excess"], hi)
+            top = max(top, hi)
+            chosen += np.bincount(first, minlength=4)
             if hi > floor_alpha:
                 # a threshold below lo flags the same rows as lo - 1, so the
                 # one compared with the array fits its dtype
                 bad = np.flatnonzero(excess > max(floor_alpha, lo - 1))
-                stats["violations"] += len(bad)
+                violations += len(bad)
                 room = max(0, _MAX_EXAMPLES - len(example_violations))
                 for r in bad[:room].tolist():
-                    g = Word._trusted(tuple(block[r].tolist()), 2)
                     example_violations.append(
-                        f"{g.to_str()}:lhs={L}:rhs="
+                        f"{tables.word(L, start + r)}:lhs={L}:rhs="
                         f"{render_rational(L - int(excess[r]) + alpha)}")
-            if stats["selects"]:
-                for key, n in zip(selected,
-                                  np.bincount(first, minlength=4).tolist()):
-                    stats[key] += n
-
-    rows = [(str(L), str(s["count"]), str(s["violations"]),
-             render_rational(alpha - s["max_excess"]),
-             str(s["sel_g"]), str(s["sel_gu"]), str(s["sel_gv"]),
-             str(0 if s["selects"] else s["count"]), str(s["falsified"]))
-            for L, s in per_length.items()]
-    total_violations = sum(s["violations"] for s in per_length.values())
-    total_falsified = sum(s["falsified"] for s in per_length.values())
+        skipped = count if offset.denominator * L < offset.numerator else 0
+        if skipped:
+            chosen[:] = 0
+        rows.append((str(L), str(count), str(violations),
+                     render_rational(alpha - top), *map(str, chosen[:3]),
+                     str(skipped), str(chosen[3])))
+        total_violations += violations
+        total_falsified += int(chosen[3])
     passed = total_violations == 0 and total_falsified == 0
     summary = {
-        "total_words": str(sum(s["count"] for s in per_length.values())),
+        "total_words": str(size),
         "total_violations": str(total_violations),
         "selector_falsified": str(total_falsified),
         "example_violations": ";".join(example_violations) or "none",

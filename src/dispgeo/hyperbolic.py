@@ -31,8 +31,7 @@ from .errors import (
 )
 from .words import (
     Word,
-    _block_peel,
-    _block_product,
+    _LayerTables,
     _peel,
     _product,
     gromov_product,
@@ -84,21 +83,17 @@ def _excess(words: Sequence[tuple[int, ...]]) -> int:
     return len(words[0]) - 3 * max(len(w) - 2 * _peel(w) for w in words)
 
 
-def _block_scan(block: np.ndarray, u: tuple[int, ...], v: tuple[int, ...],
-                delta: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """_excess and _first_acr of (g, g*u, g*v) for every row g of a
-    words._layer block, as two arrays."""
-    length = block.shape[1]
-    peel = _block_peel(block)
-    len_u, peel_u = _block_product(block, u)
-    len_v, peel_v = _block_product(block, v)
-    best = np.maximum(length - 2 * peel,
-                      np.maximum(len_u - 2 * peel_u, len_v - 2 * peel_v))
-    cut = _acr_cut(delta)
-    first = np.where(3 * peel - length <= cut, 0,
-                     np.where(3 * peel_u - len_u <= cut, 1,
-                              np.where(3 * peel_v - len_v <= cut, 2, 3)))
-    return length - 3 * best, first
+def _range_scan(tables: _LayerTables, L: int, lo: int, hi: int,
+                u: tuple[int, ...], v: tuple[int, ...], delta: Fraction
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """_excess and _first_acr of (g, g*u, g*v) for the words g = lo..hi-1
+    of layer L of the tables, as two arrays."""
+    peel = tables.peel[L][lo:hi].astype(np.min_scalar_type(-3 * L - 1))
+    words = [(L, peel), *tables.products(L, lo, hi, (u, v))]
+    g, gu, gv = (3 * p - n <= _acr_cut(delta) for n, p in words)
+    # the first ACR word's index: 3 less the prefixes that hold one
+    first = np.int8(3) - g - (g | gu) - (g | gu | gv)
+    return L - 3 * np.maximum.reduce([n - 2 * p for n, p in words]), first
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,9 @@ class PingPongCertificate:
 
 def certify_ping_pong(u: Word, v: Word, delta=0) -> PingPongCertificate:
     """Check the three ping-pong conditions; raise NotPingPong with the
-    first failing condition and its (negative) margin otherwise.
+    first failing condition and its (negative) margin otherwise.  An empty
+    u or v fails condition 1 at every delta: the identity plays no
+    ping-pong.
 
     >>> cert = certify_ping_pong(Word.from_str("aab"), Word.from_str("bba"))
     >>> (cert.margin1, cert.margin2, cert.margin3)
@@ -172,7 +169,7 @@ def certify_ping_pong(u: Word, v: Word, delta=0) -> PingPongCertificate:
     shorter = Fraction(min(lu, lv))
 
     margin1 = shorter - 100 * d
-    if margin1 < 0:
+    if margin1 < 0 or not shorter:
         raise NotPingPong(1, margin1)
 
     cross = max(gromov_product(x, y).doubled

@@ -9,15 +9,16 @@ products are exact half-integers, stored doubled).
 The text format maps generators 1..k to ``a..z`` and their inverses to
 ``A..Z``; the empty string is the identity.  ``"bAb"`` is b a^-1 b.
 
-Exhaustive scans read whole layers of a ball instead of one word at a
-time: ``_layer`` yields the reduced words of one length as numpy blocks of
-at most ``_BLOCK_ROWS`` rows (int8 letters for any rank up to 127), and
-``_block_peel`` / ``_block_product`` are the row-wise forms of ``_peel``
-and ``_product``.
+``_layer`` yields the reduced words of one length as numpy blocks of at
+most ``_BLOCK_ROWS`` rows, which ``ball`` reads row by row.  Exhaustive
+F_2 scans build no words: ``_LayerTables`` holds each layer's last
+letters and ``_peel`` values as int8 tables, each built from shorter
+layers' tables, and reads the ``_peel`` of every product g*w off them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -314,7 +315,7 @@ def parse_word(text: str, rank: int = 2) -> Word:
 
 
 # words per _layer block: enough to amortise numpy's per-call cost over a
-# block, few enough that a scan's memory does not grow with the ball
+# block, few enough that ball's memory does not grow with the radius
 _BLOCK_ROWS = 4096
 
 
@@ -363,48 +364,91 @@ def _rows(block: np.ndarray) -> Iterable[tuple[int, ...]]:
     return zip(*block.T.tolist())
 
 
-def _count_leading(tests, n: int) -> np.ndarray:
-    """Per word, how many of the leading boolean tests (vectors over n
-    words, or plain bools) hold."""
-    count = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    for test in tests:
-        alive &= test
-        count += alive
-    return count
+# words per range of an exhaustive layer scan: enough to amortise numpy's
+# per-call cost, few enough that a range's int8 work arrays stay near 1 MB
+_SCAN_ROWS = 1 << 15
 
 
-def _peel_rows(rows, n: int) -> np.ndarray:
-    """_peel of n words of equal length given letter by letter: rows[i] is
-    the i-th letter of every word (a vector, or one int shared by all)."""
-    return _count_leading(
-        (rows[i] == -rows[-1 - i] for i in range(len(rows) // 2)), n)
+class _LayerTables:
+    """int8 tables of the reduced words of F_2 of lengths 0..radius.
 
+    Letters are coded 0..3 in _layer's order a, A, b, B; code ^ 1 is the
+    inverse's.  Word i of layer L is code(g_0) 3^(L-1) + sum_j r_j 3^(L-1-j),
+    r_j the place of g_j among the letters allowed after g_{j-1}, so
+    i // 3^s is g's prefix of length L - s.  ``last[L]`` (L >= 1) holds
+    each word's last letter and ``peel[L]`` its _peel: 1 + _peel of its
+    middle where g_0 is the inverse of its last letter.
+    """
 
-def _block_peel(block: np.ndarray) -> np.ndarray:
-    """_peel of every row of a _layer block."""
-    return _peel_rows(block.T, len(block))
+    def __init__(self, radius: int):
+        self.last = [np.zeros(1, np.int8), np.arange(4, dtype=np.int8)]
+        self.peel = [np.zeros(1, np.int8), np.zeros(4, np.int8)]
+        r, firsts = np.arange(3, dtype=np.int8), np.arange(4)[:, None]
+        for L in range(2, radius + 1):
+            # the r-th letter allowed after x is r, or r + 1 past x's inverse
+            last = r + (r >= self.last[L - 1][:, None] ^ 1)
+            peel = np.zeros_like(last) if L == 2 else np.repeat(
+                self.peel[L - 2].reshape(4, -1)[r + (r >= firsts ^ 1)], 3,
+                axis=2)
+            peel = peel.reshape(4, -1) + 1
+            peel *= last.reshape(4, -1) == firsts ^ 1
+            self.last.append(last.ravel())
+            self.peel.append(peel.ravel())
 
+    def word(self, L: int, i: int) -> str:
+        """The text of word i of layer L."""
+        return "".join("aAbB"[self.last[j][i // 3 ** (L - j)]]
+                       for j in range(1, L + 1))
 
-def _block_product(block: np.ndarray,
-                   w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and _peel of the products g*w for every row g of a _layer
-    block and one reduced tuple w.
+    def _read(self, table: np.ndarray, size: int, L: int, lo: int, hi: int,
+              skip: int):
+        """A table over the words of length size, read at g[L-skip-size:
+        L-skip] for the words g = lo..hi-1 of layer L: a gather of table
+        rows, each value repeated over its run of 3^skip words; one value
+        when the range lies in one run."""
+        step, width = 3 ** skip, 3 ** (size - 1)
+        j, k = lo // step, (hi - 1) // step + 1  # prefixes of length L-skip
+        first = self.last[L - skip - size + 1]  # the stretch's first letter
+        rows = table.reshape(-1, width)[first[j // width:(k - 1) // width + 1]]
+        vals = rows.ravel()[j % width:][:k - j]
+        return vals if k - j == 1 else (
+            np.repeat(vals, step)[lo % step:][:hi - lo])
 
-    Row g cancels c letters against w; the rows with the same c have
-    products g[:-c] + w[c:] of one length, so each c is one _peel_rows."""
-    n, length = block.shape
-    t = block.T
-    k = min(length, len(w))
-    cancel = _count_leading(
-        (t[length - 1 - j] == -w[j] for j in range(k)), n)
-    peel = np.empty(n, dtype=np.int64)
-    for c in range(k + 1):
-        cols = np.flatnonzero(cancel == c)
-        if len(cols):
-            rows = list(t[:length - c, cols]) + list(w[c:])
-            peel[cols] = _peel_rows(rows, len(cols))
-    return length + len(w) - 2 * cancel, peel
+    def products(self, L: int, lo: int, hi: int,
+                 ws: Iterable[tuple[int, ...]]
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Lengths and _peel of g*w for the words g = lo..hi-1 of layer L,
+        one pair per nonempty reduced tuple w.
+
+        g*w = g[:L-c] + w[c:], c the letters of g's tail that cancel w's
+        head, and k = min(L, |w|) - c pairs of its ends are g's head against
+        w's tail.  Where all k peel (``lead`` >= k), the rest is the middle
+        g[|w|-c:L-c] (L >= |w|) or w[c:c+|w|-L] (L < |w|)."""
+        letter = functools.cache(lambda i: self._read(
+            self.last[i + 1], i + 1, L, lo, hi, L - 1 - i))
+        out = []
+        for w in ws:
+            n, m = len(w), min(L, len(w))
+            inv = [2 * abs(x) - 2 + (x > 0) for x in w]  # codes of x^-1
+            dtype = np.min_scalar_type(-3 * (L + n))  # holds every sum below
+            c = lead = np.zeros(1, dtype)
+            for j in range(m):
+                c = c + (letter(L - 1 - j) == inv[j]) * (c == j)
+                lead = lead + (letter(j) == inv[n - 1 - j]) * (lead == j)
+            if L < n:
+                mids = [dtype.type(_peel(w[j:j + n - L]))
+                        for j in range(m + 1)]
+            else:  # a middle of under 2 letters has _peel 0
+                mids = [self._read(self.peel[L - n], L - n, L, lo, hi, j)
+                        for j in range(m + 1)] if L - n > 1 else []
+            # the middle's _peel where j letters cancel, summed over j, as
+            # np.where on scattered masks is slow
+            mid = sum(((c == j) * x for j, x in enumerate(mids)),
+                      dtype.type(0))
+            k = m - c
+            out.append((L + n - 2 * c,
+                        np.minimum(lead, k) + (lead >= k) * mid))
+        return out
 
 
 def ball(rank: int, radius: int) -> Iterator[Word]:

@@ -6,6 +6,10 @@ setting itself.
 
 - ``reduce_word`` and ``four_point_holds``: free reduction and the
   delta = 0 four-point condition of F_k (``dispgeo.words``);
+- ``_block_peel``, ``_block_product`` and ``_block_scan``: _peel, products
+  and the prop422 scan over ``_layer`` blocks, letter by letter, against
+  which the layer tables of ``dispgeo.experiments.run_prop422`` are
+  checked (``dispgeo.words``, ``dispgeo.hyperbolic``);
 - ``check_chain_separation`` and ``conjugacy_undistortion_check``:
   separated chains and undistortion in conjugacy classes
   (``dispgeo.hyperbolic``);
@@ -34,7 +38,7 @@ from dispgeo.errors import (
     SeparationFailed,
     SingularInput,
 )
-from dispgeo.hyperbolic import _as_delta
+from dispgeo.hyperbolic import _acr_cut, _as_delta
 from dispgeo.lattice import mat_mul
 from dispgeo.matgeo import (
     _as_matrix,
@@ -45,7 +49,6 @@ from dispgeo.matgeo import (
 )
 from dispgeo.words import (
     Word,
-    _block_product,
     _layer,
     ball_size,
     distance,
@@ -86,6 +89,67 @@ def four_point_holds(g: Word, h: Word, k: Word, delta) -> bool:
     d = Fraction(delta)
     num, den = d.numerator, d.denominator
     return den * gk >= den * min(gh, hk) - 2 * num
+
+
+def _count_leading(tests, n: int) -> np.ndarray:
+    """Per word, how many of the leading boolean tests (vectors over n
+    words, or plain bools) hold."""
+    count = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    for test in tests:
+        alive &= test
+        count += alive
+    return count
+
+
+def _peel_rows(rows, n: int) -> np.ndarray:
+    """_peel of n words of equal length given letter by letter: rows[i] is
+    the i-th letter of every word (a vector, or one int shared by all)."""
+    return _count_leading(
+        (rows[i] == -rows[-1 - i] for i in range(len(rows) // 2)), n)
+
+
+def _block_peel(block: np.ndarray) -> np.ndarray:
+    """_peel of every row of a _layer block."""
+    return _peel_rows(block.T, len(block))
+
+
+def _block_product(block: np.ndarray,
+                   w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths and _peel of the products g*w for every row g of a _layer
+    block and one reduced tuple w.
+
+    Row g cancels c letters against w; the rows with the same c have
+    products g[:-c] + w[c:] of one length, so each c is one _peel_rows."""
+    n, length = block.shape
+    t = block.T
+    k = min(length, len(w))
+    cancel = _count_leading(
+        (t[length - 1 - j] == -w[j] for j in range(k)), n)
+    peel = np.empty(n, dtype=np.int64)
+    for c in range(k + 1):
+        cols = np.flatnonzero(cancel == c)
+        if len(cols):
+            rows = list(t[:length - c, cols]) + list(w[c:])
+            peel[cols] = _peel_rows(rows, len(cols))
+    return length + len(w) - 2 * cancel, peel
+
+
+def _block_scan(block: np.ndarray, u: tuple[int, ...], v: tuple[int, ...],
+                delta: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """_excess and _first_acr of (g, g*u, g*v) for every row g of a
+    words._layer block, as two arrays."""
+    length = block.shape[1]
+    peel = _block_peel(block)
+    len_u, peel_u = _block_product(block, u)
+    len_v, peel_v = _block_product(block, v)
+    best = np.maximum(length - 2 * peel,
+                      np.maximum(len_u - 2 * peel_u, len_v - 2 * peel_v))
+    cut = _acr_cut(delta)
+    first = np.where(3 * peel - length <= cut, 0,
+                     np.where(3 * peel_u - len_u <= cut, 1,
+                              np.where(3 * peel_v - len_v <= cut, 2, 3)))
+    return length - 3 * best, first
 
 
 def check_chain_separation(points: Sequence[Word], a, delta=0) -> bool:

@@ -138,8 +138,8 @@ def test_criterion_3_acr_lower_bound(scan12):
 
 
 def test_prop422_kernel_agrees_with_scan12(scan12):
-    # run_prop422 scans the same ball on array blocks; the fixture walks it
-    # word by word through the public API
+    # run_prop422 reads the same ball off its int8 layer tables; the
+    # fixture walks it word by word through the public API
     rep = X.run_prop422(radius=12)
     selector = sum(int(row[rep.columns.index(name)]) for row in rep.rows
                    for name in ("selector_kept_g", "selector_gu",

@@ -34,7 +34,8 @@ from dispgeo.serialize import (
     render_real,
     write_atomic,
 )
-from dispgeo.words import Word
+from dispgeo.words import _SCAN_ROWS, Word, _layer, parse_word
+from oracles import _block_scan
 
 
 
@@ -219,6 +220,29 @@ class TestSerialize:
             certificate_document(cert)
 
 
+def _oracle_prop422(radius, u, v, alpha):
+    """run_prop422's rows at delta = 0, and its violations as (length,
+    index in the layer, example text), from _block_scan on _layer blocks."""
+    u, v = parse_word(u).letters, parse_word(v).letters
+    selects = 3 * max(len(u), len(v))
+    rows, examples = [], []
+    for n in range(radius + 1):
+        blocks = list(_layer(2, n))
+        excess, first = (np.concatenate(col) for col in zip(
+            *(_block_scan(block, u, v, Fraction(0)) for block in blocks)))
+        chosen = np.bincount(first, minlength=4) * (n >= selects)
+        bad = np.flatnonzero(excess > math.floor(alpha))
+        rows.append((str(n), str(len(excess)), str(len(bad)),
+                     render_rational(alpha - int(excess.max())),
+                     *map(str, chosen[:3]),
+                     str(len(excess) * (n < selects)), str(chosen[3])))
+        letters = np.concatenate(blocks)
+        examples += [(n, i, f"{Word(letters[i].tolist()).to_str()}:lhs={n}:"
+                      f"rhs={render_rational(n - int(excess[i]) + alpha)}")
+                     for i in bad[:20].tolist()]
+    return rows, examples[:20]
+
+
 class TestProp422Runner:
     def test_small_radius_clean(self):
         from dispgeo.words import ball_size
@@ -241,6 +265,37 @@ class TestProp422Runner:
     def test_non_pingpong_pair_propagates(self):
         with pytest.raises(NotPingPong):
             X.run_prop422(radius=3, u="ab", v="ab")
+
+    @pytest.mark.parametrize("u, v", [("", ""), ("", "b"), ("b", "")])
+    def test_identity_pair_refused(self, u, v):
+        # (e, e) once certified, and its radius-6 scan reported 24 bound
+        # violations and 24 selector falsifications of a theorem
+        with pytest.raises(NotPingPong) as exc:
+            X.run_prop422(radius=6, u=u, v=v)
+        assert exc.value.condition == 1
+
+    def test_split_layers_match_the_block_oracle(self):
+        # at radius 11 layers 10 and 11 are scanned in 3 and 8 ranges of
+        # at most 2^15 words, which cut runs of words with one prefix
+        rep = X.run_prop422(radius=11)
+        rows, examples = _oracle_prop422(11, "aab", "bba", Fraction(9))
+        assert rep.rows == rows
+        assert examples == [] and rep.summary["example_violations"] == "none"
+
+    def test_examples_past_the_first_range(self):
+        # the README pair's largest excess is at length 1, so no override
+        # lists a word of a split layer first.  This pair's largest, -8,
+        # first occurs at word 57833 of layer 10, in its second range: at
+        # alpha = -9 every example is decoded past the first
+        rep = X.run_prop422(radius=11, u="aaaBBB", v="bbbbbA",
+                            alpha_override=-9)
+        rows, examples = _oracle_prop422(11, "aaaBBB", "bbbbbA",
+                                         Fraction(-9))
+        assert rep.rows == rows
+        assert examples and all(n >= 10 and i >= _SCAN_ROWS
+                                for n, i, _ in examples)
+        assert rep.summary["example_violations"] == ";".join(
+            text for *_, text in examples)
 
     def test_words_of_another_rank_are_refused(self):
         # a ping-pong pair of F_3 must not be scanned against the F_2 ball

@@ -13,9 +13,9 @@ from dispgeo.errors import (
 from dispgeo.hyperbolic import (
     _acr_cut,
     _as_delta,
-    _block_scan,
     _excess,
     _first_acr,
+    _range_scan,
     certify_ping_pong,
     find_ping_pong_pair,
     is_almost_cyclically_reduced,
@@ -26,6 +26,7 @@ from dispgeo.hyperbolic import (
 )
 from dispgeo.words import (
     Word,
+    _LayerTables,
     _layer,
     _peel,
     _product,
@@ -36,7 +37,11 @@ from dispgeo.words import (
     stable_norm,
     word_length,
 )
-from oracles import check_chain_separation, conjugacy_undistortion_check
+from oracles import (
+    _block_scan,
+    check_chain_separation,
+    conjugacy_undistortion_check,
+)
 
 W = parse_word
 
@@ -128,6 +133,15 @@ class TestCertifyPingPong:
         with pytest.raises(NotPingPong) as exc:
             certify_ping_pong(W("a"), W("b"), 1)
         assert exc.value.condition == 1
+
+    @pytest.mark.parametrize("u, v", [("", ""), ("", "b"), ("aab", "")])
+    @pytest.mark.parametrize("delta", [0, Fraction(1, 300)])
+    def test_identity_fails_condition_1(self, u, v, delta):
+        # the identity plays no ping-pong: (e, e) would pass all three
+        # margins at delta = 0 and falsely refute Prop. 4.22
+        with pytest.raises(NotPingPong) as exc:
+            certify_ping_pong(W(u), W(v), delta)
+        assert (exc.value.condition, exc.value.margin) == (1, -100 * delta)
 
     def test_equal_pair_fails_condition_2(self):
         with pytest.raises(NotPingPong) as exc:
@@ -264,6 +278,39 @@ class TestBlockScan:
                 assert excess.tolist() == [_excess(ws) for ws in words]
                 assert first.tolist() == [_first_acr(ws, delta)
                                           for ws in words]
+
+
+_KERNEL_PAIRS = [("aab", "bba"), ("AAb", "bbA"), ("ab", "ba"), ("a", "b"),
+                 ("ab", "AB"), ("ab", "aB"), ("aab", "abb"),
+                 ("aabAbbaBa", "bAbbabAAb"), ("bbbbbbb", "a"),
+                 ("aaaaBBaaaaBB", "ab")]
+_DELTAS = [Fraction(0), Fraction(1, 300), Fraction(1, 60), Fraction(7, 3)]
+
+
+def _scans_agree(u, v, radius, deltas):
+    """_range_scan over the layer tables against _block_scan over _layer
+    blocks, on every word of length <= radius."""
+    u, v = W(u).letters, W(v).letters
+    tables = _LayerTables(radius)
+    for n in range(radius + 1):
+        blocks = list(_layer(2, n))
+        for delta in deltas:
+            want = [np.concatenate(col) for col in zip(
+                *(_block_scan(block, u, v, delta) for block in blocks))]
+            got = _range_scan(tables, n, 0, len(tables.peel[n]), u, v, delta)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+class TestRangeScan:
+    @pytest.mark.parametrize("u, v", _KERNEL_PAIRS)
+    def test_matches_block_oracle(self, u, v):
+        # every word of length <= 9; aaaaBBaaaaBB is longer than every
+        # layer, so its products take the middle from w
+        _scans_agree(u, v, 9, _DELTAS)
+
+    def test_long_pair_leaves_int8(self):
+        # |g u| reaches 134 at radius 4, past what int8 sums could hold
+        _scans_agree("a" * 65 + "b" * 65, "b" * 65 + "a" * 65, 4, _DELTAS)
 
 
 class TestStableNormLengthBound:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from dispgeo.errors import InvalidGenerator, RankMismatch
 from dispgeo.words import (
     _BLOCK_ROWS,
+    _SCAN_ROWS,
     Word,
-    _block_peel,
-    _block_product,
+    _LayerTables,
     _layer,
     _peel,
     _product,
@@ -27,7 +27,12 @@ from dispgeo.words import (
     translation_length,
     word_length,
 )
-from oracles import four_point_holds, reduce_word
+from oracles import (
+    _block_peel,
+    _block_product,
+    four_point_holds,
+    reduce_word,
+)
 
 
 def oracle_reduce(letters):
@@ -382,6 +387,44 @@ class TestBlockKernel:
                 products = [_product(g, w) for g in rows]
                 assert lengths.tolist() == [len(p) for p in products]
                 assert peels.tolist() == [_peel(p) for p in products]
+
+
+class TestLayerTables:
+    def test_tables_match_layer_blocks(self):
+        # word i of layer L is the i-th row of _layer(2, L), with its last
+        # letter and its _peel in the tables
+        tables = _LayerTables(9)
+        for n in range(10):
+            rows = [g for block in _layer(2, n) for g in _rows(block)]
+            assert [tables.word(n, i) for i in range(len(rows))] == [
+                Word(g).to_str() for g in rows]
+            assert tables.peel[n].tolist() == [_peel(g) for g in rows]
+            if n:
+                assert tables.last[n].tolist() == [
+                    "aAbB".index(Word(g[-1:]).to_str()) for g in rows]
+            assert all(t.dtype == np.int8 for t in (tables.last[n],
+                                                    tables.peel[n]))
+
+    @pytest.mark.parametrize("w", ["a", "aab", "bba", "AAb", "abAB",
+                                   "aabAbbaBa", "bbbbbbb", "aaaaBBaaaaBB",
+                                   pytest.param("a" * 65 + "b" * 65,
+                                                id="a65b65")])
+    @pytest.mark.parametrize("span", [_SCAN_ROWS, 27, 100, 7])
+    def test_products_match_the_block_oracle(self, w, span):
+        # every word of length <= 8, read in ranges of span words (whole
+        # layers, runs of 3^3, or ranges that cut runs), against
+        # _block_product on _layer blocks; at |w| = 130 the lengths and
+        # peels pass the int8 range
+        w = parse_word(w).letters
+        tables = _LayerTables(8)
+        for n in range(9):
+            size = len(tables.peel[n])
+            want = [np.concatenate(col) for col in zip(*(
+                _block_product(block, w) for block in _layer(2, n)))]
+            got = [np.concatenate(col) for col in zip(*(
+                tables.products(n, lo, min(lo + span, size), [w])[0]
+                for lo in range(0, size, span)))]
+            assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
 class TestBaseInvariance:
