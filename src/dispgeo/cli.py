@@ -197,7 +197,7 @@ def _cmd_pingpong(args) -> int:
         doc = f"power = {n}\n" + certificate_document(cert)
         _emit(doc, args.out)
         return 0
-    if not (args.u and args.v):
+    if args.u is None or args.v is None:
         sys.stderr.write("pingpong: need --u and --v, or --find-f\n")
         return 2
     try:

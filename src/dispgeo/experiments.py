@@ -346,17 +346,18 @@ def _gap_draws(dimension: int, count: int, rng,
     Each draw takes its log singular spectrum uniformly, then (unless
     diagonal_only) is conjugated by the first standard normal h with
     |det h| > 0.2 and cond(h) <= 8, so a substantial fraction certifies
-    at the default (r, epsilon).  The stream is read draw after draw.
-    ``_conjugator_ok`` decides each h as it is drawn; one LAPACK det and
-    one cond over every h of the block then confirm those decisions.  At
-    the first h where they differ, the block is drawn again from its
-    start with that decision pinned to LAPACK's, so the draws are those
-    of a loop that asks LAPACK about each h in turn.
+    at the default (r, epsilon).  The stream is read draw after draw into
+    one stack.  ``_conjugator_ok`` decides each h as it is drawn; LAPACK's
+    det, and cond's SVD on the h that det passes, then confirm those
+    decisions.  At the first h where they differ, the block is drawn
+    again from its start with that decision pinned to LAPACK's, so the
+    draws are those of a loop that asks LAPACK about each h in turn.
     """
     start = rng.bit_generator.state
     pinned: dict[int, bool] = {}
     while True:
-        spectra, drawn, guesses, picks = [], [], [], []
+        spectra, guesses, picks = [], [], []
+        hs = np.empty((2 * count, dimension, dimension))
         for _ in range(count):
             if dimension == 2:
                 t = rng.uniform(1.5, 4.5)
@@ -370,20 +371,22 @@ def _gap_draws(dimension: int, count: int, rng,
                 continue
             ok = False
             while not ok:
-                h = rng.standard_normal((dimension, dimension))
-                ok = pinned.get(len(drawn))
+                if len(guesses) == len(hs):
+                    hs = np.concatenate([hs, np.empty_like(hs)])
+                h = rng.standard_normal(out=hs[len(guesses)])
+                ok = pinned.get(len(guesses))
                 if ok is None:
                     ok = _conjugator_ok(h.tolist())
-                drawn.append(h)
                 guesses.append(ok)
-            picks.append(len(drawn) - 1)
+            picks.append(len(guesses) - 1)
         diags = np.zeros((count, dimension, dimension))
         diags[:, range(dimension), range(dimension)] = spectra
         if diagonal_only:
             return diags
-        hs = np.stack(drawn)
-        confirmed = ((np.abs(np.linalg.det(hs)) > 0.2)
-                     & (np.linalg.cond(hs) <= 8.0))
+        hs = hs[:len(guesses)]
+        confirmed = np.abs(np.linalg.det(hs)) > 0.2
+        sv = np.linalg.svd(hs[confirmed], compute_uv=False)
+        confirmed[confirmed] = sv[:, 0] / sv[:, -1] <= 8.0  # nan, inf fail
         wrong = np.flatnonzero(confirmed != guesses)
         if not len(wrong):
             hs = hs[picks]
@@ -403,15 +406,15 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     draw after the other, because that order is part of the report
     contract.  They come in blocks of at most 64: each conjugator's
     accept test is predicted in closed form as it is drawn and confirmed
-    by one batched LAPACK det and cond per block (``_gap_draws``).
-    Certification and the gap then run on the block, on the same
-    deterministic sample lattice ``certify_proximal`` uses (its sample
-    test only on rows past the eigen and separation checks), so reports
-    are byte-identical to drawing and certifying one sample at a time;
-    the first uncaught error in sample order is the one raised.  Elements
-    failing (r, epsilon) certification are recorded and skipped.  The
-    run passes when the maximum observed gap stays below the calibrated
-    bound for the dimension.
+    by batched LAPACK calls per block (``_gap_draws``).  Certification
+    then runs on the block, on the same deterministic sample lattice
+    ``certify_proximal`` uses (its sample test only on rows past the
+    eigen and separation checks), and the gap reuses its eigenvalues, so
+    reports are byte-identical to drawing and certifying one sample at a
+    time; the first uncaught error in sample order is the one raised.
+    Elements failing (r, epsilon) certification are recorded and skipped.
+    The run passes when the maximum observed gap stays below the
+    calibrated bound for the dimension.
     """
     if dimension not in DEFAULT_GAP_BOUNDS:
         raise ValueError("gap experiment supports dimensions 2 and 3")
@@ -436,10 +439,10 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     for start in range(0, samples, _GAP_BLOCK):
         block = _gap_draws(dimension, min(_GAP_BLOCK, samples - start),
                            rng, diagonal_only)
-        errors = _certify_block(block, r, epsilon, pts).errors
-        kept = [i for i, exc in enumerate(errors) if exc is None]
-        fast = dict(zip(kept, _gap_block(block[kept])))
-        for i, exc in enumerate(errors):
+        out = _certify_block(block, r, epsilon, pts)
+        kept = [i for i, exc in enumerate(out.errors) if exc is None]
+        fast = dict(zip(kept, _gap_block(block[kept], out.moduli[kept])))
+        for i, exc in enumerate(out.errors):
             if isinstance(exc, _PROXIMAL_REJECTIONS):
                 rows.append((str(start + i), type(exc).__name__, ""))
                 continue

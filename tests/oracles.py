@@ -261,8 +261,8 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
     count = len(ms)
     rows = np.arange(count)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_plus, errors = _dominant_real_eigenvector(ms)
-        normal, normal_errors = _dominant_real_eigenvector(
+        x_plus, errors, moduli = _dominant_real_eigenvector(ms)
+        normal, normal_errors, _ = _dominant_real_eigenvector(
             ms.transpose(0, 2, 1))
         separation = np.minimum(1.0, np.abs(_row_dots(
             x_plus / _row_norms(x_plus)[:, None],
@@ -293,7 +293,8 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
         elif margin[i] < 0.0:
             errors[i] = ContractionFailed(tuple(pts[worst[i]].tolist()),
                                           float(worst_dist[i]), epsilon)
-    return _ProximalBlock(errors, x_plus, normal, separation, margin, tested)
+    return _ProximalBlock(errors, x_plus, normal, separation, margin, tested,
+                          moduli)
 
 
 # ---------------------------------------------------------------------------

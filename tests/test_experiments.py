@@ -514,7 +514,8 @@ class TestGapRunner:
         proximal = h @ np.diag([40.0, 1 / 40.0]) @ np.linalg.inv(h)
         integral = np.diag([1000.0, 1.0])   # exact spectral route
         singular = np.full((2, 2), 1.5)     # certifies, gap raises
-        gaps = matgeo._gap_block(np.stack([proximal, integral, singular]))
+        ms = np.stack([proximal, integral, singular])
+        gaps = matgeo._gap_block(ms, np.abs(np.linalg.eigvals(ms)))
         assert gaps[0] == _oracle_gap(proximal)
         assert abs(gaps[0] - cartan_jordan_gap(proximal)) <= 1e-12
         assert gaps[1:] == [None, None]
@@ -553,6 +554,26 @@ class TestGapRunner:
         cfg = dict(dimension=dimension, samples=70, seed=5)
         got = X.run_ams_gap(**cfg)
         assert next(calls) > 70
+        want = _oracle_report(**cfg)
+        for fmt in ("csv", "report"):
+            assert X.render_report(got, fmt) == X.render_report(want, fmt)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_candidate_stack_grows_past_its_first_size(self, monkeypatch,
+                                                       dimension):
+        # the first 3 * 64 predictions reject, so the first block draws
+        # more candidates than the 2 * 64 rows its stack starts with;
+        # LAPACK's confirmation and the replays give the oracle's draws
+        right = X._conjugator_ok
+        calls = iter(range(10 ** 9))
+
+        def reject_first(rows):
+            return next(calls) >= 3 * X._GAP_BLOCK and right(rows)
+
+        monkeypatch.setattr(X, "_conjugator_ok", reject_first)
+        cfg = dict(dimension=dimension, samples=70, seed=11)
+        got = X.run_ams_gap(**cfg)
+        assert next(calls) > 4 * X._GAP_BLOCK
         want = _oracle_report(**cfg)
         for fmt in ("csv", "report"):
             assert X.render_report(got, fmt) == X.render_report(want, fmt)
@@ -856,6 +877,16 @@ class TestCli:
 
     def test_pingpong_reject(self, capsys):
         assert main(["pingpong", "--u", "ab", "--v", "ab"]) == 1
+
+    def test_pingpong_empty_word_fails_condition_1(self, capsys):
+        # an empty --u is given, so it reaches certify_ping_pong, which
+        # refuses the identity as condition 1
+        assert main(["pingpong", "--u", "", "--v", "b"]) == 1
+        assert "not a ping-pong pair: condition 1" in capsys.readouterr().err
+
+    def test_pingpong_missing_word_is_a_usage_error(self, capsys):
+        assert main(["pingpong", "--u", "ab"]) == 2
+        assert "need --u and --v" in capsys.readouterr().err
 
     def test_pingpong_find(self, capsys):
         assert main(["pingpong", "--find-f", "ab"]) == 0

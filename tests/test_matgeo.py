@@ -3,6 +3,7 @@ import json
 import math
 import time
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from dispgeo.lattice import (
 from dispgeo.matgeo import (
     _as_matrix,
     _certify_block,
+    _last_axis_norms,
     _projective_samples,
     _row_norms,
     _square,
@@ -445,11 +447,41 @@ class TestCertifyBlockOracle:
             kinds.update(type(e).__name__ for e in errors)
         assert {"NoneType", "SeparationFailed"} <= kinds
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_eig_and_eigvals_give_the_same_moduli(self, dimension, seed):
+        # the gap reads the moduli of the certificate's eig call instead
+        # of calling eigvals: LAPACK takes the same path either way, and
+        # a matrix gets the same bits in any stack (the gap's is a subset)
+        rng = np.random.default_rng(seed)
+        stacks = [_gap_draws(dimension, min(_GAP_BLOCK, 1000 - start), rng,
+                             False) for start in range(0, 1000, _GAP_BLOCK)]
+        for ms in stacks + [_rotation_stack()]:
+            moduli = np.abs(np.linalg.eig(ms)[0])
+            assert moduli.tobytes() == np.abs(np.linalg.eigvals(ms)).tobytes()
+            assert (moduli[1::3].tobytes()
+                    == np.abs(np.linalg.eigvals(ms[1::3])).tobytes())
+
     def test_rotation_stack(self):
         errors = _assert_block_matches_every_row_oracle(
             _rotation_stack(), 0.3, 0.05, _projective_samples(2, 400))
         assert {type(e) for e in errors} >= {type(None),
                                              NoDominantEigenvalue}
+
+    def test_rows_whose_samples_collapse(self):
+        # images near 1e-168 square to zero, so tested samples get norm
+        # 0.0: each scaled row past the separation check is SingularInput,
+        # between rows that certify or fail
+        pts = _projective_samples(2, 400)
+        ms = _rotation_stack()
+        before = [type(e) for e in _certify_block(ms, 0.3, 0.05, pts).errors]
+        ms[1::5] *= 1e-170
+        kinds = [type(e) for e in _assert_block_matches_every_row_oracle(
+            ms, 0.3, 0.05, pts)]
+        assert kinds[1::5] == [
+            SingularInput if k in (type(None), ContractionFailed) else k
+            for k in before[1::5]]
+        assert SingularInput in kinds and type(None) in kinds
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_sample_lattice_tests_nothing(self, n):
@@ -540,6 +572,35 @@ class TestCertifyProximal:
         assert "contraction_margin = 0.0285891022411\n" in out
         assert "samples_tested = 968\n" in out
 
+    @pytest.mark.parametrize("matrix, doc, margin", [
+        # non-normal 3x3
+        ('[[5000,-40,9],[3,"1/2",2],[-2,1,"1/4"]]',
+         "attracting = [0.999999740097, 0.000599903184426, "
+         "-0.000399902117588]\n"
+         "repelling_normal = [0.999966383392, -0.00800021587449, "
+         "0.00179683916256]\n"
+         "separation = 0.999960605584\n"
+         "contraction_margin = 0.0423162861142\n"
+         "samples_tested = 949\n", 0.04231628611415811),
+        # non-diagonal 2x2
+        ('[[40,3],[1,"1/8"]]',
+         "attracting = [0.999686865893, 0.0250233922759]\n"
+         "repelling_normal = [0.997192337642, 0.0748828534934]\n"
+         "separation = 0.998753905728\n"
+         "contraction_margin = 0.0257651330486\n"
+         "samples_tested = 968\n", 0.02576513304855138),
+    ])
+    def test_cli_certificates_of_non_diagonal_matrices_are_pinned(
+            self, capsys, matrix, doc, margin):
+        # the single-matrix path of the sample test, byte for byte, and
+        # the margin to the last bit
+        assert main(["matgeo", "proximal", "--matrix", matrix]) == 0
+        assert capsys.readouterr().out == (
+            "type = ProximalityCertificate\nr = 0.5\nepsilon = 0.05\n" + doc)
+        rows = [[float(Fraction(x)) for x in row]
+                for row in json.loads(matrix)]
+        assert certify_proximal(rows, 0.5, 0.05).contraction_margin == margin
+
     def test_sample_lattice_mutation_cannot_change_certificates(self):
         gs = []
         for h, d in (([[1.0, 0.3], [0.2, 1.0]], [40.0, 1 / 40.0]),
@@ -565,6 +626,22 @@ class TestCertifyProximal:
             x = rng.standard_normal((2000, n)) * 10.0
             assert _row_norms(x).tolist() == [float(np.linalg.norm(v))
                                               for v in x]
+
+    def test_last_axis_norms_are_bitwise_linalg_norms(self):
+        # the sample test's image norms: zeros, squares near overflow and
+        # underflow, and NaN; from 8 terms numpy sums pairwise instead
+        rng = np.random.default_rng(5)
+        for n in range(2, 10):
+            x = rng.standard_normal((64, 400, n))
+            x[0, :5] = 0.0
+            x[1, :, 0] = 0.0
+            x[2] *= 1e150
+            x[3] *= 1e-150
+            x[4, :, -1] *= 1e150
+            x[5, ::7, n // 2] = np.nan
+            got = _last_axis_norms(x)
+            want = np.linalg.norm(x, axis=-1)
+            assert got.tobytes() == want.tobytes(), n
 
     def test_block_rows_equal_single_certificates(self):
         # rotations give the stack complex eigenvalues, so its real-spectrum
