@@ -31,6 +31,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
+from operator import mul
 
 import numpy as np
 
@@ -104,9 +105,7 @@ def identity(n: int) -> IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-        for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
@@ -230,7 +229,8 @@ class GeneratorSet:
 
     ``norm_bound`` is an upper bound c for the operator norm of every
     generator, so any word of length L has operator norm at most c^L.
-    ``inverse_index[k]`` is the position of the inverse of element k.
+    ``inverse_index[k]`` is the position of the inverse of element k:
+    2I - g for an elementary g = I + t e_ij, else Faddeev-LeVerrier's.
     """
 
     elements: tuple[IntMatrix, ...]
@@ -239,13 +239,17 @@ class GeneratorSet:
                                            compare=False)
 
     def __post_init__(self):
+        if not self.elements:
+            raise ValueError("generating set must be nonempty")
         n = len(self.elements[0])
         position = {g: k for k, g in enumerate(self.elements)}
         if identity(n) in position:
             raise ValueError("generating set must not contain the identity")
         inverse_index = []
         for g in self.elements:
-            det, inverse = _det_and_inverse(g)
+            det, inverse = (
+                _det_and_inverse(g) if _is_elementary(g) is None else
+                (1, _shift(tuple(tuple(-x for x in row) for row in g), 2)))
             if det != 1:
                 raise ValueError(f"generator {g} has determinant != 1")
             if inverse not in position:
@@ -261,14 +265,14 @@ class GeneratorSet:
     @classmethod
     def from_matrices(cls, mats) -> "GeneratorSet":
         elements = tuple(as_int_matrix(m) for m in mats)
-        bound = max(_operator_norm_upper(m) for m in elements)
+        bound = max((_operator_norm_upper(m) for m in elements), default=0.0)
         return cls(elements=elements, norm_bound=bound)
 
 
 def elementary_generators(n: int) -> GeneratorSet:
     """All E_ij(+-1), i != j, in deterministic (i, j, sign) order.
 
-    Every E_ij(+-1) has operator norm (1 + sqrt 5)/2 = 1.618... < 1.62.
+    Each has operator norm (1 + sqrt 5)/2 < 1.62 and a closed-form inverse.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -642,18 +646,14 @@ def _cyclotomic(m: int) -> tuple[int, ...]:
 
 
 def _strip_cyclotomic(poly: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Remove every cyclotomic factor of degree <= n (the orders m with
-    totient(m) <= n) as often as it divides, exactly over Z."""
-    factors = [_cyclotomic(m) for m in _orders(n)]
-    changed = True
-    while changed and len(poly) > 1:
-        changed = False
-        for f in factors:
-            if len(poly) >= len(f):
-                q, r = _poly_divmod(poly, f)
-                if all(c == 0 for c in r):
-                    poly = q
-                    changed = True
+    """Divide out each Phi_m with totient(m) <= n while it divides, exactly
+    over Z, in one pass: by unique factorisation the order does not matter."""
+    for f in map(_cyclotomic, _orders(n)):
+        while len(poly) >= len(f):
+            q, r = _poly_divmod(poly, f)
+            if any(r):
+                break
+            poly = q
     return poly
 
 

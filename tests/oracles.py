@@ -19,6 +19,11 @@ setting itself.
 - ``certify_block_every_row``: the batched proximality checks with the
   sample test on every row, which ``dispgeo.matgeo._certify_block``
   now runs only on rows past the eigen and separation checks;
+- ``elementary_generators_by_faddeev_leverrier`` and
+  ``strip_cyclotomic_fixed_point``: every generator inverted by a
+  Faddeev-LeVerrier loop, and the cyclotomic strip retried until nothing
+  divides, which ``dispgeo.lattice`` now does in closed form and in one
+  pass;
 - ``unipotent_conjugation_identity`` and ``is_p_unit_denominator``: the
   diagonal rescaling identity in SL(2, Z[1/p]) (``dispgeo.lattice``).
 """
@@ -39,7 +44,15 @@ from dispgeo.errors import (
     SingularInput,
 )
 from dispgeo.hyperbolic import _acr_cut, _as_delta
-from dispgeo.lattice import mat_mul
+from dispgeo.lattice import (
+    _cyclotomic,
+    _det_and_inverse,
+    _operator_norm_upper,
+    _orders,
+    _poly_divmod,
+    identity,
+    mat_mul,
+)
 from dispgeo.matgeo import (
     _as_matrix,
     _dominant_real_eigenvector,
@@ -295,6 +308,48 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
                                           float(worst_dist[i]), epsilon)
     return _ProximalBlock(errors, x_plus, normal, separation, margin, tested,
                           moduli)
+
+
+# ---------------------------------------------------------------------------
+# SL(n, Z): generating sets and cyclotomic factors
+
+
+def elementary_generators_by_faddeev_leverrier(n: int):
+    """(elements, inverse_index, norm_bound) of the E_ij(+-1), i != j, in
+    (i, j, sign) order, with every inverse from ``_det_and_inverse``."""
+    elements = []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                for t in (1, -1):
+                    rows = [list(row) for row in identity(n)]
+                    rows[i][j] = t
+                    elements.append(tuple(tuple(row) for row in rows))
+    position = {g: k for k, g in enumerate(elements)}
+    inverse_index = []
+    for g in elements:
+        det, inverse = _det_and_inverse(g)
+        assert det == 1
+        inverse_index.append(position[inverse])
+    return (tuple(elements), tuple(inverse_index),
+            max(_operator_norm_upper(m) for m in elements))
+
+
+def strip_cyclotomic_fixed_point(poly: tuple[int, ...], n: int
+                                 ) -> tuple[int, ...]:
+    """Remove every cyclotomic factor of degree <= n (the orders m with
+    totient(m) <= n) as often as it divides, exactly over Z."""
+    factors = [_cyclotomic(m) for m in _orders(n)]
+    changed = True
+    while changed and len(poly) > 1:
+        changed = False
+        for f in factors:
+            if len(poly) >= len(f):
+                q, r = _poly_divmod(poly, f)
+                if all(c == 0 for c in r):
+                    poly = q
+                    changed = True
+    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -63,9 +63,12 @@ from dispgeo.lattice import (
     word_length_bfs,
 )
 from dispgeo.matgeo import is_unipotent
+import oracles
 from oracles import (
     ZeroScale,
+    elementary_generators_by_faddeev_leverrier,
     is_p_unit_denominator,
+    strip_cyclotomic_fixed_point,
     unipotent_conjugation_identity,
 )
 
@@ -375,6 +378,19 @@ class TestExactHelpers:
                 as_int_matrix(rows)
 
 
+def count_calls(monkeypatch, module, name):
+    """Patch module.<name> to count its calls in the list returned."""
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestGeneratorSet:
     def test_elementary_count_and_bound(self, gens2, gens3):
         assert len(gens2.elements) == 4
@@ -397,6 +413,102 @@ class TestGeneratorSet:
         gs = GeneratorSet.from_matrices([FIB, inverse_unimodular(FIB)])
         # operator norm of FIB is (3 + sqrt 5)/2 = 2.618; Frobenius sqrt(7)
         assert 2.618 <= gs.norm_bound <= math.sqrt(7) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_elementary_matches_faddeev_leverrier_oracle(self, n,
+                                                         monkeypatch):
+        calls = count_calls(monkeypatch, lattice, "_faddeev_leverrier")
+        elements, inverse_index, norm_bound = (
+            elementary_generators_by_faddeev_leverrier(n))
+        # one loop per generator: 24 at n = 4
+        assert len(calls) == len(elements) == 2 * n * (n - 1)
+        calls.clear()
+        gens = elementary_generators(n)
+        assert calls == []
+        assert gens.elements == elements
+        assert gens.inverse_index == inverse_index
+        assert gens.norm_bound.hex() == norm_bound.hex()
+
+    def test_other_generators_take_faddeev_leverrier(self, monkeypatch,
+                                                     gens3):
+        pair = [FIB, inverse_unimodular(FIB)]
+        h = ((2, 1, 0), (1, 1, 0), (0, 0, 1))  # FIB (+) 1
+        conj = [mat_mul(mat_mul(h, g), inverse_unimodular(h))
+                for g in gens3.elements]
+        assert all(lattice._is_elementary(g) is None for g in pair + conj)
+        calls = count_calls(monkeypatch, lattice, "_det_and_inverse")
+        GeneratorSet.from_matrices(pair)
+        assert len(calls) == 2
+        calls.clear()
+        gs = GeneratorSet.from_matrices(conj)
+        assert len(calls) == len(conj)
+        assert gs.inverse_index == gens3.inverse_index
+
+    def test_elementary_without_its_inverse(self):
+        with pytest.raises(ValueError, match="not closed under inversion"):
+            GeneratorSet.from_matrices([E(2, 0, 1, 2), E(2, 1, 0, 1),
+                                        E(2, 1, 0, -1)])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError,
+                           match="generating set must be nonempty"):
+            GeneratorSet(elements=(), norm_bound=1.0)
+        with pytest.raises(ValueError,
+                           match="generating set must be nonempty"):
+            GeneratorSet.from_matrices([])
+
+
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+class TestOnePassArithmetic:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_strip_matches_fixed_point_oracle(self, n):
+        rng = random.Random(330 + n)
+        orders = lattice._orders(n)
+        for _ in range(60):
+            poly = (1,)
+            for _ in range(rng.randint(0, 4)):
+                f = lattice._cyclotomic(rng.choice(orders))
+                for _ in range(rng.randint(1, 3)):
+                    poly = poly_mul(poly, f)
+            for _ in range(rng.randint(0, 2)):
+                degree = rng.randint(1, 3)
+                g = (1, *(rng.randint(-4, 4) for _ in range(degree)))
+                if strip_cyclotomic_fixed_point(g, degree) == g:
+                    poly = poly_mul(poly, g)  # no cyclotomic factor
+            assert (_strip_cyclotomic(poly, n)
+                    == strip_cyclotomic_fixed_point(poly, n)), poly
+
+    @pytest.mark.parametrize("poly, n, old, new", [
+        ((1, -4, 6, -4, 1), 4, 13, 4),  # (x - 1)^4
+        (char_poly(((2, 1, 0), (1, 1, 0), (0, 0, 1))), 3, 10, 6),  # FIB + 1
+    ])
+    def test_strip_divisions(self, poly, n, old, new, monkeypatch):
+        want = strip_cyclotomic_fixed_point(poly, n)  # warms _cyclotomic
+        old_calls = count_calls(monkeypatch, oracles, "_poly_divmod")
+        new_calls = count_calls(monkeypatch, lattice, "_poly_divmod")
+        assert strip_cyclotomic_fixed_point(poly, n) == want
+        assert _strip_cyclotomic(poly, n) == want
+        assert (len(old_calls), len(new_calls)) == (old, new)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_mat_mul_matches_generator_product(self, n):
+        rng = random.Random(2 ** 200 + n)
+        for _ in range(20):
+            a, b = (tuple(tuple(rng.randint(-2 ** 200, 2 ** 200)
+                                for _ in range(n)) for _ in range(n))
+                    for _ in range(2))
+            bt = tuple(zip(*b))
+            want = tuple(
+                tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                for row in a)
+            assert mat_mul(a, b) == want
 
 
 class TestEnumerateBall:
