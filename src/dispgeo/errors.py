@@ -34,10 +34,13 @@ class NotPingPong(DispgeoError, ValueError):
     """
 
     def __init__(self, condition, margin):
-        super().__init__(f"not a ping-pong pair: condition {condition} fails "
-                         f"(margin {margin})")
+        super().__init__(condition, margin)
         self.condition = condition
         self.margin = margin
+
+    def __str__(self):
+        return (f"not a ping-pong pair: condition {self.condition} fails "
+                f"(margin {self.margin})")
 
 
 class PingPongNotFound(DispgeoError, ValueError):
@@ -68,9 +71,12 @@ class SeparationFailed(DispgeoError, ValueError):
     """Attracting point is closer than ``r`` to the repelling hyperplane."""
 
     def __init__(self, separation, r):
-        super().__init__(f"separation {separation} < r = {r}")
+        super().__init__(separation, r)
         self.separation = separation
         self.r = r
+
+    def __str__(self):
+        return f"separation {self.separation} < r = {self.r}"
 
 
 class ContractionFailed(DispgeoError, ValueError):
@@ -78,11 +84,14 @@ class ContractionFailed(DispgeoError, ValueError):
     attracting point."""
 
     def __init__(self, witness, distance, epsilon):
-        super().__init__(f"contraction fails at {witness}: "
-                         f"distance {distance} > epsilon = {epsilon}")
+        super().__init__(witness, distance, epsilon)
         self.witness = witness
         self.distance = distance
         self.epsilon = epsilon
+
+    def __str__(self):
+        return (f"contraction fails at {self.witness}: "
+                f"distance {self.distance} > epsilon = {self.epsilon}")
 
 
 class ResourceExceeded(DispgeoError, RuntimeError):
@@ -92,8 +101,11 @@ class ResourceExceeded(DispgeoError, RuntimeError):
     """
 
     def __init__(self, message, count):
-        super().__init__(message)
+        super().__init__(message, count)
         self.count = count
+
+    def __str__(self):
+        return str(self.args[0])
 
 
 class SoundnessFailure(DispgeoError, RuntimeError):

@@ -67,9 +67,8 @@ __all__ = [
 # bounds carry ~30% headroom.
 DEFAULT_GAP_BOUNDS = {2: 1.3, 3: 1.8}
 
-# draws certified per kernel call: the (block, _PROXIMAL_SAMPLES, n) image
-# stack stays a few hundred kB, where one stack for a 1000-draw dim-3 run
-# raises max RSS from about 40 to 63 MB
+# draws per _gap_draws call and per batched gap SVD: a wrong prediction
+# redraws one block, and a LinAlgError sends one block to the exact route
 _GAP_BLOCK = 64
 _PROXIMAL_SAMPLES = 400  # projective points per proximality certificate
 _MAX_EXAMPLES = 20  # violating words listed in a prop422 summary
@@ -343,15 +342,17 @@ def _gap_draws(dimension: int, count: int, rng,
                diagonal_only: bool) -> np.ndarray:
     """The next ``count`` candidates of the gap experiment, as a stack.
 
-    Each draw takes its log singular spectrum uniformly, then (unless
-    diagonal_only) is conjugated by the first standard normal h with
-    |det h| > 0.2 and cond(h) <= 8, so a substantial fraction certifies
-    at the default (r, epsilon).  The stream is read draw after draw into
-    one stack.  ``_conjugator_ok`` decides each h as it is drawn; LAPACK's
-    det, and cond's SVD on the h that det passes, then confirm those
-    decisions.  At the first h where they differ, the block is drawn
-    again from its start with that decision pinned to LAPACK's, so the
-    draws are those of a loop that asks LAPACK about each h in turn.
+    Each draw takes its log singular spectrum uniformly (as
+    ``lo + (hi - lo) * rng.random()``: the bits of ``rng.uniform`` at a
+    third of its cost), then (unless diagonal_only) is conjugated by the
+    first standard normal h with |det h| > 0.2 and cond(h) <= 8, so a
+    substantial fraction certifies at the default (r, epsilon).  The
+    stream is read draw after draw into one stack.  ``_conjugator_ok``
+    decides each h as it is drawn; LAPACK's det, and cond's SVD on the h
+    that det passes, then confirm those decisions.  At the first h where
+    they differ, the block is drawn again from its start with that
+    decision pinned to LAPACK's, so the draws are those of a loop that
+    asks LAPACK about each h in turn.
     """
     start = rng.bit_generator.state
     pinned: dict[int, bool] = {}
@@ -360,11 +361,11 @@ def _gap_draws(dimension: int, count: int, rng,
         hs = np.empty((2 * count, dimension, dimension))
         for _ in range(count):
             if dimension == 2:
-                t = rng.uniform(1.5, 4.5)
+                t = 1.5 + 3.0 * rng.random()
                 spectra.append((math.exp(t), math.exp(-t)))
             else:
-                t1 = rng.uniform(4.0, 7.0)
-                t2 = rng.uniform(-1.0, 1.0)
+                t1 = 4.0 + 3.0 * rng.random()
+                t2 = -1.0 + 2.0 * rng.random()
                 spectra.append((math.exp(t1), math.exp(t2),
                                 math.exp(-t1 - t2)))
             if diagonal_only:
@@ -404,14 +405,13 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
 
     Draws are seeded (PCG64) and read the stream in the order of one
     draw after the other, because that order is part of the report
-    contract.  They come in blocks of at most 64: each conjugator's
-    accept test is predicted in closed form as it is drawn and confirmed
-    by batched LAPACK calls per block (``_gap_draws``).  Certification
-    then runs on the block, on the same deterministic sample lattice
-    ``certify_proximal`` uses (its sample test only on rows past the
-    eigen and separation checks), and the gap reuses its eigenvalues, so
-    reports are byte-identical to drawing and certifying one sample at a
-    time; the first uncaught error in sample order is the one raised.
+    contract, in blocks of at most 64: each conjugator's accept test is
+    predicted in closed form and confirmed by batched LAPACK calls per
+    block (``_gap_draws``).  One certification then takes all the draws,
+    on the sample lattice ``certify_proximal`` uses, and the gap takes
+    one batched SVD per block and reuses its eigenvalues, so reports are
+    byte-identical to drawing and certifying one sample at a time; the
+    first uncaught error in sample order is the one raised.
     Elements failing (r, epsilon) certification are recorded and skipped.
     The run passes when the maximum observed gap stays below the
     calibrated bound for the dimension.
@@ -432,33 +432,35 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
         "gap_bound": render_real(bound),
         "prng": "numpy-default-PCG64",
     }
-    rows = []
-    gaps = []
-    certified = 0
-    pts = _projective_samples(dimension, _PROXIMAL_SAMPLES) if samples else None
-    for start in range(0, samples, _GAP_BLOCK):
-        block = _gap_draws(dimension, min(_GAP_BLOCK, samples - start),
-                           rng, diagonal_only)
-        out = _certify_block(block, r, epsilon, pts)
-        kept = [i for i, exc in enumerate(out.errors) if exc is None]
-        fast = dict(zip(kept, _gap_block(block[kept], out.moduli[kept])))
-        for i, exc in enumerate(out.errors):
-            if isinstance(exc, _PROXIMAL_REJECTIONS):
-                rows.append((str(start + i), type(exc).__name__, ""))
-                continue
-            if exc is not None:
-                raise exc
-            gap = fast[i]
-            if gap is None:
-                gap = cartan_jordan_gap(block[i])
-            gaps.append(gap)
-            certified += 1
-            rows.append((str(start + i), "certified", render_real(gap)))
+    rows, gaps, errors, fast = [], [], [], {}
+    if samples:
+        ms = np.concatenate([
+            _gap_draws(dimension, min(_GAP_BLOCK, samples - start), rng,
+                       diagonal_only)
+            for start in range(0, samples, _GAP_BLOCK)])
+        out = _certify_block(ms, r, epsilon, _projective_samples(
+            dimension, _PROXIMAL_SAMPLES))
+        errors = out.errors
+        for start in range(0, samples, _GAP_BLOCK):
+            kept = [i for i in range(start, min(start + _GAP_BLOCK, samples))
+                    if errors[i] is None]
+            fast.update(zip(kept, _gap_block(ms[kept], out.moduli[kept])))
+    for i, exc in enumerate(errors):
+        if isinstance(exc, _PROXIMAL_REJECTIONS):
+            rows.append((str(i), type(exc).__name__, ""))
+            continue
+        if exc is not None:
+            raise exc
+        gap = fast[i]
+        if gap is None:
+            gap = cartan_jordan_gap(ms[i])
+        gaps.append(gap)
+        rows.append((str(i), "certified", render_real(gap)))
     max_gap = max(gaps) if gaps else 0.0
     passed = max_gap <= bound
     summary = {
-        "certified": str(certified),
-        "rejected": str(samples - certified),
+        "certified": str(len(gaps)),
+        "rejected": str(samples - len(gaps)),
         "max_gap": render_real(max_gap) if gaps else "none",
         "mean_gap": render_real(sum(gaps) / len(gaps)) if gaps else "none",
         "gap_bound": render_real(bound),

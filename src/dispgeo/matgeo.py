@@ -55,6 +55,9 @@ __all__ = [
 
 _EIG_REL_TOL = 1e-9  # relative tolerance for simplicity/reality decisions
 _RCA_DIGITS = 80  # decimal working precision of renormalized_cartan_average
+# rows per sample test of _certify_block: the (rows, samples, n) image
+# stack stays a few hundred kB however many rows the stack has
+_SAMPLE_CHUNK = 32
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -317,54 +320,59 @@ class _ProximalBlock(NamedTuple):
     moduli: np.ndarray
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _certify_block(ms: np.ndarray, r: float, epsilon: float,
                    pts: np.ndarray) -> _ProximalBlock:
     """The checks of ``certify_proximal`` over a finite (N, n, n) float
     stack and one sample lattice ``pts``.
 
     ``errors[i]`` is the exception ``certify_proximal`` raises for
-    matrix i, unraised, or None when it certifies.  The sample test runs
-    only on rows past the eigen and separation checks; elsewhere
-    ``contraction_margin`` and ``samples_tested`` are left at zero.
+    matrix i, unraised, or None when it certifies.  The eigen and
+    separation checks take the whole stack; the sample test runs only on
+    rows past them, ``_SAMPLE_CHUNK`` at a time (each row gets the same
+    bits in any stack or chunk).  Elsewhere ``contraction_margin`` and
+    ``samples_tested`` are left at zero.
     """
     count = len(ms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_plus, errors, moduli = _dominant_real_eigenvector(ms)
-        normal, normal_errors, _ = _dominant_real_eigenvector(
-            ms.transpose(0, 2, 1))
-        separation = np.minimum(1.0, np.abs(_row_dots(
-            x_plus / _row_norms(x_plus)[:, None],
-            normal / _row_norms(normal)[:, None])))
-        errors = [e or f for e, f in zip(errors, normal_errors)]
-        for i in np.flatnonzero(separation < r):
-            errors[i] = errors[i] or SeparationFailed(float(separation[i]), r)
-        live = [i for i, exc in enumerate(errors) if exc is None]
-        far = np.abs(np.matmul(pts, normal[live, :, None])[..., 0]) >= epsilon
-        images = pts @ ms[live].transpose(0, 2, 1)
+    x_plus, errors, moduli = _dominant_real_eigenvector(ms)
+    normal, normal_errors, _ = _dominant_real_eigenvector(
+        ms.transpose(0, 2, 1))
+    separation = np.minimum(1.0, np.abs(_row_dots(
+        x_plus / _row_norms(x_plus)[:, None],
+        normal / _row_norms(normal)[:, None])))
+    errors = [e or f for e, f in zip(errors, normal_errors)]
+    for i in np.flatnonzero(separation < r):
+        errors[i] = errors[i] or SeparationFailed(float(separation[i]), r)
+    live = [i for i, exc in enumerate(errors) if exc is None]
+    margin, tested = np.zeros(count), np.zeros(count, dtype=int)
+    for start in range(0, len(live), _SAMPLE_CHUNK):
+        rows = live[start:start + _SAMPLE_CHUNK]
+        far = np.abs(np.matmul(pts, normal[rows, :, None])[..., 0]) >= epsilon
+        images = pts @ ms[rows].transpose(0, 2, 1)
         norms = _last_axis_norms(images)
         # dist = sqrt(max(0, 1 - min(1, |dist| / norms)^2)), in place
-        dist = np.matmul(images, x_plus[live, :, None])[..., 0]
+        dist = np.matmul(images, x_plus[rows, :, None])[..., 0]
         np.minimum(1.0, np.divide(np.abs(dist, out=dist), norms, out=dist),
                    out=dist)
         np.sqrt(np.maximum(0.0, np.subtract(1.0, np.square(dist, out=dist),
                                             out=dist), out=dist), out=dist)
-    # first worst among the tested samples, as over the band's subset
-    worst = np.argmax(np.where(far, dist, -1.0), axis=1)
-    worst_dist = dist[np.arange(len(live)), worst]
-    margin, tested = np.zeros(count), np.zeros(count, dtype=int)
-    margin[live] = epsilon - worst_dist
-    tested[live] = hits = np.count_nonzero(far, axis=1)
-    collapsed = np.any(far & (norms == 0.0), axis=1)
-    for j in np.flatnonzero(collapsed | (hits == 0) | (margin[live] < 0.0)):
-        i = live[j]
-        if hits[j] == 0:
-            errors[i] = ValueError("no sample point clears the epsilon band; "
-                                   "increase samples or decrease epsilon")
-        elif collapsed[j]:
-            errors[i] = SingularInput("sample collapsed to zero under g")
-        else:
-            errors[i] = ContractionFailed(tuple(pts[worst[j]].tolist()),
-                                          float(worst_dist[j]), epsilon)
+        # first worst among the tested samples, as over the band's subset
+        worst = np.argmax(np.where(far, dist, -1.0), axis=1)
+        worst_dist = dist[np.arange(len(rows)), worst]
+        margin[rows] = epsilon - worst_dist
+        tested[rows] = hits = np.count_nonzero(far, axis=1)
+        collapsed = np.any(far & (norms == 0.0), axis=1)
+        for j in np.flatnonzero(collapsed | (hits == 0) | (margin[rows] < 0)):
+            i = rows[j]
+            if hits[j] == 0:
+                errors[i] = ValueError("no sample point clears the epsilon "
+                                       "band; increase samples or decrease "
+                                       "epsilon")
+            elif collapsed[j]:
+                errors[i] = SingularInput("sample collapsed to zero under g")
+            else:
+                errors[i] = ContractionFailed(tuple(pts[worst[j]].tolist()),
+                                              float(worst_dist[j]), epsilon)
     return _ProximalBlock(errors, x_plus, normal, separation, margin, tested,
                           moduli)
 
@@ -378,10 +386,10 @@ def certify_proximal(g, r: float, epsilon: float,
     dominant left eigenvector).  Raises NoDominantEigenvalue /
     SeparationFailed / ContractionFailed as appropriate.
 
-    Runs the batched kernel that ``experiments.run_ams_gap`` feeds in
-    blocks, on a stack of one; the sample lattice is deterministic and
+    Runs the batched kernel that ``experiments.run_ams_gap`` feeds all
+    its draws, on a stack of one; the sample lattice is deterministic and
     built once per (dimension, samples), so a matrix gets the same
-    certificate alone or inside a block.
+    certificate alone or inside a stack.
     """
     if not (r > 2 * epsilon > 0):
         raise ValueError(f"need r > 2 epsilon > 0, got r={r}, epsilon={epsilon}")

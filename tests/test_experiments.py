@@ -537,6 +537,66 @@ class TestGapRunner:
         with pytest.raises(SingularInput, match="zero spectral radius"):
             run(proximal, np.zeros((2, 2)), singular)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_a_failed_block_svd_sends_only_its_rows_to_the_exact_gap(
+            self, monkeypatch, dimension):
+        # the gap's SVD runs per draw block: when LAPACK fails on the
+        # second block, exactly that block's certified rows take
+        # cartan_jordan_gap, and every other row keeps its float gap
+        samples = 3 * X._GAP_BLOCK
+        clean = X.run_ams_gap(dimension=dimension, samples=samples, seed=42)
+        rng = np.random.default_rng(42)
+        draws = np.concatenate([
+            X._gap_draws(dimension, X._GAP_BLOCK, rng, False)
+            for _ in range(3)])
+        real_svd, real_gap_block = np.linalg.svd, matgeo._gap_block
+        blocks, exact = [], []
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        def gap_block(ms, moduli):
+            blocks.append(len(ms))
+            if len(blocks) != 2:
+                return real_gap_block(ms, moduli)
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "svd", failing_svd)
+                return real_gap_block(ms, moduli)
+
+        def exact_gap(g):
+            exact.append(g)
+            return cartan_jordan_gap(g)
+
+        monkeypatch.setattr(X, "_gap_block", gap_block)
+        monkeypatch.setattr(X, "cartan_jordan_gap", exact_gap)
+        got = X.run_ams_gap(dimension=dimension, samples=samples, seed=42)
+        assert np.linalg.svd is real_svd
+        second = range(X._GAP_BLOCK, 2 * X._GAP_BLOCK)
+        certified = [i for i in second if clean.rows[i][1] == "certified"]
+        assert len(blocks) == 3 and blocks[1] == len(certified) > 0
+        assert [g.tobytes() for g in exact] == [
+            draws[i].tobytes() for i in certified]
+        for i, (row, want) in enumerate(zip(got.rows, clean.rows)):
+            if i in certified:
+                assert row == (want[0], "certified",
+                               render_real(cartan_jordan_gap(draws[i])))
+            else:
+                assert row == want
+
+    @pytest.mark.parametrize("lo, hi", [(1.5, 4.5), (4.0, 7.0), (-1.0, 1.0)])
+    def test_affine_spectrum_draws_are_bitwise_uniform(self, lo, hi):
+        # _gap_draws reads lo + (hi - lo) * rng.random() where the
+        # oracle reads rng.uniform(lo, hi): the same bits and the same
+        # stream position
+        affine_rng = np.random.default_rng(int(100 * (lo + hi)))
+        uniform_rng = np.random.default_rng(int(100 * (lo + hi)))
+        affine = [lo + (hi - lo) * affine_rng.random()
+                  for _ in range(10 ** 5)]
+        uniform = [uniform_rng.uniform(lo, hi) for _ in range(10 ** 5)]
+        assert np.array(affine).tobytes() == np.array(uniform).tobytes()
+        assert (affine_rng.bit_generator.state
+                == uniform_rng.bit_generator.state)
+
 
     @pytest.mark.parametrize("every", [3, 1])
     @pytest.mark.parametrize("dimension", [2, 3])

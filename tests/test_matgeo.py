@@ -33,6 +33,7 @@ from dispgeo.matgeo import (
     _as_matrix,
     _certify_block,
     _last_axis_norms,
+    _SAMPLE_CHUNK,
     _projective_samples,
     _row_norms,
     _square,
@@ -422,12 +423,21 @@ def _assert_block_matches_every_row_oracle(ms, r, epsilon, pts) -> list:
     want = certify_block_every_row(ms, r, epsilon, pts)
     assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
     assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
-    for field in ("attracting", "repelling_normal", "separation"):
-        assert np.all(getattr(got, field) == getattr(want, field)), field
+    for field in ("attracting", "repelling_normal", "separation", "moduli"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
     ok = [i for i, e in enumerate(got.errors) if e is None]
-    assert np.all(got.contraction_margin[ok] == want.contraction_margin[ok])
+    assert (got.contraction_margin[ok].tobytes()
+            == want.contraction_margin[ok].tobytes())
     assert np.all(got.samples_tested[ok] == want.samples_tested[ok])
     return got.errors
+
+
+def _run_stack(dimension: int, seed: int) -> np.ndarray:
+    """The 1000 draws of a seeded ams-gap run, in one stack."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        _gap_draws(dimension, min(_GAP_BLOCK, 1000 - start), rng, False)
+        for start in range(0, 1000, _GAP_BLOCK)])
 
 
 class TestCertifyBlockOracle:
@@ -446,6 +456,38 @@ class TestCertifyBlockOracle:
                 block, 0.5, 0.05, pts)
             kinds.update(type(e).__name__ for e in errors)
         assert {"NoneType", "SeparationFailed"} <= kinds
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_the_whole_stack_of_an_ams_gap_run(self, dimension, seed):
+        # run_ams_gap certifies all its draws at once, the sample test
+        # in chunks of _SAMPLE_CHUNK rows past the eigen and separation
+        # checks; the last chunk is partial
+        errors = _assert_block_matches_every_row_oracle(
+            _run_stack(dimension, seed), 0.5, 0.05,
+            _projective_samples(dimension, _PROXIMAL_SAMPLES))
+        tested = sum(e is None or isinstance(e, ContractionFailed)
+                     for e in errors)
+        assert tested > 2 * _SAMPLE_CHUNK and tested % _SAMPLE_CHUNK
+        assert {type(None), SeparationFailed, ContractionFailed} <= {
+            type(e) for e in errors}
+
+    @pytest.mark.parametrize("chunks", [0, 1, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_stacks_ending_at_and_past_a_chunk_boundary(self, chunks,
+                                                        extra):
+        # the stack is cut right after the row that brings the rows
+        # reaching the sample test to chunks * _SAMPLE_CHUNK + extra
+        ms = _run_stack(3, 42)
+        pts = _projective_samples(3, _PROXIMAL_SAMPLES)
+        want = certify_block_every_row(ms, 0.5, 0.05, pts).errors
+        tested = [i for i, e in enumerate(want)
+                  if e is None or isinstance(e, ContractionFailed)]
+        count = chunks * _SAMPLE_CHUNK + extra
+        ms = ms[:tested[count - 1] + 1] if count else ms[:tested[0]]
+        errors = _assert_block_matches_every_row_oracle(ms, 0.5, 0.05, pts)
+        assert sum(e is None or isinstance(e, ContractionFailed)
+                   for e in errors) == count
 
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("seed", [42, 7])
