@@ -67,9 +67,6 @@ __all__ = [
 # bounds carry ~30% headroom.
 DEFAULT_GAP_BOUNDS = {2: 1.3, 3: 1.8}
 
-# draws per _gap_draws call and per batched gap SVD: a wrong prediction
-# redraws one block, and a LinAlgError sends one block to the exact route
-_GAP_BLOCK = 64
 _PROXIMAL_SAMPLES = 400  # projective points per proximality certificate
 _MAX_EXAMPLES = 20  # violating words listed in a prop422 summary
 _PROXIMAL_REJECTIONS = (NoDominantEigenvalue, SeparationFailed,
@@ -350,9 +347,9 @@ def _gap_draws(dimension: int, count: int, rng,
     stream is read draw after draw into one stack.  ``_conjugator_ok``
     decides each h as it is drawn; LAPACK's det, and cond's SVD on the h
     that det passes, then confirm those decisions.  At the first h where
-    they differ, the block is drawn again from its start with that
-    decision pinned to LAPACK's, so the draws are those of a loop that
-    asks LAPACK about each h in turn.
+    they differ, the call draws again from its start with that decision
+    pinned to LAPACK's, so the draws are those of a loop that asks LAPACK
+    about each h in turn, however the draws are split into calls.
     """
     start = rng.bit_generator.state
     pinned: dict[int, bool] = {}
@@ -405,16 +402,16 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
 
     Draws are seeded (PCG64) and read the stream in the order of one
     draw after the other, because that order is part of the report
-    contract, in blocks of at most 64: each conjugator's accept test is
-    predicted in closed form and confirmed by batched LAPACK calls per
-    block (``_gap_draws``).  One certification then takes all the draws,
-    on the sample lattice ``certify_proximal`` uses, and the gap takes
-    one batched SVD per block and reuses its eigenvalues, so reports are
+    contract: one ``_gap_draws`` call predicts each conjugator's accept
+    test in closed form and confirms it by batched LAPACK calls.  One
+    certification then takes all the draws, on the sample lattice
+    ``certify_proximal`` uses, and one ``_gap_block`` call takes the
+    certified rows and reuses their eigenvalues, so reports are
     byte-identical to drawing and certifying one sample at a time; the
     first uncaught error in sample order is the one raised.
     Elements failing (r, epsilon) certification are recorded and skipped.
-    The run passes when the maximum observed gap stays below the
-    calibrated bound for the dimension.
+    The run passes when the maximum observed gap is at most the finite,
+    nonnegative ``gap_bound``, by default calibrated for the dimension.
     """
     if dimension not in DEFAULT_GAP_BOUNDS:
         raise ValueError("gap experiment supports dimensions 2 and 3")
@@ -422,6 +419,8 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
         raise ValueError("need r > 2 epsilon > 0")
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    if gap_bound is not None and not 0.0 <= gap_bound < math.inf:
+        raise ValueError(f"gap_bound must be finite and >= 0, got {gap_bound}")
     bound = DEFAULT_GAP_BOUNDS[dimension] if gap_bound is None else gap_bound
     rng = np.random.default_rng(seed)
     config = {
@@ -432,26 +431,21 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
         "gap_bound": render_real(bound),
         "prng": "numpy-default-PCG64",
     }
-    rows, gaps, errors, fast = [], [], [], {}
+    rows, gaps, errors = [], [], []
     if samples:
-        ms = np.concatenate([
-            _gap_draws(dimension, min(_GAP_BLOCK, samples - start), rng,
-                       diagonal_only)
-            for start in range(0, samples, _GAP_BLOCK)])
+        ms = _gap_draws(dimension, samples, rng, diagonal_only)
         out = _certify_block(ms, r, epsilon, _projective_samples(
             dimension, _PROXIMAL_SAMPLES))
         errors = out.errors
-        for start in range(0, samples, _GAP_BLOCK):
-            kept = [i for i in range(start, min(start + _GAP_BLOCK, samples))
-                    if errors[i] is None]
-            fast.update(zip(kept, _gap_block(ms[kept], out.moduli[kept])))
+        kept = [exc is None for exc in errors]
+        fast = iter(_gap_block(ms[kept], out.moduli[kept]))
     for i, exc in enumerate(errors):
         if isinstance(exc, _PROXIMAL_REJECTIONS):
             rows.append((str(i), type(exc).__name__, ""))
             continue
         if exc is not None:
             raise exc
-        gap = fast[i]
+        gap = next(fast)
         if gap is None:
             gap = cartan_jordan_gap(ms[i])
         gaps.append(gap)

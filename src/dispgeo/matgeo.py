@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations
@@ -420,18 +421,22 @@ def cartan_jordan_gap(g) -> float:
 
 def _gap_block(ms: np.ndarray, moduli: np.ndarray) -> list:
     """``cartan_jordan_gap`` of each matrix of a finite (N, n, n) float
-    stack from a batched LAPACK SVD and its (N, n) eigenvalue ``moduli``:
+    stack from one batched LAPACK SVD and its (N, n) eigenvalue ``moduli``:
     the exact route takes milliseconds per matrix, and ams-gap has 1000.
     None for each row LAPACK does not decide (integral entries, degenerate
-    singular values, a determinant below 1e-300, a zero eigenvalue
-    modulus), so the caller runs the exact ``cartan_jordan_gap`` on it.
+    or failed singular values, a determinant below 1e-300, a zero
+    eigenvalue modulus), so the caller runs the exact ``cartan_jordan_gap``
+    on it.  After a LinAlgError the SVD is retried matrix by matrix.
     """
     try:
         sv = np.linalg.svd(ms, compute_uv=False)
     except np.linalg.LinAlgError:
-        return [None] * len(ms)
+        sv = np.full(ms.shape[:2], np.nan)  # a failed row fails "> 1e-14"
+        for i, m in enumerate(ms):
+            with suppress(np.linalg.LinAlgError):
+                sv[i] = np.linalg.svd(m, compute_uv=False)
     scalar = (np.all(ms == np.round(ms), axis=(1, 2))
-              | (sv[:, -1] <= sv[:, 0] * 1e-14) | (sv[:, -1] == 0.0)
+              | ~(sv[:, -1] > sv[:, 0] * 1e-14)
               | (np.abs(np.linalg.det(ms)) < 1e-300)
               | np.any(moduli == 0.0, axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -15,6 +15,7 @@ from dispgeo import experiments as X
 from dispgeo import matgeo
 from dispgeo.cli import main
 from dispgeo.errors import (
+    EigenFailure,
     NotPingPong,
     ParseError,
     RankMismatch,
@@ -537,51 +538,87 @@ class TestGapRunner:
         with pytest.raises(SingularInput, match="zero spectral radius"):
             run(proximal, np.zeros((2, 2)), singular)
 
+    @staticmethod
+    def _fail_on(monkeypatch, name, draw):
+        """Make ``np.linalg.<name>`` raise LinAlgError on every stack
+        holding ``draw``; returns the sizes of the stacks it refused."""
+        real, refused = getattr(np.linalg, name), []
+
+        def solve(a, *args, **kwargs):
+            a = np.asarray(a)
+            if np.all(a.reshape(-1, *draw.shape) == draw, axis=(1, 2)).any():
+                refused.append(len(a) if a.ndim == 3 else 1)
+                raise np.linalg.LinAlgError(f"{name} did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, solve)
+        return refused
+
+    @staticmethod
+    def _seed42_run(dimension, status):
+        """A clean 200-draw seed-42 run, its draws, and the index of a
+        draw past the first 100 whose report status is ``status``."""
+        clean = X.run_ams_gap(dimension=dimension, samples=200, seed=42)
+        ms = X._gap_draws(dimension, 200, np.random.default_rng(42), False)
+        i = next(i for i, row in enumerate(clean.rows)
+                 if i >= 100 and row[1] == status)
+        return clean, ms, i
+
+    @pytest.mark.parametrize("status", ["certified", "SeparationFailed"])
     @pytest.mark.parametrize("dimension", [2, 3])
-    def test_a_failed_block_svd_sends_only_its_rows_to_the_exact_gap(
-            self, monkeypatch, dimension):
-        # the gap's SVD runs per draw block: when LAPACK fails on the
-        # second block, exactly that block's certified rows take
-        # cartan_jordan_gap, and every other row keeps its float gap
-        samples = 3 * X._GAP_BLOCK
-        clean = X.run_ams_gap(dimension=dimension, samples=samples, seed=42)
-        rng = np.random.default_rng(42)
-        draws = np.concatenate([
-            X._gap_draws(dimension, X._GAP_BLOCK, rng, False)
-            for _ in range(3)])
-        real_svd, real_gap_block = np.linalg.svd, matgeo._gap_block
-        blocks, exact = [], []
+    def test_a_failed_eig_fails_only_its_row(self, monkeypatch, dimension,
+                                             status):
+        # the batched eig fails on a stack holding draw i, so each matrix
+        # is solved alone: row i alone gets EigenFailure, every other row
+        # keeps its certificate bits, and nothing takes the exact gap
+        clean, ms, i = self._seed42_run(dimension, status)
+        pts = matgeo._projective_samples(dimension, X._PROXIMAL_SAMPLES)
+        want = matgeo._certify_block(ms, 0.5, 0.05, pts)
+        refused = self._fail_on(monkeypatch, "eig", ms[i])
+        got = matgeo._certify_block(ms, 0.5, 0.05, pts)
+        assert refused == [200, 1]
+        assert isinstance(got.errors[i], EigenFailure)
+        assert str(got.errors[i]) == "eig did not converge"
+        assert isinstance(got.errors[i].__cause__, np.linalg.LinAlgError)
+        others = [j for j in range(200) if j != i]
+        assert ([repr(got.errors[j]) for j in others]
+                == [repr(want.errors[j]) for j in others])
+        for field in want._fields[1:]:
+            assert (getattr(got, field)[others].tobytes()
+                    == getattr(want, field)[others].tobytes())
+        exact = []
+        monkeypatch.setattr(X, "cartan_jordan_gap", exact.append)
+        with pytest.raises(EigenFailure, match="eig did not converge"):
+            X.run_ams_gap(dimension=dimension, samples=200, seed=42)
+        assert exact == []
 
-        def failing_svd(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        def gap_block(ms, moduli):
-            blocks.append(len(ms))
-            if len(blocks) != 2:
-                return real_gap_block(ms, moduli)
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "svd", failing_svd)
-                return real_gap_block(ms, moduli)
+    @pytest.mark.parametrize("status", ["certified", "SeparationFailed"])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_a_failed_svd_sends_only_its_row_to_the_exact_gap(
+            self, monkeypatch, dimension, status):
+        # the gap's batched SVD fails on a stack holding draw i, so each
+        # certified matrix is solved alone: a certified row i alone takes
+        # cartan_jordan_gap, and a rejected one is never in the gap's stack
+        clean, ms, i = self._seed42_run(dimension, status)
+        refused = self._fail_on(monkeypatch, "svd", ms[i])
+        exact = []
 
         def exact_gap(g):
             exact.append(g)
             return cartan_jordan_gap(g)
 
-        monkeypatch.setattr(X, "_gap_block", gap_block)
         monkeypatch.setattr(X, "cartan_jordan_gap", exact_gap)
-        got = X.run_ams_gap(dimension=dimension, samples=samples, seed=42)
-        assert np.linalg.svd is real_svd
-        second = range(X._GAP_BLOCK, 2 * X._GAP_BLOCK)
-        certified = [i for i in second if clean.rows[i][1] == "certified"]
-        assert len(blocks) == 3 and blocks[1] == len(certified) > 0
-        assert [g.tobytes() for g in exact] == [
-            draws[i].tobytes() for i in certified]
-        for i, (row, want) in enumerate(zip(got.rows, clean.rows)):
-            if i in certified:
-                assert row == (want[0], "certified",
-                               render_real(cartan_jordan_gap(draws[i])))
-            else:
-                assert row == want
+        got = X.run_ams_gap(dimension=dimension, samples=200, seed=42)
+        assert got.rows[:i] + got.rows[i + 1:] == (clean.rows[:i]
+                                                   + clean.rows[i + 1:])
+        if status == "certified":
+            assert refused == [int(clean.summary["certified"]), 1]
+            assert [g.tobytes() for g in exact] == [ms[i].tobytes()]
+            assert got.rows[i] == (str(i), "certified",
+                                   render_real(cartan_jordan_gap(ms[i])))
+        else:
+            assert refused == [] and exact == []
+            assert X.render_report(got) == X.render_report(clean)
 
     @pytest.mark.parametrize("lo, hi", [(1.5, 4.5), (4.0, 7.0), (-1.0, 1.0)])
     def test_affine_spectrum_draws_are_bitwise_uniform(self, lo, hi):
@@ -597,6 +634,35 @@ class TestGapRunner:
         assert (affine_rng.bit_generator.state
                 == uniform_rng.bit_generator.state)
 
+    @pytest.mark.parametrize("diagonal_only", [False, True])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_one_draw_call_equals_consecutive_64_draw_calls(
+            self, seed, dimension, diagonal_only):
+        # a run's draws in one call are those of 64 draws per call, to the
+        # bit and to the final stream position
+        whole_rng = np.random.default_rng(seed)
+        split_rng = np.random.default_rng(seed)
+        whole = X._gap_draws(dimension, 1000, whole_rng, diagonal_only)
+        split = np.concatenate([
+            X._gap_draws(dimension, min(64, 1000 - start), split_rng,
+                         diagonal_only) for start in range(0, 1000, 64)])
+        assert whole.tobytes() == split.tobytes()
+        assert (whole_rng.bit_generator.state
+                == split_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
+    def test_gap_bound_must_be_finite_and_nonnegative(self, bound, capsys):
+        message = f"gap_bound must be finite and >= 0, got {bound}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            X.run_ams_gap(samples=3, seed=1, gap_bound=bound)
+        assert main(["ams-gap", "--seed", "1", "--samples", "3",
+                     f"--gap-bound={bound}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dispgeo ams-gap: ValueError: {message}\n"
+        rep = X.run_ams_gap(samples=3, seed=1, gap_bound=0.0)
+        assert rep.summary["gap_bound"] == render_real(0.0)
 
     @pytest.mark.parametrize("every", [3, 1])
     @pytest.mark.parametrize("dimension", [2, 3])
@@ -621,19 +687,19 @@ class TestGapRunner:
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_candidate_stack_grows_past_its_first_size(self, monkeypatch,
                                                        dimension):
-        # the first 3 * 64 predictions reject, so the first block draws
-        # more candidates than the 2 * 64 rows its stack starts with;
+        # the first 3 * 64 predictions reject, so the run draws more
+        # candidates than the 2 * 70 rows its stack starts with;
         # LAPACK's confirmation and the replays give the oracle's draws
         right = X._conjugator_ok
         calls = iter(range(10 ** 9))
 
         def reject_first(rows):
-            return next(calls) >= 3 * X._GAP_BLOCK and right(rows)
+            return next(calls) >= 3 * 64 and right(rows)
 
         monkeypatch.setattr(X, "_conjugator_ok", reject_first)
         cfg = dict(dimension=dimension, samples=70, seed=11)
         got = X.run_ams_gap(**cfg)
-        assert next(calls) > 4 * X._GAP_BLOCK
+        assert next(calls) > 4 * 64
         want = _oracle_report(**cfg)
         for fmt in ("csv", "report"):
             assert X.render_report(got, fmt) == X.render_report(want, fmt)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispgeo.cli import main
-from dispgeo.experiments import _GAP_BLOCK, _PROXIMAL_SAMPLES, _gap_draws
+from dispgeo.experiments import _PROXIMAL_SAMPLES, _gap_draws
 from dispgeo.errors import (
     ContractionFailed,
     EigenFailure,
@@ -434,24 +434,20 @@ def _assert_block_matches_every_row_oracle(ms, r, epsilon, pts) -> list:
 
 def _run_stack(dimension: int, seed: int) -> np.ndarray:
     """The 1000 draws of a seeded ams-gap run, in one stack."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate([
-        _gap_draws(dimension, min(_GAP_BLOCK, 1000 - start), rng, False)
-        for start in range(0, 1000, _GAP_BLOCK)])
+    return _gap_draws(dimension, 1000, np.random.default_rng(seed), False)
 
 
 class TestCertifyBlockOracle:
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("seed", [42, 7])
     def test_every_block_of_an_ams_gap_run(self, dimension, seed):
-        # the blocks run_ams_gap certifies at 1000 samples, r = 0.5,
-        # epsilon = 0.05, drawn from the stream in the run's order
-        rng = np.random.default_rng(seed)
+        # 64-row stacks cut from the draws run_ams_gap certifies at 1000
+        # samples, r = 0.5, epsilon = 0.05
+        ms = _run_stack(dimension, seed)
         pts = _projective_samples(dimension, _PROXIMAL_SAMPLES)
         kinds = set()
-        for start in range(0, 1000, _GAP_BLOCK):
-            block = _gap_draws(dimension, min(_GAP_BLOCK, 1000 - start),
-                               rng, False)
+        for start in range(0, 1000, 64):
+            block = ms[start:start + 64]
             errors = _assert_block_matches_every_row_oracle(
                 block, 0.5, 0.05, pts)
             kinds.update(type(e).__name__ for e in errors)
@@ -495,10 +491,9 @@ class TestCertifyBlockOracle:
         # the gap reads the moduli of the certificate's eig call instead
         # of calling eigvals: LAPACK takes the same path either way, and
         # a matrix gets the same bits in any stack (the gap's is a subset)
-        rng = np.random.default_rng(seed)
-        stacks = [_gap_draws(dimension, min(_GAP_BLOCK, 1000 - start), rng,
-                             False) for start in range(0, 1000, _GAP_BLOCK)]
-        for ms in stacks + [_rotation_stack()]:
+        run = _run_stack(dimension, seed)
+        stacks = [run[start:start + 64] for start in range(0, 1000, 64)]
+        for ms in stacks + [run, _rotation_stack()]:
             moduli = np.abs(np.linalg.eig(ms)[0])
             assert moduli.tobytes() == np.abs(np.linalg.eigvals(ms)).tobytes()
             assert (moduli[1::3].tobytes()
