@@ -221,6 +221,9 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
     0 >= A * ell - B along the powers: the action fails to displace well
     even though the orbit maps are undistorted.  The negative control
     replaces gamma by a hyperbolic element (strictly positive column).
+    Without the control, a run passes only when the lower bound grows
+    strictly and leaves 0 (``well_displacing_falsified``), so it needs
+    power_max >= 2: gamma itself has lower bound 0.
     The word_length column (rows p <= 16) is read from one ball table of
     radius ceil(word_radius / 2), which ``max_ball`` caps, by meet in the
     middle.
@@ -273,16 +276,16 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
         p *= 2
 
     increasing = all(b > a for a, b in zip(lower_values, lower_values[1:]))
-    passed = displacements_ok and (negative_control or increasing)
+    falsified = (not negative_control and displacements_ok
+                 and max(lower_values) > 0)
+    passed = displacements_ok if negative_control else increasing and falsified
     summary = {
         "displacement_column": ("all_positive" if negative_control
                                 else "all_zero")
         if displacements_ok else "unexpected",
         "lower_bound_strictly_increasing": "true" if increasing else "false",
         "max_lower_bound": render_real(max(lower_values)),
-        "well_displacing_falsified": (
-            "true" if (not negative_control and displacements_ok
-                       and max(lower_values) > 0) else "false"),
+        "well_displacing_falsified": "true" if falsified else "false",
     }
     return ExperimentReport(
         name="prop507", config=config,
@@ -294,11 +297,12 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
 def _conjugator_ok(rows: list[list[float]]) -> bool:
     """|det h| > 0.2 and cond(h) <= 8, in closed form on h's nested list.
 
-    The prediction of the test LAPACK makes on a gap conjugator.  In
-    dimension 2, cond + 1/cond = ||h||_F^2 / |det h|, so cond <= 8 iff
-    ||h||_F^2 <= (65/8) |det h|.  In dimension 3, cond^2 is the ratio of
-    the extreme eigenvalues of h^T h, taken by the trigonometric formula
-    for a symmetric 3x3 matrix.
+    The accept test for a gap conjugator; the tests check it against
+    LAPACK's det and cond.  In dimension 2, cond + 1/cond =
+    ||h||_F^2 / |det h|, so cond <= 8 iff ||h||_F^2 <= (65/8) |det h|.
+    In dimension 3, cond^2 is the ratio of the extreme eigenvalues of
+    h^T h, taken by the trigonometric formula for a symmetric 3x3
+    matrix.
 
     >>> _conjugator_ok([[8.0, 0.0], [0.0, 1.0]])
     True
@@ -344,53 +348,39 @@ def _gap_draws(dimension: int, count: int, rng,
     third of its cost), then (unless diagonal_only) is conjugated by the
     first standard normal h with |det h| > 0.2 and cond(h) <= 8, so a
     substantial fraction certifies at the default (r, epsilon).  The
-    stream is read draw after draw into one stack.  ``_conjugator_ok``
-    decides each h as it is drawn; LAPACK's det, and cond's SVD on the h
-    that det passes, then confirm those decisions.  At the first h where
-    they differ, the call draws again from its start with that decision
-    pinned to LAPACK's, so the draws are those of a loop that asks LAPACK
-    about each h in turn, however the draws are split into calls.
+    stream is read draw after draw, and each h is drawn into one growing
+    stack of candidates; ``_conjugator_ok`` decides it there in closed
+    form, and the accepted one is written into its draw's row.  So the
+    draws of a run are the same however they are split into calls.
     """
-    start = rng.bit_generator.state
-    pinned: dict[int, bool] = {}
-    while True:
-        spectra, guesses, picks = [], [], []
-        hs = np.empty((2 * count, dimension, dimension))
-        for _ in range(count):
-            if dimension == 2:
-                t = 1.5 + 3.0 * rng.random()
-                spectra.append((math.exp(t), math.exp(-t)))
-            else:
-                t1 = 4.0 + 3.0 * rng.random()
-                t2 = -1.0 + 2.0 * rng.random()
-                spectra.append((math.exp(t1), math.exp(t2),
-                                math.exp(-t1 - t2)))
-            if diagonal_only:
-                continue
-            ok = False
-            while not ok:
-                if len(guesses) == len(hs):
-                    hs = np.concatenate([hs, np.empty_like(hs)])
-                h = rng.standard_normal(out=hs[len(guesses)])
-                ok = pinned.get(len(guesses))
-                if ok is None:
-                    ok = _conjugator_ok(h.tolist())
-                guesses.append(ok)
-            picks.append(len(guesses) - 1)
-        diags = np.zeros((count, dimension, dimension))
-        diags[:, range(dimension), range(dimension)] = spectra
+    spectra = []
+    hs = np.empty((2 * count, dimension, dimension))
+    n = 0  # candidates drawn; n > i once draw i accepts, so row i is free
+    for i in range(count):
+        if dimension == 2:
+            t = 1.5 + 3.0 * rng.random()
+            spectra.append((math.exp(t), math.exp(-t)))
+        else:
+            t1 = 4.0 + 3.0 * rng.random()
+            t2 = -1.0 + 2.0 * rng.random()
+            spectra.append((math.exp(t1), math.exp(t2),
+                            math.exp(-t1 - t2)))
         if diagonal_only:
-            return diags
-        hs = hs[:len(guesses)]
-        confirmed = np.abs(np.linalg.det(hs)) > 0.2
-        sv = np.linalg.svd(hs[confirmed], compute_uv=False)
-        confirmed[confirmed] = sv[:, 0] / sv[:, -1] <= 8.0  # nan, inf fail
-        wrong = np.flatnonzero(confirmed != guesses)
-        if not len(wrong):
-            hs = hs[picks]
-            return hs @ diags @ np.linalg.inv(hs)
-        pinned[int(wrong[0])] = bool(confirmed[wrong[0]])
-        rng.bit_generator.state = start
+            continue
+        while True:
+            if n == len(hs):
+                hs = np.concatenate([hs, np.empty_like(hs)])
+            h = rng.standard_normal(out=hs[n])
+            n += 1
+            if _conjugator_ok(h.tolist()):
+                break
+        hs[i] = h
+    diags = np.zeros((count, dimension, dimension))
+    diags[:, range(dimension), range(dimension)] = spectra
+    if diagonal_only:
+        return diags
+    hs = hs[:count]
+    return hs @ diags @ np.linalg.inv(hs)
 
 
 def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
@@ -402,21 +392,25 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
 
     Draws are seeded (PCG64) and read the stream in the order of one
     draw after the other, because that order is part of the report
-    contract: one ``_gap_draws`` call predicts each conjugator's accept
-    test in closed form and confirms it by batched LAPACK calls.  One
-    certification then takes all the draws, on the sample lattice
-    ``certify_proximal`` uses, and one ``_gap_block`` call takes the
-    certified rows and reuses their eigenvalues, so reports are
-    byte-identical to drawing and certifying one sample at a time; the
-    first uncaught error in sample order is the one raised.
-    Elements failing (r, epsilon) certification are recorded and skipped.
-    The run passes when the maximum observed gap is at most the finite,
-    nonnegative ``gap_bound``, by default calibrated for the dimension.
+    contract: one ``_gap_draws`` call decides each conjugator's accept
+    test in closed form as it is drawn.  One certification then takes
+    all the draws, on the sample lattice ``certify_proximal`` uses, and
+    one ``_gap_block`` call takes the certified rows and reuses their
+    eigenvalues, so reports are byte-identical to drawing and certifying
+    one sample at a time; the first uncaught error in sample order is the
+    one raised.  Elements failing (r, epsilon) certification are recorded
+    and skipped.  The separation of two unit vectors is at most 1, so
+    r > 1 is refused: no draw could certify.  The run passes when at
+    least one draw certifies and the maximum observed gap is at most the
+    finite, nonnegative ``gap_bound``, by default calibrated for the
+    dimension.
     """
     if dimension not in DEFAULT_GAP_BOUNDS:
         raise ValueError("gap experiment supports dimensions 2 and 3")
     if not (r > 2 * epsilon > 0):
         raise ValueError("need r > 2 epsilon > 0")
+    if r > 1.0:
+        raise ValueError(f"r must be <= 1, the largest separation, got {r}")
     if samples < 0:
         raise ValueError("samples must be >= 0")
     if gap_bound is not None and not 0.0 <= gap_bound < math.inf:
@@ -450,12 +444,11 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
             gap = cartan_jordan_gap(ms[i])
         gaps.append(gap)
         rows.append((str(i), "certified", render_real(gap)))
-    max_gap = max(gaps) if gaps else 0.0
-    passed = max_gap <= bound
+    passed = bool(gaps) and max(gaps) <= bound
     summary = {
         "certified": str(len(gaps)),
         "rejected": str(samples - len(gaps)),
-        "max_gap": render_real(max_gap) if gaps else "none",
+        "max_gap": render_real(max(gaps)) if gaps else "none",
         "mean_gap": render_real(sum(gaps) / len(gaps)) if gaps else "none",
         "gap_bound": render_real(bound),
     }

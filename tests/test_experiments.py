@@ -44,7 +44,11 @@ from oracles import _block_scan
 # its own draws, lattice, eigenvector route and per-matrix products; it
 # shares no code with the batched kernel, only the report renderer.
 
-def _oracle_draw(dimension, rng, diagonal_only):
+def _lapack_ok(h):
+    return abs(np.linalg.det(h)) > 0.2 and np.linalg.cond(h) <= 8.0
+
+
+def _oracle_draw(dimension, rng, diagonal_only, accept=_lapack_ok):
     if dimension == 2:
         t = rng.uniform(1.5, 4.5)
         diag = np.diag([math.exp(t), math.exp(-t)])
@@ -56,7 +60,7 @@ def _oracle_draw(dimension, rng, diagonal_only):
         return diag
     while True:
         h = rng.standard_normal((dimension, dimension))
-        if abs(np.linalg.det(h)) > 0.2 and np.linalg.cond(h) <= 8.0:
+        if accept(h):
             return h @ diag @ np.linalg.inv(h)
 
 
@@ -132,7 +136,7 @@ def _oracle_report(dimension, samples, seed, r=0.5, epsilon=0.05,
     return X.ExperimentReport(
         name="ams-gap", config=config, columns=("sample", "status", "gap"),
         rows=rows, summary=summary,
-        passed=(max(gaps) if gaps else 0.0) <= bound)
+        passed=bool(gaps) and max(gaps) <= bound)
 
 
 class TestSerialize:
@@ -383,8 +387,15 @@ class TestProp507Runner:
         assert all(row[1] == "0" for row in rep.rows)
 
     def test_single_power(self):
+        # one row holds no evidence: gamma's own lower bound is 0, and
+        # "strictly increasing" is vacuous over one value
         rep = X.run_prop507(power_max=1)
-        assert len(rep.rows) == 1 and rep.passed
+        assert len(rep.rows) == 1 and not rep.passed
+        assert rep.summary["well_displacing_falsified"] == "false"
+        assert main(["prop507", "--power-max", "1"]) == 1
+        rep = X.run_prop507(power_max=2)
+        assert len(rep.rows) == 2 and rep.passed
+        assert rep.summary["well_displacing_falsified"] == "true"
 
     def test_negative_control_positive_displacement(self):
         # the default power_max runs the powers to the cap of 256, where the
@@ -469,9 +480,31 @@ class TestGapRunner:
         assert float(rep.summary["max_gap"]) <= X.DEFAULT_GAP_BOUNDS[2]
 
     def test_zero_samples(self):
+        # no certified draw is no evidence, so the run does not pass
         rep = X.run_ams_gap(dimension=2, samples=0, seed=1)
-        assert rep.rows == [] and rep.passed
+        assert rep.rows == [] and not rep.passed
         assert rep.summary["max_gap"] == "none"
+        assert main(["ams-gap", "--seed", "1", "--samples", "0"]) == 1
+
+    @pytest.mark.parametrize("r", [2.0, math.inf])
+    def test_separation_above_one_is_refused(self, r, capsys):
+        # the separation of two unit vectors is at most 1
+        message = f"r must be <= 1, the largest separation, got {r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            X.run_ams_gap(samples=3, seed=1, r=r)
+        assert main(["ams-gap", "--seed", "1", "--samples", "3",
+                     f"--r={r}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"dispgeo ams-gap: ValueError: {message}\n"
+
+    def test_separation_one_is_valid(self):
+        # only draws with coincident eigenvector and normal certify at
+        # r = 1: some diagonal ones, and no conjugated one here
+        rep = X.run_ams_gap(2, 200, r=1.0, seed=42, diagonal_only=True)
+        assert rep.summary["certified"] == "96" and rep.passed
+        rep = X.run_ams_gap(2, 200, r=1.0, seed=42)
+        assert rep.summary["certified"] == "0" and not rep.passed
 
     def test_diagonal_only_gap_zero(self):
         rep = X.run_ams_gap(dimension=2, samples=50, seed=7,
@@ -664,45 +697,51 @@ class TestGapRunner:
         rep = X.run_ams_gap(samples=3, seed=1, gap_bound=0.0)
         assert rep.summary["gap_bound"] == render_real(0.0)
 
-    @pytest.mark.parametrize("every", [3, 1])
-    @pytest.mark.parametrize("dimension", [2, 3])
-    def test_wrong_predictions_are_replayed(self, monkeypatch, dimension,
-                                            every):
-        # the closed form inverted on every 3rd, then on every candidate:
-        # LAPACK's confirmation and the replays give the oracle's draws
-        right = X._conjugator_ok
-        calls = iter(range(10 ** 9))
-
-        def wrong(rows):
-            return right(rows) != (next(calls) % every == 0)
-
-        monkeypatch.setattr(X, "_conjugator_ok", wrong)
-        cfg = dict(dimension=dimension, samples=70, seed=5)
-        got = X.run_ams_gap(**cfg)
-        assert next(calls) > 70
-        want = _oracle_report(**cfg)
-        for fmt in ("csv", "report"):
-            assert X.render_report(got, fmt) == X.render_report(want, fmt)
-
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_candidate_stack_grows_past_its_first_size(self, monkeypatch,
                                                        dimension):
-        # the first 3 * 64 predictions reject, so the run draws more
-        # candidates than the 2 * 70 rows its stack starts with;
-        # LAPACK's confirmation and the replays give the oracle's draws
-        right = X._conjugator_ok
-        calls = iter(range(10 ** 9))
+        # the first 3 * 64 candidates are rejected, so the run draws more
+        # than the 2 * 70 candidates its stack starts with; its draws are
+        # those of a plain loop over the same rule, to the bit and to the
+        # final stream position
+        def reject_first():
+            calls = iter(range(10 ** 9))
+            right = X._conjugator_ok
+            return lambda rows: next(calls) >= 3 * 64 and right(rows)
 
-        def reject_first(rows):
-            return next(calls) >= 3 * 64 and right(rows)
+        plain_rng = np.random.default_rng(11)
+        accept = reject_first()
+        plain = np.stack([
+            _oracle_draw(dimension, plain_rng, False,
+                         lambda h: accept(h.tolist()))
+            for _ in range(70)])
+        monkeypatch.setattr(X, "_conjugator_ok", reject_first())
+        rng = np.random.default_rng(11)
+        got = X._gap_draws(dimension, 70, rng, False)
+        assert got.tobytes() == plain.tobytes()
+        assert rng.bit_generator.state == plain_rng.bit_generator.state
 
-        monkeypatch.setattr(X, "_conjugator_ok", reject_first)
-        cfg = dict(dimension=dimension, samples=70, seed=11)
-        got = X.run_ams_gap(**cfg)
-        assert next(calls) > 4 * 64
-        want = _oracle_report(**cfg)
-        for fmt in ("csv", "report"):
-            assert X.render_report(got, fmt) == X.render_report(want, fmt)
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_every_decided_candidate_agrees_with_lapack(self, monkeypatch,
+                                                        dimension):
+        # the closed form is the rule: on the README seed 42, seed 7 and
+        # two benchmark cycle seeds, one batched LAPACK det and cond over
+        # every candidate it decided must give the same answers
+        right, candidates, answers = X._conjugator_ok, [], []
+
+        def recording(rows):
+            candidates.append(rows)
+            answers.append(right(rows))
+            return answers[-1]
+
+        monkeypatch.setattr(X, "_conjugator_ok", recording)
+        for seed in (42, 7, 1000045, 18000096):
+            X._gap_draws(dimension, 1000, np.random.default_rng(seed), False)
+        hs = np.array(candidates)
+        lapack = ((np.abs(np.linalg.det(hs)) > 0.2)
+                  & (np.linalg.cond(hs) <= 8.0))
+        assert sum(answers) == 4000 < len(answers)
+        assert answers == lapack.tolist()
 
     @pytest.mark.parametrize("rows, accept", [
         ([[8.0, 0.0], [0.0, 1.0]], True),      # cond exactly 8
