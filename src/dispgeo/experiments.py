@@ -348,14 +348,13 @@ def _gap_draws(dimension: int, count: int, rng,
     third of its cost), then (unless diagonal_only) is conjugated by the
     first standard normal h with |det h| > 0.2 and cond(h) <= 8, so a
     substantial fraction certifies at the default (r, epsilon).  The
-    stream is read draw after draw, and each h is drawn into one growing
-    stack of candidates; ``_conjugator_ok`` decides it there in closed
-    form, and the accepted one is written into its draw's row.  So the
+    stream is read draw after draw, and each candidate h is drawn
+    straight into its draw's row, where ``_conjugator_ok`` decides it in
+    closed form; a rejected one is overwritten by the next.  So the
     draws of a run are the same however they are split into calls.
     """
     spectra = []
-    hs = np.empty((2 * count, dimension, dimension))
-    n = 0  # candidates drawn; n > i once draw i accepts, so row i is free
+    hs = np.empty((count, dimension, dimension))
     for i in range(count):
         if dimension == 2:
             t = 1.5 + 3.0 * rng.random()
@@ -368,18 +367,13 @@ def _gap_draws(dimension: int, count: int, rng,
         if diagonal_only:
             continue
         while True:
-            if n == len(hs):
-                hs = np.concatenate([hs, np.empty_like(hs)])
-            h = rng.standard_normal(out=hs[n])
-            n += 1
+            h = rng.standard_normal(out=hs[i])
             if _conjugator_ok(h.tolist()):
                 break
-        hs[i] = h
     diags = np.zeros((count, dimension, dimension))
     diags[:, range(dimension), range(dimension)] = spectra
     if diagonal_only:
         return diags
-    hs = hs[:count]
     return hs @ diags @ np.linalg.inv(hs)
 
 

@@ -16,8 +16,9 @@ polynomial, cyclotomic factors divided out exactly (so integer
 unipotents have displacement exactly 0.0, which the lattice experiments
 rely on), a closed form up to degree 2, and from degree 3 moduli
 certified by exact Schur-Cohn root counts, each the float nearest to the
-exact value.  Unipotency is read from the same exact polynomial.  Only
-ams-gap's batched ``_gap_block`` keeps LAPACK.
+exact value.  Unipotency is read from the same exact polynomial.
+LAPACK is left to proximality certificates, one batched eig per stack,
+and to ams-gap's batched ``_gap_block``.
 """
 
 from __future__ import annotations
@@ -230,15 +231,25 @@ def _last_axis_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _dominant_real_eigenvector(ms: np.ndarray
-                               ) -> tuple[np.ndarray, list, np.ndarray]:
-    """Per matrix of an (N, n, n) stack: the real unit eigenvector of the
-    eigenvalue of strictly largest modulus, or the error ruling it out.
+                               ) -> tuple[np.ndarray, list, np.ndarray,
+                                          np.ndarray]:
+    """Per matrix of an (N, n, n) stack: the real unit eigenvectors, right
+    and left, of the eigenvalue of strictly largest modulus, or the error
+    ruling them out, all from one batched ``np.linalg.eig``.
 
-    Returns ``(vecs, errors, moduli)``; ``errors[i]`` is None or an
+    Returns ``(vecs, errors, moduli, left)``; ``errors[i]`` is None or an
     unraised EigenFailure, SingularInput (zero spectral radius) or
     NoDominantEigenvalue (top modulus not simple, or top eigenvalue not
-    real, within 1e-9 * spectral radius), and ``vecs[i]`` is meaningful
-    only when it is None.  ``moduli`` are the eigenvalue moduli.
+    real, within 1e-9 * spectral radius), and ``vecs[i]`` and
+    ``left[i]`` are meaningful only when it is None.  ``moduli`` are the
+    eigenvalue moduli.  Each vector is scaled to make its entry of
+    largest modulus positive, and ``left`` has no -0.0 entry.
+
+    The top eigenvalue lam of a row without error is simple, so
+    A = M - lam I has rank n - 1 and adj(A) = c v w^T with c != 0, v the
+    right and w the left eigenvector: every nonzero row of adj(A) is a
+    multiple of w, the longest at the index where |v| peaks, which is
+    the pivot of ``vecs``.  That row comes from n signed minors of A.
     """
     count = len(ms)
     errors: list = [None] * count
@@ -275,7 +286,8 @@ def _dominant_real_eigenvector(ms: np.ndarray
             errors[i] = NoDominantEigenvalue(
                 f"top eigenvalue {lam[i]:.6g} is not real")
     vec = eigvecs[rows, :, top]
-    pivot = vec[rows, np.argmax(np.abs(vec), axis=1)]
+    at = np.argmax(np.abs(vec), axis=1)
+    pivot = vec[rows, at]
     # np.linalg.eig hands back real arrays when every eigenvalue of its
     # input is real, and real division rounds differently from complex
     # division; so divide real rows in real arithmetic, as the
@@ -284,7 +296,20 @@ def _dominant_real_eigenvector(ms: np.ndarray
     scaled = np.empty(vec.shape)
     scaled[real] = vec.real[real] / pivot.real[real, None]
     scaled[~real] = np.real(vec[~real] / pivot[~real, None])
-    return scaled / _row_norms(scaled)[:, None], errors, moduli
+    n = ms.shape[1]
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)])
+    # scaled exactly, by a power of two near 1 / radius, so that the
+    # minors of a matrix near 1e-170 or 1e170 neither under- nor overflow
+    a = np.ldexp(ms - lam.real[:, None, None] * np.eye(n),
+                 -np.frexp(radius)[1][:, None, None])
+    # entry q of row `at` of adj(A) is (-1)^(at + q) det(A without row q
+    # and column at); the pivot division below cancels the (-1)^at
+    minors = np.take_along_axis(a, keep[at][:, None, :], axis=2)[:, keep]
+    left = np.linalg.det(minors) * (-1.0) ** np.arange(n)
+    left = left / left[rows, np.argmax(np.abs(left), axis=1), None]
+    # + 0.0 turns the -0.0 of a zero minor's sign flip into 0.0
+    return (scaled / _row_norms(scaled)[:, None], errors, moduli,
+            left / _row_norms(left)[:, None] + 0.0)
 
 
 @dataclass(frozen=True)
@@ -329,27 +354,29 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
 
     ``errors[i]`` is the exception ``certify_proximal`` raises for
     matrix i, unraised, or None when it certifies.  The eigen and
-    separation checks take the whole stack; the sample test runs only on
-    rows past them, ``_SAMPLE_CHUNK`` at a time (each row gets the same
-    bits in any stack or chunk).  Elsewhere ``contraction_margin`` and
+    separation checks take the whole stack, on one batched eig that
+    gives the attracting point, the moduli and the repelling normal
+    (``_dominant_real_eigenvector``); the sample test runs only on rows
+    past them, ``_SAMPLE_CHUNK`` at a time (each row gets the same bits
+    in any stack or chunk).  Elsewhere ``contraction_margin`` and
     ``samples_tested`` are left at zero.
     """
     count = len(ms)
-    x_plus, errors, moduli = _dominant_real_eigenvector(ms)
-    normal, normal_errors, _ = _dominant_real_eigenvector(
-        ms.transpose(0, 2, 1))
+    x_plus, errors, moduli, normal = _dominant_real_eigenvector(ms)
     separation = np.minimum(1.0, np.abs(_row_dots(
         x_plus / _row_norms(x_plus)[:, None],
         normal / _row_norms(normal)[:, None])))
-    errors = [e or f for e, f in zip(errors, normal_errors)]
     for i in np.flatnonzero(separation < r):
         errors[i] = errors[i] or SeparationFailed(float(separation[i]), r)
     live = [i for i, exc in enumerate(errors) if exc is None]
     margin, tested = np.zeros(count), np.zeros(count, dtype=int)
+    # g^T of each live row, contiguous: pts @ g^T on the transposed view
+    # takes 3-4 times as long per chunk, for the same bits
+    transposed = np.ascontiguousarray(ms[live].transpose(0, 2, 1))
     for start in range(0, len(live), _SAMPLE_CHUNK):
         rows = live[start:start + _SAMPLE_CHUNK]
         far = np.abs(np.matmul(pts, normal[rows, :, None])[..., 0]) >= epsilon
-        images = pts @ ms[rows].transpose(0, 2, 1)
+        images = pts @ transposed[start:start + _SAMPLE_CHUNK]
         norms = _last_axis_norms(images)
         # dist = sqrt(max(0, 1 - min(1, |dist| / norms)^2)), in place
         dist = np.matmul(images, x_plus[rows, :, None])[..., 0]

@@ -18,7 +18,9 @@ setting itself.
   sine metrics (``dispgeo.matgeo``);
 - ``certify_block_every_row``: the batched proximality checks with the
   sample test on every row, which ``dispgeo.matgeo._certify_block``
-  now runs only on rows past the eigen and separation checks;
+  now runs only on rows past the eigen and separation checks, and the
+  repelling normal from a second eig, of M^T, which ``_certify_block``
+  now reads from adj(M - lam I);
 - ``elementary_generators_by_faddeev_leverrier`` and
   ``strip_cyclotomic_fixed_point``: every generator inverted by a
   Faddeev-LeVerrier loop, and the cyclotomic strip retried until nothing
@@ -265,7 +267,9 @@ def point_hyperplane_distance(x, normal) -> float:
 def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
                             pts: np.ndarray) -> _ProximalBlock:
     """``dispgeo.matgeo._certify_block`` as it was when its sample test
-    ran on every row, rejected or not; the checks of ``certify_proximal``
+    ran on every row, rejected or not, and its repelling normal was the
+    dominant eigenvector of M^T, from a second batched eig whose errors
+    were merged with the first's; the checks of ``certify_proximal``
     over a finite (N, n, n) float stack and one sample lattice ``pts``.
 
     ``errors[i]`` is the exception ``certify_proximal`` raises for
@@ -274,8 +278,8 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
     count = len(ms)
     rows = np.arange(count)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x_plus, errors, moduli = _dominant_real_eigenvector(ms)
-        normal, normal_errors, _ = _dominant_real_eigenvector(
+        x_plus, errors, moduli, _ = _dominant_real_eigenvector(ms)
+        normal, normal_errors, _, _ = _dominant_real_eigenvector(
             ms.transpose(0, 2, 1))
         separation = np.minimum(1.0, np.abs(_row_dots(
             x_plus / _row_norms(x_plus)[:, None],

@@ -698,12 +698,12 @@ class TestGapRunner:
         assert rep.summary["gap_bound"] == render_real(0.0)
 
     @pytest.mark.parametrize("dimension", [2, 3])
-    def test_candidate_stack_grows_past_its_first_size(self, monkeypatch,
-                                                       dimension):
-        # the first 3 * 64 candidates are rejected, so the run draws more
-        # than the 2 * 70 candidates its stack starts with; its draws are
-        # those of a plain loop over the same rule, to the bit and to the
-        # final stream position
+    def test_draws_equal_a_per_candidate_loop_under_a_strict_rule(
+            self, monkeypatch, dimension):
+        # the first 3 * 64 candidates are rejected, so the first draw's
+        # row is overwritten 192 times; the draws are those of a plain
+        # loop over the same rule, to the bit and to the final stream
+        # position
         def reject_first():
             calls = iter(range(10 ** 9))
             right = X._conjugator_ok

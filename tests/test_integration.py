@@ -83,6 +83,15 @@ def test_module_invocation():
     assert proc.stdout.strip() == "1"
 
 
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this dispgeo."""
+    src = str(Path(dispgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 @pytest.mark.parametrize("extra", [[], ["--n", "2"]])
 def test_negative_control_leaves_mpmath_unimported(extra):
     # the control's Jordan projections have quadratic remainders, which
@@ -92,11 +101,7 @@ def test_negative_control_leaves_mpmath_unimported(extra):
         "from dispgeo.cli import main\n"
         f"code = main(['prop507', '--negative-control'] + {extra!r})\n"
         "print(code, 'mpmath' in sys.modules)\n")
-    src = str(Path(dispgeo.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
 
@@ -110,13 +115,38 @@ def test_renormalized_cartan_average_leaves_mpmath_unimported():
         "avg = renormalized_cartan_average([[2.0, 1.0], [1.0, 1.0]], 12)\n"
         "cartan_projection(mat_pow(((2, 1), (1, 1)), 3000))\n"
         "print(len(avg), 'mpmath' in sys.modules)\n")
-    src = str(Path(dispgeo.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["2", "False"]
+
+
+def test_commands_without_draws_leave_numpy_random_unimported(tmp_path):
+    # numpy.random takes about 6 ms to import, which would land in the
+    # set-up and every op of a benchmark run: only seeded draws load it
+    import numpy
+
+    if int(numpy.__version__.split(".")[0]) < 2:
+        pytest.skip("numpy < 2 imports numpy.random with numpy itself")
+    matrices = tmp_path / "matrices.json"
+    matrices.write_text("[[[1, 2], [0, 1]], [[1, 0, 1], [0, 1, 0], "
+                        "[0, 0, 1]], [[1, 1, 2], [0, 1, 1], [0, 1, 2]]]")
+    commands = [
+        ["prop422", "--radius", "4"],
+        ["prop507"],
+        ["depth-roots", "--file", str(matrices)],
+        ["matgeo", "proximal", "--matrix", '[[30,0],[0,"1/30"]]'],
+    ]
+    script = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy, dispgeo\n"
+        "for module in pkgutil.iter_modules(dispgeo.__path__):\n"
+        "    importlib.import_module('dispgeo.' + module.name)\n"
+        "from dispgeo.cli import main\n"
+        f"codes = [main(args) for args in {commands!r}]\n"
+        "print(*codes, 'numpy.random' in sys.modules)\n")
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-5:] == ["0", "0", "0", "0", "False"]
 
 
 # every CLI command of the README, with its files under the test's tmp dir
@@ -169,11 +199,7 @@ def test_runs_without_mpmath(tmp_path):
         "for g in (float_m17, salem):\n"
         "    print([format(x, '.12g') for x in jordan_projection(g)],\n"
         "          format(cartan_jordan_gap(g), '.12g'))\n")
-    src = str(Path(dispgeo.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = _run_python(script)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "2"

@@ -32,6 +32,7 @@ from dispgeo.lattice import (
 from dispgeo.matgeo import (
     _as_matrix,
     _certify_block,
+    _dominant_real_eigenvector,
     _last_axis_norms,
     _SAMPLE_CHUNK,
     _projective_samples,
@@ -416,15 +417,33 @@ def _rotation_stack() -> np.ndarray:
 
 def _assert_block_matches_every_row_oracle(ms, r, epsilon, pts) -> list:
     """_certify_block against the kernel that ran the sample test on
-    every row: the same errors, the same eigen rows and separations, and
-    the same margin and sample count wherever a row certifies.  Returns
-    the errors."""
+    every row and took the repelling normal from a second eig, of M^T.
+    Bit for bit: the error types and texts, the attracting rows, the
+    moduli, and the margin and sample count wherever a row certifies.
+    Within 1e-12, since adj(M - lam I) and eig(M^T) round differently:
+    the normal (up to sign) and the separation of each row with a
+    dominant real eigenvalue, and the value of each SeparationFailed.
+    Returns the errors."""
     got = _certify_block(ms, r, epsilon, pts)
     want = certify_block_every_row(ms, r, epsilon, pts)
     assert [type(e) for e in got.errors] == [type(e) for e in want.errors]
-    assert [str(e) for e in got.errors] == [str(e) for e in want.errors]
-    for field in ("attracting", "repelling_normal", "separation", "moduli"):
+    for e, f in zip(got.errors, want.errors):
+        if isinstance(e, SeparationFailed):
+            assert abs(e.separation - f.separation) <= 1e-12
+            assert e.r == f.r
+        else:
+            assert str(e) == str(f)
+    for field in ("attracting", "moduli"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eigen_errors = _dominant_real_eigenvector(ms)[1]
+    dominant = [i for i, e in enumerate(eigen_errors) if e is None]
+    normal = got.repelling_normal[dominant]
+    oracle = want.repelling_normal[dominant]
+    assert np.all(np.minimum(np.abs(normal - oracle),
+                             np.abs(normal + oracle)) <= 1e-12)
+    assert np.all(np.abs(got.separation[dominant]
+                         - want.separation[dominant]) <= 1e-12)
     ok = [i for i, e in enumerate(got.errors) if e is None]
     assert (got.contraction_margin[ok].tobytes()
             == want.contraction_margin[ok].tobytes())
@@ -520,6 +539,18 @@ class TestCertifyBlockOracle:
             for k in before[1::5]]
         assert SingularInput in kinds and type(None) in kinds
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e170])
+    def test_three_by_three_rows_at_the_ends_of_the_float_range(self,
+                                                                scale):
+        # unscaled, the 2 x 2 minors of adj(M - lam I) would underflow to
+        # 0 or overflow to inf, and the normal would be NaN
+        ms = _run_stack(3, 42)[:64] * scale
+        with np.errstate(over="ignore"):
+            errors = _assert_block_matches_every_row_oracle(
+                ms, 0.5, 0.05, _projective_samples(3, _PROXIMAL_SAMPLES))
+        assert {SeparationFailed, SingularInput if scale < 1
+                else ContractionFailed} <= {type(e) for e in errors}
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_sample_lattice_tests_nothing(self, n):
         # the lone sample lies in the epsilon band of the repelling
@@ -538,6 +569,47 @@ class TestCertifyBlockOracle:
             np.stack(ms), 0.3, 0.05, pts)
         assert type(errors[0]) is ValueError
         assert "no sample point clears the epsilon band" in str(errors[0])
+
+    def test_one_eig_per_stack(self, monkeypatch):
+        # the attracting point, the moduli and the normal share one solve
+        eig, shapes = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda a: shapes.append(a.shape) or eig(a))
+        _certify_block(_run_stack(3, 42), 0.5, 0.05,
+                       _projective_samples(3, _PROXIMAL_SAMPLES))
+        assert shapes == [(1000, 3, 3)]
+
+    def test_normal_with_defective_lower_eigenvalues(self):
+        # the eigenvalue 1 has one eigenvector, so V^-1 has no row for
+        # the normal; adj(M - 7 I) has rows proportional to (36, -6, -1)
+        g = np.array([[7.0, -1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+        out = _certify_block(g[None], 0.5, 0.05, _projective_samples(3, 400))
+        want = np.array([36.0, -6.0, -1.0]) / math.sqrt(36 ** 2 + 6 ** 2 + 1)
+        assert np.all(np.abs(out.repelling_normal[0] - want) <= 1e-15)
+
+    def test_four_by_four_conjugated_diagonals(self):
+        # n = 4 takes 3 x 3 minors, and the sample lattice is Gaussian
+        rng = np.random.default_rng(8)
+        ms = []
+        for _ in range(200):
+            h = rng.standard_normal((4, 4))
+            d = np.exp(rng.uniform(-2.0, 2.0, 4))
+            ms.append(h @ np.diag(d) @ np.linalg.inv(h))
+        errors = _assert_block_matches_every_row_oracle(
+            np.stack(ms), 0.3, 0.05, _projective_samples(4, 400))
+        assert {type(e) for e in errors} == {SeparationFailed,
+                                             ContractionFailed}
+
+    @pytest.mark.parametrize("diagonal", [
+        [30.0, 1 / 30.0], [1 / 30.0, -30.0], [-1 / 8.0, 8.0],
+        [1000.0, 1.0, 1e-3], [1.0, -1e-3, 1000.0], [0.5, 20.0, 0.1]])
+    def test_diagonal_certificates_have_no_negative_zero(self, diagonal):
+        # a zero minor times -1 is -0.0, which a certificate renders as
+        # "-0"; eig gives a diagonal matrix unit vectors with +0.0 entries
+        out = _certify_block(np.diag(diagonal)[None], 0.5, 0.05,
+                             _projective_samples(len(diagonal), 1000))
+        for field in out[1:-1]:
+            assert not np.any(np.signbit(field) & (field == 0.0)), field
 
 
 class TestCertifyProximal:
