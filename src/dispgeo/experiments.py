@@ -158,7 +158,7 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
     # floor(alpha), so min_slack is alpha minus the largest excess; the
     # selector hypothesis |g| >= offset depends on the length alone
     floor_alpha = alpha.numerator // alpha.denominator
-    tables = _LayerTables(radius)
+    tables = _LayerTables(2, radius)
     rows, example_violations, total_violations, total_falsified = [], [], 0, 0
     for L in range(radius + 1):
         violations, top, chosen = 0, -math.inf, np.zeros(4, np.int64)

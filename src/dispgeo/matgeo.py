@@ -370,9 +370,13 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
         errors[i] = errors[i] or SeparationFailed(float(separation[i]), r)
     live = [i for i, exc in enumerate(errors) if exc is None]
     margin, tested = np.zeros(count), np.zeros(count, dtype=int)
-    # g^T of each live row, contiguous: pts @ g^T on the transposed view
-    # takes 3-4 times as long per chunk, for the same bits
-    transposed = np.ascontiguousarray(ms[live].transpose(0, 2, 1))
+    # g^T of each live row, scaled exactly by a power of two near 1 /
+    # spectral radius, as the adjugate is, so that image norms neither
+    # under- nor overflow at any scale of g; contiguous, as pts @ g^T on
+    # the transposed view takes 3-4 times as long per chunk
+    transposed = np.ascontiguousarray(np.ldexp(
+        ms[live], -np.frexp(moduli[live].max(axis=1))[1][:, None, None]
+    ).transpose(0, 2, 1))
     for start in range(0, len(live), _SAMPLE_CHUNK):
         rows = live[start:start + _SAMPLE_CHUNK]
         far = np.abs(np.matmul(pts, normal[rows, :, None])[..., 0]) >= epsilon

@@ -9,11 +9,11 @@ products are exact half-integers, stored doubled).
 The text format maps generators 1..k to ``a..z`` and their inverses to
 ``A..Z``; the empty string is the identity.  ``"bAb"`` is b a^-1 b.
 
-``_layer`` yields the reduced words of one length as numpy blocks of at
-most ``_BLOCK_ROWS`` rows, which ``ball`` reads row by row.  Exhaustive
-F_2 scans build no words: ``_LayerTables`` holds each layer's last
-letters and ``_peel`` values as int8 tables, each built from shorter
-layers' tables, and reads the ``_peel`` of every product g*w off them.
+``_LayerTables`` is the one numbering of the reduced words of F_k: each
+layer's last letters and ``_peel`` values, coded 0..2k-1 in base 2k-1
+(int8 up to rank 64), each built from shorter layers' tables.  ``ball``
+decodes its words from them; exhaustive F_2 scans build no words, and
+read the ``_peel`` of every product g*w off them.
 """
 
 from __future__ import annotations
@@ -314,99 +314,73 @@ def parse_word(text: str, rank: int = 2) -> Word:
     return Word(letters, rank)
 
 
-# words per _layer block: enough to amortise numpy's per-call cost over a
-# block, few enough that ball's memory does not grow with the radius
-_BLOCK_ROWS = 4096
-
-
-def _layer(rank: int, length: int) -> Iterator[np.ndarray]:
-    """The reduced words of one exact length, one word per row, as blocks
-    of at most _BLOCK_ROWS rows in lexicographic order with letters ordered
-    a < a^-1 < b < b^-1 < ...
-
-    Each block is built from a slice of a block of length - 1: every row
-    repeated once per letter, the letters tiled alongside, and the rows
-    whose new letter cancels the last one masked out.  The recursion holds
-    one block per length, so memory is O(length * _BLOCK_ROWS) rows.  The
-    dtype is the smallest signed int holding -(rank + 1), so every letter
-    and its negation fit (int8 up to rank 127).  Blocks are transposes of
-    C-contiguous (length, rows) arrays: block.T[i], the i-th letter of
-    every word, is one contiguous vector.
-
-    >>> [b.tolist() for b in _layer(2, 1)]
-    [[[1], [-1], [2], [-2]]]
-    """
-    dtype = np.min_scalar_type(-rank - 1)
-    if length == 0:
-        yield np.zeros((1, 0), dtype=dtype)
-        return
-    order = np.array([x for i in range(1, rank + 1) for x in (i, -i)],
-                     dtype=dtype)
-    step = max(1, _BLOCK_ROWS // (len(order) - 1))
-    for parents in _layer(rank, length - 1):
-        for s in range(0, len(parents), step):
-            prefixes = parents[s:s + step].T
-            t = np.empty((length, prefixes.shape[1] * len(order)),
-                         dtype=dtype)
-            t[:-1] = np.repeat(prefixes, len(order), axis=1)
-            t[-1] = np.tile(order, prefixes.shape[1])
-            if length > 1:
-                t = t.compress(t[-1] != -t[-2], axis=1)
-            # only one word's children can outgrow the cap (rank > 2048)
-            for i in range(0, t.shape[1], _BLOCK_ROWS):
-                yield t[:, i:i + _BLOCK_ROWS].T
-
-
-def _rows(block: np.ndarray) -> Iterable[tuple[int, ...]]:
-    """The rows of a _layer block as letter tuples, read letter-major."""
-    if not block.shape[1]:
-        return [()] * len(block)
-    return zip(*block.T.tolist())
-
-
-# words per range of an exhaustive layer scan: enough to amortise numpy's
-# per-call cost, few enough that a range's int8 work arrays stay near 1 MB
+# words per range of a layer scan or of ball's decoding: enough to amortise
+# numpy's per-call cost, few enough that a range's int8 work arrays stay
+# near 1 MB
 _SCAN_ROWS = 1 << 15
 
 
 class _LayerTables:
-    """int8 tables of the reduced words of F_2 of lengths 0..radius.
+    """Tables of the reduced words of F_rank, layer by layer.
 
-    Letters are coded 0..3 in _layer's order a, A, b, B; code ^ 1 is the
-    inverse's.  Word i of layer L is code(g_0) 3^(L-1) + sum_j r_j 3^(L-1-j),
-    r_j the place of g_j among the letters allowed after g_{j-1}, so
-    i // 3^s is g's prefix of length L - s.  ``last[L]`` (L >= 1) holds
-    each word's last letter and ``peel[L]`` its _peel: 1 + _peel of its
-    middle where g_0 is the inverse of its last letter.
+    Letters are coded 0..2 rank - 1 in the order a, A, b, B, ...; code ^ 1
+    is the inverse's.  With base = 2 rank - 1, word i of layer L is
+    code(g_0) base^(L-1) + sum_j r_j base^(L-1-j), r_j the place of g_j
+    among the letters allowed after g_{j-1}, so i // base^s is g's prefix
+    of length L - s, and the words of a layer are in lexicographic order.
+    ``last[L]`` (L >= 1) holds each word's last letter and ``peel[L]`` its
+    _peel: 1 + _peel of its middle where g_0 is the inverse of its last
+    letter.  The dtype is the smallest signed int holding -2 rank (int8 up
+    to rank 64), and the tables of layer L are built from those of layers
+    L - 1 and L - 2 by ``_append_layer``, so they take two entries per
+    word of the layers built.
     """
 
-    def __init__(self, radius: int):
-        self.last = [np.zeros(1, np.int8), np.arange(4, dtype=np.int8)]
-        self.peel = [np.zeros(1, np.int8), np.zeros(4, np.int8)]
-        r, firsts = np.arange(3, dtype=np.int8), np.arange(4)[:, None]
-        for L in range(2, radius + 1):
-            # the r-th letter allowed after x is r, or r + 1 past x's inverse
-            last = r + (r >= self.last[L - 1][:, None] ^ 1)
-            peel = np.zeros_like(last) if L == 2 else np.repeat(
-                self.peel[L - 2].reshape(4, -1)[r + (r >= firsts ^ 1)], 3,
-                axis=2)
-            peel = peel.reshape(4, -1) + 1
-            peel *= last.reshape(4, -1) == firsts ^ 1
-            self.last.append(last.ravel())
-            self.peel.append(peel.ravel())
+    def __init__(self, rank: int, radius: int):
+        self.rank, self.base = rank, 2 * rank - 1
+        dtype = np.min_scalar_type(-2 * rank)
+        self.letters = np.array(
+            [x for i in range(1, rank + 1) for x in (i, -i)], dtype)
+        self.last = [np.zeros(1, dtype), np.arange(2 * rank, dtype=dtype)]
+        self.peel = [np.zeros(1, dtype), np.zeros(2 * rank, dtype)]
+        for _ in range(2, radius + 1):
+            self._append_layer()
+
+    def _append_layer(self) -> None:
+        """Build the tables of the next layer, L >= 2."""
+        L, k2 = len(self.last), 2 * self.rank
+        r = np.arange(self.base, dtype=self.letters.dtype)
+        firsts = np.arange(k2)[:, None]
+        # the r-th letter allowed after x is r, or r + 1 past x's inverse
+        last = r + (r >= self.last[L - 1][:, None] ^ 1)
+        peel = np.zeros_like(last) if L == 2 else np.repeat(
+            self.peel[L - 2].reshape(k2, -1)[r + (r >= firsts ^ 1)],
+            self.base, axis=2)
+        peel = peel.reshape(k2, -1) + 1
+        peel *= last.reshape(k2, -1) == firsts ^ 1
+        self.last.append(last.ravel())
+        self.peel.append(peel.ravel())
+
+    def codes(self, L: int, lo: int, hi: int) -> np.ndarray:
+        """The letter codes of the words lo..hi-1 of layer L, as an (L,
+        hi - lo) array: row j holds letter j of every word."""
+        out = np.empty((L, hi - lo), self.letters.dtype)
+        for j in range(L):
+            out[j] = self._read(self.last[j + 1], j + 1, L, lo, hi, L - 1 - j)
+        return out
 
     def word(self, L: int, i: int) -> str:
         """The text of word i of layer L."""
-        return "".join("aAbB"[self.last[j][i // 3 ** (L - j)]]
-                       for j in range(1, L + 1))
+        letters = self.letters[self.codes(L, i, i + 1)[:, 0]]
+        return Word._trusted(tuple(letters.tolist()), self.rank).to_str()
 
     def _read(self, table: np.ndarray, size: int, L: int, lo: int, hi: int,
               skip: int):
         """A table over the words of length size, read at g[L-skip-size:
         L-skip] for the words g = lo..hi-1 of layer L: a gather of table
-        rows, each value repeated over its run of 3^skip words; one value
-        when the range lies in one run."""
-        step, width = 3 ** skip, 3 ** (size - 1)
+        rows, each value repeated over its run of base^skip words; one
+        value when the range lies in one run."""
+        step, width = self.base ** skip, self.base ** (size - 1)
         j, k = lo // step, (hi - 1) // step + 1  # prefixes of length L-skip
         first = self.last[L - skip - size + 1]  # the stretch's first letter
         rows = table.reshape(-1, width)[first[j // width:(k - 1) // width + 1]]
@@ -455,10 +429,12 @@ def ball(rank: int, radius: int) -> Iterator[Word]:
     """All reduced words of length <= radius, in (length, lexicographic)
     order with letters ordered a < a^-1 < b < b^-1 < ...
 
-    Deterministic (exhaustive tests are reproducible) and memory-lean: the
-    radius-12 ball of F_2 has ~10^6 words, but the words are read row by
-    row from _layer blocks, so enumeration holds O(radius * _BLOCK_ROWS)
-    letters at a time.
+    Deterministic (exhaustive tests are reproducible) and lazy: each
+    layer is read off ``_LayerTables``, built one layer at a time as the
+    iteration reaches it, and decoded _SCAN_ROWS words at a time.  So
+    enumeration holds the tables of the layers reached, two small ints
+    per word (about 2 MB for the ~10^6 words of the radius-12 ball of
+    F_2), and one range of letters.
 
     >>> [g.to_str() for g in ball(2, 2)]  # doctest: +NORMALIZE_WHITESPACE
     ['', 'a', 'A', 'b', 'B', 'aa', 'ab', 'aB', 'AA', 'Ab', 'AB',
@@ -467,9 +443,15 @@ def ball(rank: int, radius: int) -> Iterator[Word]:
     _check_rank(rank)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    for length in range(radius + 1):
-        for block in _layer(rank, length):
-            for letters in _rows(block):
+    yield Word._trusted((), rank)
+    tables = _LayerTables(rank, 1)
+    for L in range(1, radius + 1):
+        if L > 1:
+            tables._append_layer()
+        count = len(tables.last[L])
+        for lo in range(0, count, _SCAN_ROWS):
+            codes = tables.codes(L, lo, min(lo + _SCAN_ROWS, count))
+            for letters in zip(*tables.letters[codes].tolist()):
                 yield Word._trusted(letters, rank)
 
 

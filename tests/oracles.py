@@ -6,10 +6,13 @@ setting itself.
 
 - ``reduce_word`` and ``four_point_holds``: free reduction and the
   delta = 0 four-point condition of F_k (``dispgeo.words``);
+- ``layer_words``: the reduced words of one length of F_k, whole, by
+  brute force, sharing no code with ``dispgeo.words._LayerTables``;
 - ``_block_peel``, ``_block_product`` and ``_block_scan``: _peel, products
-  and the prop422 scan over ``_layer`` blocks, letter by letter, against
-  which the layer tables of ``dispgeo.experiments.run_prop422`` are
-  checked (``dispgeo.words``, ``dispgeo.hyperbolic``);
+  and the prop422 scan over arrays of words, letter by letter, against
+  which the layer tables of ``dispgeo.words.ball`` and
+  ``dispgeo.experiments.run_prop422`` are checked (``dispgeo.words``,
+  ``dispgeo.hyperbolic``);
 - ``check_chain_separation`` and ``conjugacy_undistortion_check``:
   separated chains and undistortion in conjugacy classes
   (``dispgeo.hyperbolic``);
@@ -20,7 +23,8 @@ setting itself.
   sample test on every row, which ``dispgeo.matgeo._certify_block``
   now runs only on rows past the eigen and separation checks, and the
   repelling normal from a second eig, of M^T, which ``_certify_block``
-  now reads from adj(M - lam I);
+  now reads from adj(M - lam I); both scale g by a power of two near
+  1 / spectral radius for the sample test;
 - ``elementary_generators_by_faddeev_leverrier`` and
   ``strip_cyclotomic_fixed_point``: every generator inverted by a
   Faddeev-LeVerrier loop, and the cyclotomic strip retried until nothing
@@ -64,7 +68,6 @@ from dispgeo.matgeo import (
 )
 from dispgeo.words import (
     Word,
-    _layer,
     ball_size,
     distance,
     gromov_product,
@@ -106,6 +109,21 @@ def four_point_holds(g: Word, h: Word, k: Word, delta) -> bool:
     return den * gk >= den * min(gh, hk) - 2 * num
 
 
+def layer_words(rank: int, n: int) -> np.ndarray:
+    """The reduced words of F_rank of length n, one per row, in
+    lexicographic order with letters ordered a < a^-1 < b < b^-1 < ...:
+    each word of length n - 1 followed by each letter, less the rows
+    whose new letter cancels the last."""
+    order = np.array([x for i in range(1, rank + 1) for x in (i, -i)])
+    words = np.zeros((1, 0), dtype=order.dtype)
+    for k in range(n):
+        words = np.column_stack([np.repeat(words, len(order), axis=0),
+                                 np.tile(order, len(words))])
+        if k:
+            words = words[words[:, -1] != -words[:, -2]]
+    return words
+
+
 def _count_leading(tests, n: int) -> np.ndarray:
     """Per word, how many of the leading boolean tests (vectors over n
     words, or plain bools) hold."""
@@ -125,14 +143,14 @@ def _peel_rows(rows, n: int) -> np.ndarray:
 
 
 def _block_peel(block: np.ndarray) -> np.ndarray:
-    """_peel of every row of a _layer block."""
+    """_peel of every row of an array of words of one length."""
     return _peel_rows(block.T, len(block))
 
 
 def _block_product(block: np.ndarray,
                    w: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths and _peel of the products g*w for every row g of a _layer
-    block and one reduced tuple w.
+    """Lengths and _peel of the products g*w for every row g of an array
+    of words of one length and one reduced tuple w.
 
     Row g cancels c letters against w; the rows with the same c have
     products g[:-c] + w[c:] of one length, so each c is one _peel_rows."""
@@ -152,8 +170,8 @@ def _block_product(block: np.ndarray,
 
 def _block_scan(block: np.ndarray, u: tuple[int, ...], v: tuple[int, ...],
                 delta: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """_excess and _first_acr of (g, g*u, g*v) for every row g of a
-    words._layer block, as two arrays."""
+    """_excess and _first_acr of (g, g*u, g*v) for every row g of an
+    array of words of one length, as two arrays."""
     length = block.shape[1]
     peel = _block_peel(block)
     len_u, peel_u = _block_product(block, u)
@@ -202,9 +220,9 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     and B >= 0 exact rationals, ``ell`` the translation length.  Returns
     False as soon as one element fails.
 
-    Runs on whole ``_layer`` blocks: w g and g w are conjugate, so
+    Runs on whole layers of ``layer_words``: w g and g w are conjugate, so
     ell(w g) = ell(g w) comes from ``_block_product``, and since A > 0 a
-    block fails exactly when its row with the least max_i ell(w_i g) does.
+    layer fails exactly when its row with the least max_i ell(w_i g) does.
     """
     ws = list(gens)
     if not ws:
@@ -222,11 +240,11 @@ def conjugacy_undistortion_check(gens: Iterable[Word], A, B,
     den = A.denominator * B.denominator  # |g| <= A best + B, times den
     a, b = A.numerator * B.denominator, B.numerator * A.denominator
     for L in range(radius + 1):
-        for block in _layer(rank, L):
-            best = np.max([length - 2 * peel for length, peel in
-                           (_block_product(block, w) for w in ws)], axis=0)
-            if den * L > a * int(best.min()) + b:
-                return False
+        words = layer_words(rank, L)
+        best = np.max([length - 2 * peel for length, peel in
+                       (_block_product(words, w) for w in ws)], axis=0)
+        if den * L > a * int(best.min()) + b:
+            return False
     return True
 
 
@@ -271,6 +289,9 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
     dominant eigenvector of M^T, from a second batched eig whose errors
     were merged with the first's; the checks of ``certify_proximal``
     over a finite (N, n, n) float stack and one sample lattice ``pts``.
+    The sample test reads each g times 2^-e, e the binary exponent of
+    its spectral radius: the same directions, and image norms that
+    neither under- nor overflow at any scale of g.
 
     ``errors[i]`` is the exception ``certify_proximal`` raises for
     matrix i, unraised, or None when it certifies.
@@ -285,7 +306,8 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
             x_plus / _row_norms(x_plus)[:, None],
             normal / _row_norms(normal)[:, None])))
         far = np.abs(np.matmul(pts, normal[:, :, None])[..., 0]) >= epsilon
-        images = pts @ ms.transpose(0, 2, 1)
+        scaled = np.ldexp(ms, -np.frexp(moduli.max(axis=1))[1][:, None, None])
+        images = pts @ scaled.transpose(0, 2, 1)
         norms = np.linalg.norm(images, axis=2)
         cos = np.abs(np.matmul(images, x_plus[:, :, None])[..., 0]) / norms
         dist = np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cos) ** 2))

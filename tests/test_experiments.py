@@ -35,8 +35,8 @@ from dispgeo.serialize import (
     render_real,
     write_atomic,
 )
-from dispgeo.words import _SCAN_ROWS, Word, _layer, parse_word
-from oracles import _block_scan
+from dispgeo.words import _SCAN_ROWS, Word, parse_word
+from oracles import _block_scan, layer_words
 
 
 
@@ -227,21 +227,19 @@ class TestSerialize:
 
 def _oracle_prop422(radius, u, v, alpha):
     """run_prop422's rows at delta = 0, and its violations as (length,
-    index in the layer, example text), from _block_scan on _layer blocks."""
+    index in the layer, example text), from _block_scan on layer_words."""
     u, v = parse_word(u).letters, parse_word(v).letters
     selects = 3 * max(len(u), len(v))
     rows, examples = [], []
     for n in range(radius + 1):
-        blocks = list(_layer(2, n))
-        excess, first = (np.concatenate(col) for col in zip(
-            *(_block_scan(block, u, v, Fraction(0)) for block in blocks)))
+        letters = layer_words(2, n)
+        excess, first = _block_scan(letters, u, v, Fraction(0))
         chosen = np.bincount(first, minlength=4) * (n >= selects)
         bad = np.flatnonzero(excess > math.floor(alpha))
         rows.append((str(n), str(len(excess)), str(len(bad)),
                      render_rational(alpha - int(excess.max())),
                      *map(str, chosen[:3]),
                      str(len(excess) * (n < selects)), str(chosen[3])))
-        letters = np.concatenate(blocks)
         examples += [(n, i, f"{Word(letters[i].tolist()).to_str()}:lhs={n}:"
                       f"rhs={render_rational(n - int(excess[i]) + alpha)}")
                      for i in bad[:20].tolist()]

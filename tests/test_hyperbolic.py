@@ -27,10 +27,8 @@ from dispgeo.hyperbolic import (
 from dispgeo.words import (
     Word,
     _LayerTables,
-    _layer,
     _peel,
     _product,
-    _rows,
     ball,
     multiply,
     parse_word,
@@ -41,6 +39,7 @@ from oracles import (
     _block_scan,
     check_chain_separation,
     conjugacy_undistortion_check,
+    layer_words,
 )
 
 W = parse_word
@@ -271,13 +270,12 @@ class TestBlockScan:
         # length <= 7
         u, v = W(u).letters, W(v).letters
         for n in range(8):
-            for block in _layer(2, n):
-                excess, first = _block_scan(block, u, v, delta)
-                words = [(g, _product(g, u), _product(g, v))
-                         for g in _rows(block)]
-                assert excess.tolist() == [_excess(ws) for ws in words]
-                assert first.tolist() == [_first_acr(ws, delta)
-                                          for ws in words]
+            block = layer_words(2, n)
+            excess, first = _block_scan(block, u, v, delta)
+            words = [(g, _product(g, u), _product(g, v))
+                     for g in map(tuple, block.tolist())]
+            assert excess.tolist() == [_excess(ws) for ws in words]
+            assert first.tolist() == [_first_acr(ws, delta) for ws in words]
 
 
 _KERNEL_PAIRS = [("aab", "bba"), ("AAb", "bbA"), ("ab", "ba"), ("a", "b"),
@@ -288,15 +286,14 @@ _DELTAS = [Fraction(0), Fraction(1, 300), Fraction(1, 60), Fraction(7, 3)]
 
 
 def _scans_agree(u, v, radius, deltas):
-    """_range_scan over the layer tables against _block_scan over _layer
-    blocks, on every word of length <= radius."""
+    """_range_scan over the layer tables against _block_scan over
+    layer_words, on every word of length <= radius."""
     u, v = W(u).letters, W(v).letters
-    tables = _LayerTables(radius)
+    tables = _LayerTables(2, radius)
     for n in range(radius + 1):
-        blocks = list(_layer(2, n))
+        block = layer_words(2, n)
         for delta in deltas:
-            want = [np.concatenate(col) for col in zip(
-                *(_block_scan(block, u, v, delta) for block in blocks))]
+            want = _block_scan(block, u, v, delta)
             got = _range_scan(tables, n, 0, len(tables.peel[n]), u, v, delta)
             assert [x.tolist() for x in got] == [x.tolist() for x in want]
 

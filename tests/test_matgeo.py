@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -525,31 +526,37 @@ class TestCertifyBlockOracle:
                                              NoDominantEigenvalue}
 
     def test_rows_whose_samples_collapse(self):
-        # images near 1e-168 square to zero, so tested samples get norm
-        # 0.0: each scaled row past the separation check is SingularInput,
-        # between rows that certify or fail
+        # unscaled, images of g near 1e-168 would square to zero, tested
+        # samples would get norm 0.0 and each such row past the
+        # separation check would be SingularInput; the sample test reads
+        # g scaled by a power of two near 1 / spectral radius, so each
+        # row keeps its scale-1 verdict, between rows that certify or
+        # fail
         pts = _projective_samples(2, 400)
         ms = _rotation_stack()
         before = [type(e) for e in _certify_block(ms, 0.3, 0.05, pts).errors]
         ms[1::5] *= 1e-170
         kinds = [type(e) for e in _assert_block_matches_every_row_oracle(
             ms, 0.3, 0.05, pts)]
-        assert kinds[1::5] == [
-            SingularInput if k in (type(None), ContractionFailed) else k
-            for k in before[1::5]]
-        assert SingularInput in kinds and type(None) in kinds
+        assert kinds == before
+        assert type(None) in kinds[1::5]
+        assert SingularInput not in kinds
 
     @pytest.mark.parametrize("scale", [1e-170, 1e170])
     def test_three_by_three_rows_at_the_ends_of_the_float_range(self,
                                                                 scale):
         # unscaled, the 2 x 2 minors of adj(M - lam I) would underflow to
-        # 0 or overflow to inf, and the normal would be NaN
-        ms = _run_stack(3, 42)[:64] * scale
-        with np.errstate(over="ignore"):
-            errors = _assert_block_matches_every_row_oracle(
-                ms, 0.5, 0.05, _projective_samples(3, _PROXIMAL_SAMPLES))
-        assert {SeparationFailed, SingularInput if scale < 1
-                else ContractionFailed} <= {type(e) for e in errors}
+        # 0 or overflow to inf, and the normal would be NaN; and the
+        # squared images of the sample test would be 0 or inf, so rows
+        # that certify at scale 1 would be SingularInput or
+        # ContractionFailed
+        ms = _run_stack(3, 42)[:64]
+        pts = _projective_samples(3, _PROXIMAL_SAMPLES)
+        want = [type(e) for e in _certify_block(ms, 0.5, 0.05, pts).errors]
+        errors = _assert_block_matches_every_row_oracle(ms * scale, 0.5,
+                                                        0.05, pts)
+        assert [type(e) for e in errors] == want
+        assert {type(None), SeparationFailed} <= set(want)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_sample_lattice_tests_nothing(self, n):
@@ -637,6 +644,28 @@ class TestCertifyProximal:
                                 samples=2000)
         assert np.isclose(cert.separation, 1.0)
         assert cert.contraction_margin > 0
+
+    @pytest.mark.parametrize("g, kind", [
+        ([[30.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1 / 30.0]],
+         ContractionFailed),
+        ([[5000.0, -40.0, 9.0], [3.0, 0.5, 2.0], [-2.0, 1.0, 0.25]], None)],
+        ids=["diagonal", "dense"])
+    def test_outcome_is_independent_of_the_scale_of_g(self, g, kind):
+        # g and c g act alike on P(V); unscaled, the squared sample
+        # images of 1e-170 g would underflow to 0 (SingularInput) and
+        # those of 1e170 g overflow to inf, with a warning
+        # (ContractionFailed)
+        margins = []
+        for scale in (1e-170, 1e-120, 1.0, 1e120, 1e170):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if kind is None:
+                    margins.append(certify_proximal(
+                        np.array(g) * scale, 0.5, 0.05).contraction_margin)
+                else:
+                    with pytest.raises(kind):
+                        certify_proximal(np.array(g) * scale, 0.5, 0.05)
+        assert all(abs(m - margins[2]) <= 1e-12 for m in margins)
 
     def test_separation_failure(self):
         # skewed shear: attracting line nearly inside the repelling plane

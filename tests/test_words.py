@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,11 @@ from hypothesis import strategies as st
 
 from dispgeo.errors import InvalidGenerator, RankMismatch
 from dispgeo.words import (
-    _BLOCK_ROWS,
     _SCAN_ROWS,
     Word,
     _LayerTables,
-    _layer,
     _peel,
     _product,
-    _rows,
     ball,
     ball_size,
     cyclic_reduce,
@@ -31,6 +29,7 @@ from oracles import (
     _block_peel,
     _block_product,
     four_point_holds,
+    layer_words,
     reduce_word,
 )
 
@@ -332,9 +331,11 @@ class TestBall:
         assert head == ["", "a", "A", "b", "B"]
 
     @pytest.mark.parametrize("rank, radius",
-                             [(2, r) for r in range(7)]
-                             + [(3, r) for r in range(5)])
+                             [(2, r) for r in range(9)]
+                             + [(3, r) for r in range(5)]
+                             + [(64, 2), (65, 2)])
     def test_order_matches_brute_force(self, rank, radius):
+        # rank 65 is the first whose letter codes need int16
         # every letter tuple up to the radius, reduced ones kept, sorted by
         # length and then letter by letter in the order a < A < b < B < ...
         position = {x: 2 * abs(x) - (x > 0) for x in range(-rank, rank + 1)}
@@ -347,32 +348,39 @@ class TestBall:
             key=lambda w: (len(w), [position[x] for x in w]))
         assert [g.letters for g in ball(rank, radius)] == expected
 
-    @pytest.mark.parametrize("rank, radius", [(2, 8), (3, 5)])
-    def test_layer_blocks_capped_and_ordered(self, rank, radius):
-        # concatenated blocks of each length give the brute-force order
-        position = {x: 2 * abs(x) - (x > 0) for x in range(-rank, rank + 1)}
-        letters = [x for x in position if x]
-        for n in range(radius + 1):
-            expected = sorted(
-                (w for w in itertools.product(letters, repeat=n)
-                 if all(x != -y for x, y in zip(w, w[1:]))),
-                key=lambda w: [position[x] for x in w])
-            blocks = list(_layer(rank, n))
-            assert all(0 < len(b) <= _BLOCK_ROWS for b in blocks)
-            assert all(b.shape[1] == n for b in blocks)
-            assert [tuple(r) for b in blocks for r in b.tolist()] == expected
-            assert [w for b in blocks for w in _rows(b)] == expected
-
-    @pytest.mark.parametrize("rank", [127, 128, 200])
+    @pytest.mark.parametrize("rank", [64, 65, 127, 128, 200])
     def test_wide_ranks(self, rank):
-        # letters up to +-rank and their negations fit the block dtype
-        assert np.iinfo(next(_layer(rank, 1)).dtype).min <= -rank - 1
+        # codes 0..2 rank - 1, letters up to +-rank and -2 rank fit the
+        # tables' dtype, and it is int8 exactly up to rank 64; the last
+        # word of layer 2 is (-rank, -rank)
+        tables = _LayerTables(rank, 2)
+        dtype = tables.last[2].dtype
+        assert np.iinfo(dtype).min <= -2 * rank
+        assert (dtype == np.int8) == (rank <= 64)
+        assert all(t.dtype == dtype for t in (*tables.last, *tables.peel,
+                                              tables.letters))
+        assert tables.last[2].max() == 2 * rank - 1
         words = [g.letters for g in ball(rank, 1)]
         assert words == [()] + [(s * i,) for i in range(1, rank + 1)
                                 for s in (1, -1)]
         assert sum(1 for _ in ball(rank, 2)) == ball_size(rank, 2)
-        last = list(_layer(rank, 2))[-1].tolist()[-1]
-        assert last == [-rank, -rank]
+        codes = tables.codes(2, len(tables.last[2]) - 1, len(tables.last[2]))
+        assert tables.letters[codes].ravel().tolist() == [-rank, -rank]
+
+    def test_lazy(self):
+        # no layer past the first is built before the identity and the
+        # first letter: the tables of the radius-14 ball of F_2 take 19 MB,
+        # and those of the radius-40 ball would take 4 * 3^39 bytes
+        words = ball(2, 14)
+        tracemalloc.start()
+        try:
+            assert next(words) == Word.identity(2)
+            assert next(words) == Word.from_str("a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert next(ball(2, 40)) == Word.from_str("")
 
 
 class TestBlockKernel:
@@ -380,30 +388,40 @@ class TestBlockKernel:
     def test_matches_tuple_helpers(self, w):
         w = parse_word(w).letters
         for n in range(8):
-            for block in _layer(2, n):
-                rows = list(_rows(block))
-                assert _block_peel(block).tolist() == [_peel(g) for g in rows]
-                lengths, peels = _block_product(block, w)
-                products = [_product(g, w) for g in rows]
-                assert lengths.tolist() == [len(p) for p in products]
-                assert peels.tolist() == [_peel(p) for p in products]
+            words = layer_words(2, n)
+            rows = [tuple(g) for g in words.tolist()]
+            assert _block_peel(words).tolist() == [_peel(g) for g in rows]
+            lengths, peels = _block_product(words, w)
+            products = [_product(g, w) for g in rows]
+            assert lengths.tolist() == [len(p) for p in products]
+            assert peels.tolist() == [_peel(p) for p in products]
 
 
 class TestLayerTables:
     def test_tables_match_layer_blocks(self):
-        # word i of layer L is the i-th row of _layer(2, L), with its last
-        # letter and its _peel in the tables
-        tables = _LayerTables(9)
-        for n in range(10):
-            rows = [g for block in _layer(2, n) for g in _rows(block)]
-            assert [tables.word(n, i) for i in range(len(rows))] == [
-                Word(g).to_str() for g in rows]
-            assert tables.peel[n].tolist() == [_peel(g) for g in rows]
-            if n:
-                assert tables.last[n].tolist() == [
-                    "aAbB".index(Word(g[-1:]).to_str()) for g in rows]
-            assert all(t.dtype == np.int8 for t in (tables.last[n],
-                                                    tables.peel[n]))
+        # word i of layer L is the i-th row of layer_words(rank, L), with
+        # its letters' codes, its last letter and its _peel in the tables,
+        # in F_2 and in F_3; codes read in ranges of 7 words cut runs
+        for rank, radius in ((2, 9), (3, 6)):
+            tables = _LayerTables(rank, radius)
+            code = {x: 2 * abs(x) - 2 + (x < 0)
+                    for x in range(-rank, rank + 1)}
+            for n in range(radius + 1):
+                rows = [tuple(g) for g in layer_words(rank, n).tolist()]
+                assert [tables.word(n, i) for i in range(len(rows))] == [
+                    Word(g, rank).to_str() for g in rows]
+                codes = tables.codes(n, 0, len(rows))
+                assert codes.T.tolist() == [[code[x] for x in g]
+                                            for g in rows]
+                assert np.array_equal(codes, np.concatenate(
+                    [tables.codes(n, lo, min(lo + 7, len(rows)))
+                     for lo in range(0, len(rows), 7)], axis=1))
+                assert tables.peel[n].tolist() == [_peel(g) for g in rows]
+                if n:
+                    assert tables.last[n].tolist() == [code[g[-1]]
+                                                       for g in rows]
+                assert all(t.dtype == np.int8 for t in (tables.last[n],
+                                                        tables.peel[n]))
 
     @pytest.mark.parametrize("w", ["a", "aab", "bba", "AAb", "abAB",
                                    "aabAbbaBa", "bbbbbbb", "aaaaBBaaaaBB",
@@ -413,14 +431,13 @@ class TestLayerTables:
     def test_products_match_the_block_oracle(self, w, span):
         # every word of length <= 8, read in ranges of span words (whole
         # layers, runs of 3^3, or ranges that cut runs), against
-        # _block_product on _layer blocks; at |w| = 130 the lengths and
+        # _block_product on layer_words; at |w| = 130 the lengths and
         # peels pass the int8 range
         w = parse_word(w).letters
-        tables = _LayerTables(8)
+        tables = _LayerTables(2, 8)
         for n in range(9):
             size = len(tables.peel[n])
-            want = [np.concatenate(col) for col in zip(*(
-                _block_product(block, w) for block in _layer(2, n)))]
+            want = _block_product(layer_words(2, n), w)
             got = [np.concatenate(col) for col in zip(*(
                 tables.products(n, lo, min(lo + span, size), [w])[0]
                 for lo in range(0, size, span)))]
