@@ -90,7 +90,8 @@ def _range_scan(tables: _LayerTables, L: int, lo: int, hi: int,
     of layer L of the tables, as two arrays."""
     peel = tables.peel[L][lo:hi].astype(np.min_scalar_type(-3 * L - 1))
     words = [(L, peel), *tables.products(L, lo, hi, (u, v))]
-    g, gu, gv = (3 * p - n <= _acr_cut(delta) for n, p in words)
+    cut = _acr_cut(delta)
+    g, gu, gv = (3 * p - n <= cut for n, p in words)
     # the first ACR word's index: 3 less the prefixes that hold one
     first = np.int8(3) - g - (g | gu) - (g | gu | gv)
     return L - 3 * np.maximum.reduce([n - 2 * p for n, p in words]), first

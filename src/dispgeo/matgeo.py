@@ -238,9 +238,10 @@ def _dominant_real_eigenvector(ms: np.ndarray
     ruling them out, all from one batched ``np.linalg.eig``.
 
     Returns ``(vecs, errors, moduli, left)``; ``errors[i]`` is None or an
-    unraised EigenFailure, SingularInput (zero spectral radius) or
-    NoDominantEigenvalue (top modulus not simple, or top eigenvalue not
-    real, within 1e-9 * spectral radius), and ``vecs[i]`` and
+    unraised EigenFailure (LAPACK failed, or the left eigenvector's
+    minors overflow to a non-finite normal), SingularInput (zero spectral
+    radius) or NoDominantEigenvalue (top modulus not simple, or top
+    eigenvalue not real, within 1e-9 * spectral radius), and ``vecs[i]`` and
     ``left[i]`` are meaningful only when it is None.  ``moduli`` are the
     eigenvalue moduli.  Each vector is scaled to make its entry of
     largest modulus positive, and ``left`` has no -0.0 entry.
@@ -308,8 +309,14 @@ def _dominant_real_eigenvector(ms: np.ndarray
     left = np.linalg.det(minors) * (-1.0) ** np.arange(n)
     left = left / left[rows, np.argmax(np.abs(left), axis=1), None]
     # + 0.0 turns the -0.0 of a zero minor's sign flip into 0.0
-    return (scaled / _row_norms(scaled)[:, None], errors, moduli,
-            left / _row_norms(left)[:, None] + 0.0)
+    left = left / _row_norms(left)[:, None] + 0.0
+    # minors of entries near 1e200 overflow, and their NaN normal would
+    # fail every separation and band test in silence
+    for i in np.flatnonzero(~np.all(np.isfinite(left), axis=1)):
+        errors[i] = errors[i] or EigenFailure(
+            f"repelling normal is not finite: {left[i].tolist()}, from the "
+            f"minors of g - lam I at lam = {lam[i].real:.6g}")
+    return scaled / _row_norms(scaled)[:, None], errors, moduli, left
 
 
 @dataclass(frozen=True)
@@ -346,7 +353,7 @@ class _ProximalBlock(NamedTuple):
     moduli: np.ndarray
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _certify_block(ms: np.ndarray, r: float, epsilon: float,
                    pts: np.ndarray) -> _ProximalBlock:
     """The checks of ``certify_proximal`` over a finite (N, n, n) float

@@ -18,7 +18,6 @@ read the ``_peel`` of every product g*w off them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -397,23 +396,41 @@ class _LayerTables:
         g*w = g[:L-c] + w[c:], c the letters of g's tail that cancel w's
         head, and k = min(L, |w|) - c pairs of its ends are g's head against
         w's tail.  Where all k peel (``lead`` >= k), the rest is the middle
-        g[|w|-c:L-c] (L >= |w|) or w[c:c+|w|-L] (L < |w|)."""
-        letter = functools.cache(lambda i: self._read(
-            self.last[i + 1], i + 1, L, lo, hi, L - 1 - i))
+        g[|w|-c:L-c] (L >= |w|) or w[c:c+|w|-L] (L < |w|).
+
+        Each table slice is read once per call: letter i of g is shared by
+        every w, and the middles' _peel by the words w of one length, keyed
+        by (|w|, j).  The memo lives for this range only."""
+        memo: dict = {}
+
+        def read(tables: list, size: int, skip: int) -> np.ndarray:
+            # tables[size] read over the range at skip, tables being
+            # self.last or self.peel
+            key = (tables is self.peel, size, skip)
+            if key not in memo:
+                memo[key] = self._read(tables[size], size, L, lo, hi, skip)
+            return memo[key]
+
         out = []
         for w in ws:
             n, m = len(w), min(L, len(w))
             inv = [2 * abs(x) - 2 + (x > 0) for x in w]  # codes of x^-1
             dtype = np.min_scalar_type(-3 * (L + n))  # holds every sum below
+            # c and lead count the runs of matches from j = 0, as running
+            # masks: tail and head stay True while every letter so far
+            # matches
             c = lead = np.zeros(1, dtype)
+            tail = head = True
             for j in range(m):
-                c = c + (letter(L - 1 - j) == inv[j]) * (c == j)
-                lead = lead + (letter(j) == inv[n - 1 - j]) * (lead == j)
+                tail = tail & (read(self.last, L - j, j) == inv[j])
+                head = head & (read(self.last, j + 1, L - 1 - j)
+                               == inv[n - 1 - j])
+                c, lead = c + tail, lead + head
             if L < n:
                 mids = [dtype.type(_peel(w[j:j + n - L]))
                         for j in range(m + 1)]
             else:  # a middle of under 2 letters has _peel 0
-                mids = [self._read(self.peel[L - n], L - n, L, lo, hi, j)
+                mids = [read(self.peel, L - n, j)
                         for j in range(m + 1)] if L - n > 1 else []
             # the middle's _peel where j letters cancel, summed over j, as
             # np.where on scattered masks is slow

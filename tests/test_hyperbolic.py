@@ -309,6 +309,40 @@ class TestRangeScan:
         # |g u| reaches 134 at radius 4, past what int8 sums could hold
         _scans_agree("a" * 65 + "b" * 65, "b" * 65 + "a" * 65, 4, _DELTAS)
 
+    # the oracle tests above scan whole layers, where a memo of table
+    # reads keyed by j alone, or kept from one range to the next, would
+    # give the same arrays; these two tell
+
+    @pytest.mark.parametrize("u, v", _KERNEL_PAIRS)
+    def test_pair_products_are_each_words_products(self, u, v):
+        # the middles of |u| != |v| are different reads at the same j
+        u, v = W(u).letters, W(v).letters
+        tables = _LayerTables(2, 9)
+        for n in range(10):
+            size = len(tables.peel[n])
+            for lo in range(0, size, 1000):
+                hi = min(lo + 1000, size)
+                both = tables.products(n, lo, hi, (u, v))
+                each = (tables.products(n, lo, hi, (u,))
+                        + tables.products(n, lo, hi, (v,)))
+                assert [[x.tolist() for x in p] for p in both] == [
+                    [x.tolist() for x in p] for p in each]
+
+    @pytest.mark.parametrize("span", [7, 1000])
+    @pytest.mark.parametrize("u, v", _KERNEL_PAIRS)
+    def test_range_scans_join_to_the_whole_layer(self, u, v, span):
+        # ranges of 7 words cut every run of the tables' reads
+        u, v = W(u).letters, W(v).letters
+        tables = _LayerTables(2, 9)
+        delta = Fraction(1, 60)
+        for n in range(10):
+            size = len(tables.peel[n])
+            whole = _range_scan(tables, n, 0, size, u, v, delta)
+            parts = [_range_scan(tables, n, lo, min(lo + span, size), u, v,
+                                 delta) for lo in range(0, size, span)]
+            assert [np.concatenate(col).tolist() for col in zip(*parts)] == [
+                x.tolist() for x in whole]
+
 
 class TestStableNormLengthBound:
     def test_example(self, pair):

@@ -702,6 +702,24 @@ class TestCertifyProximal:
         with pytest.raises(ValueError, match="clears the epsilon band"):
             certify_proximal(np.diag([30.0, 1 / 30.0]), 0.9, 0.44, samples=1)
 
+    @pytest.mark.parametrize("g", [
+        [[1.0, 1e200, 0.0], [0.0, 0.5, 1e200], [0.0, 0.0, 0.25]],
+        [[1.0, 1.7e308, 1.7e308], [0.0, 0.5, 1e308], [0.0, 0.0, 0.25]]])
+    def test_overflowing_minors_are_an_eigen_failure(self, g, capsys):
+        # finite entries whose adjugate minors overflow give a NaN
+        # repelling normal, which would fail every band test and read
+        # as "no sample point clears the epsilon band"; no overflow
+        # warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigenFailure,
+                               match="repelling normal is not finite"):
+                certify_proximal(np.array(g), 0.5, 0.05)
+            assert main(["matgeo", "proximal", "--matrix",
+                         json.dumps(g)]) == 1
+        assert "EigenFailure: repelling normal is not finite" in (
+            capsys.readouterr().err)
+
     def test_cli_certificate_is_pinned(self, capsys):
         assert main(["matgeo", "proximal", "--matrix",
                      '[[30,0],[0,"1/30"]]', "--r", "0.5",

@@ -444,6 +444,23 @@ class TestLayerTables:
             assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
+    @pytest.mark.parametrize("u, v, reads", [("aab", "bba", 10),
+                                             ("ab", "aab", 13)])
+    def test_each_slice_is_read_once_per_range(self, monkeypatch, u, v,
+                                               reads):
+        # 6 letter reads serve both words; the 4 middle reads of a word of
+        # length 3 serve every word of that length, and those of ab (3)
+        # and aab (4) differ
+        tables = _LayerTables(2, 10)
+        calls = []
+        read = tables._read
+        monkeypatch.setattr(tables, "_read",
+                            lambda *args: calls.append(args) or read(*args))
+        ws = (parse_word(u).letters, parse_word(v).letters)
+        tables.products(10, 0, 32768, ws)
+        assert len(calls) == reads
+
+
 class TestBaseInvariance:
     def test_left_translation_exhaustive_radius_4(self):
         # <ug, uh>_u = <g, h>_e for the left-invariant word metric
