@@ -190,7 +190,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _cmd_pingpong(args) -> int:
-    if args.find_f:
+    if args.find_f is not None:
+        if args.u is not None or args.v is not None:
+            sys.stderr.write("pingpong: --find-f excludes --u and --v\n")
+            return 2
         f = parse_word(args.find_f, args.rank)
         a = parse_word(args.find_conjugator, args.rank)
         n, cert = find_ping_pong_pair(f, a, args.delta, args.n_max)

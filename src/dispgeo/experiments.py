@@ -43,6 +43,7 @@ from .lattice import (
 )
 from .matgeo import (
     _certify_block,
+    _check_proximal_params,
     _gap_block,
     _projective_samples,
     cartan_jordan_gap,
@@ -401,10 +402,7 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     """
     if dimension not in DEFAULT_GAP_BOUNDS:
         raise ValueError("gap experiment supports dimensions 2 and 3")
-    if not (r > 2 * epsilon > 0):
-        raise ValueError("need r > 2 epsilon > 0")
-    if r > 1.0:
-        raise ValueError(f"r must be <= 1, the largest separation, got {r}")
+    _check_proximal_params(r, epsilon)
     if samples < 0:
         raise ValueError("samples must be >= 0")
     if gap_bound is not None and not 0.0 <= gap_bound < math.inf:

@@ -227,14 +227,14 @@ def _operator_norm_upper(m: IntMatrix) -> float:
 class GeneratorSet:
     """Symmetric generating set with a certified operator-norm bound.
 
-    ``norm_bound`` is an upper bound c for the operator norm of every
-    generator, so any word of length L has operator norm at most c^L.
+    ``norm_bound`` is an upper bound c, computed from the elements, for the
+    operator norm of every generator, so a word of length L has norm <= c^L.
     ``inverse_index[k]`` is the position of the inverse of element k:
     2I - g for an elementary g = I + t e_ij, else Faddeev-LeVerrier's.
     """
 
     elements: tuple[IntMatrix, ...]
-    norm_bound: float
+    norm_bound: float = field(init=False)
     inverse_index: tuple[int, ...] = field(init=False, repr=False,
                                            compare=False)
 
@@ -257,6 +257,8 @@ class GeneratorSet:
                                  f"inversion: missing inverse of {g}")
             inverse_index.append(position[inverse])
         object.__setattr__(self, "inverse_index", tuple(inverse_index))
+        object.__setattr__(self, "norm_bound", max(
+            map(_operator_norm_upper, self.elements)))
 
     @property
     def dimension(self) -> int:
@@ -264,9 +266,7 @@ class GeneratorSet:
 
     @classmethod
     def from_matrices(cls, mats) -> "GeneratorSet":
-        elements = tuple(as_int_matrix(m) for m in mats)
-        bound = max((_operator_norm_upper(m) for m in elements), default=0.0)
-        return cls(elements=elements, norm_bound=bound)
+        return cls(elements=tuple(as_int_matrix(m) for m in mats))
 
 
 def elementary_generators(n: int) -> GeneratorSet:

@@ -40,7 +40,7 @@ from .errors import (
     SeparationFailed,
     SingularInput,
 )
-from .lattice import as_int_matrix, char_poly, log_eigenvalue_moduli
+from .lattice import as_int_matrix, char_poly, det_exact, log_eigenvalue_moduli
 
 __all__ = [
     "ProximalityCertificate",
@@ -55,7 +55,7 @@ __all__ = [
     "random_special_linear",
 ]
 
-_EIG_REL_TOL = 1e-9  # relative tolerance for simplicity/reality decisions
+_EIG_REL_TOL = 1e-9  # relative gap below which the top modulus is not simple
 _RCA_DIGITS = 80  # decimal working precision of renormalized_cartan_average
 # rows per sample test of _certify_block: the (rows, samples, n) image
 # stack stays a few hundred kB however many rows the stack has
@@ -186,8 +186,6 @@ def _projective_samples(n: int, count: int) -> np.ndarray:
     equally deterministic.  Built once per (n, count) and returned
     read-only, so no caller can alter a later certificate through it.
     """
-    if count < 1:
-        raise ValueError("samples must be >= 1")
     if n == 2:
         theta = np.pi * (np.arange(count) + 0.5) / count
         pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -238,13 +236,15 @@ def _dominant_real_eigenvector(ms: np.ndarray
     ruling them out, all from one batched ``np.linalg.eig``.
 
     Returns ``(vecs, errors, moduli, left)``; ``errors[i]`` is None or an
-    unraised EigenFailure (LAPACK failed, or the left eigenvector's
-    minors overflow to a non-finite normal), SingularInput (zero spectral
-    radius) or NoDominantEigenvalue (top modulus not simple, or top
-    eigenvalue not real, within 1e-9 * spectral radius), and ``vecs[i]`` and
-    ``left[i]`` are meaningful only when it is None.  ``moduli`` are the
-    eigenvalue moduli.  Each vector is scaled to make its entry of
-    largest modulus positive, and ``left`` has no -0.0 entry.
+    unraised EigenFailure (LAPACK failed or gave radius 0 for a nonsingular
+    matrix, or the left eigenvector's minors overflow to a non-finite
+    normal), SingularInput (zero radius, g singular) or
+    NoDominantEigenvalue (top modulus within 1e-9 * radius of the next, or
+    top eigenvalue not exactly real: LAPACK pairs conjugates exactly, so
+    that test decides only moduli that overflow or underflow), and
+    ``vecs[i]`` and ``left[i]`` are meaningful only when it is None.
+    ``moduli`` are the eigenvalue moduli.  Each vector is scaled to make
+    its entry of largest modulus positive, and ``left`` has no -0.0 entry.
 
     The top eigenvalue lam of a row without error is simple, so
     A = M - lam I has rank n - 1 and adj(A) = c v w^T with c != 0, v the
@@ -274,11 +274,14 @@ def _dominant_real_eigenvector(ms: np.ndarray
     lam = eigvals[rows, top]
     for i in np.flatnonzero((radius == 0.0)
                             | (second > radius - _EIG_REL_TOL * radius)
-                            | (np.abs(lam.imag) > _EIG_REL_TOL * radius)):
+                            | (lam.imag != 0.0)):
         if errors[i] is not None:
             continue
         if radius[i] == 0.0:
-            errors[i] = SingularInput("zero spectral radius")
+            errors[i] = (SingularInput("zero spectral radius")
+                         if det_exact(_exact_rows(ms[i])[0]) == 0 else
+                         EigenFailure("eig gave spectral radius 0 for a "
+                                      "nonsingular matrix"))
         elif second[i] > radius[i] - _EIG_REL_TOL * radius[i]:
             errors[i] = NoDominantEigenvalue(
                 f"top moduli {radius[i]:.6g} and {second[i]:.6g} "
@@ -400,20 +403,26 @@ def _certify_block(ms: np.ndarray, r: float, epsilon: float,
         worst_dist = dist[np.arange(len(rows)), worst]
         margin[rows] = epsilon - worst_dist
         tested[rows] = hits = np.count_nonzero(far, axis=1)
-        collapsed = np.any(far & (norms == 0.0), axis=1)
-        for j in np.flatnonzero(collapsed | (hits == 0) | (margin[rows] < 0)):
+        for j in np.flatnonzero((hits == 0) | (margin[rows] < 0)):
             i = rows[j]
             if hits[j] == 0:
                 errors[i] = ValueError("no sample point clears the epsilon "
                                        "band; increase samples or decrease "
                                        "epsilon")
-            elif collapsed[j]:
-                errors[i] = SingularInput("sample collapsed to zero under g")
             else:
                 errors[i] = ContractionFailed(tuple(pts[worst[j]].tolist()),
                                               float(worst_dist[j]), epsilon)
     return _ProximalBlock(errors, x_plus, normal, separation, margin, tested,
                           moduli)
+
+
+def _check_proximal_params(r: float, epsilon: float) -> None:
+    """Refuse (r, epsilon) unless 1 >= r > 2 epsilon > 0: the separation
+    of two unit vectors is at most 1, so no matrix certifies past it."""
+    if not (r > 2 * epsilon > 0):
+        raise ValueError(f"need r > 2 epsilon > 0, got r={r}, epsilon={epsilon}")
+    if r > 1.0:
+        raise ValueError(f"r must be <= 1, the largest separation, got {r}")
 
 
 def certify_proximal(g, r: float, epsilon: float,
@@ -422,16 +431,18 @@ def certify_proximal(g, r: float, epsilon: float,
 
     The attracting point is the eigenvector of the dominant eigenvalue,
     the repelling hyperplane the invariant complement (kernel of the
-    dominant left eigenvector).  Raises NoDominantEigenvalue /
-    SeparationFailed / ContractionFailed as appropriate.
+    dominant left eigenvector).  Raises ValueError unless
+    1 >= r > 2 epsilon > 0 and samples >= 1, or when no sample clears the
+    band; NoDominantEigenvalue / SeparationFailed / ContractionFailed as
+    appropriate; SingularInput / EigenFailure as
+    ``_dominant_real_eigenvector`` finds them.
 
     Runs the batched kernel that ``experiments.run_ams_gap`` feeds all
     its draws, on a stack of one; the sample lattice is deterministic and
     built once per (dimension, samples), so a matrix gets the same
     certificate alone or inside a stack.
     """
-    if not (r > 2 * epsilon > 0):
-        raise ValueError(f"need r > 2 epsilon > 0, got r={r}, epsilon={epsilon}")
+    _check_proximal_params(r, epsilon)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     m = _as_matrix(g)

@@ -47,7 +47,6 @@ from dispgeo.errors import (
     HypothesisViolated,
     RankMismatch,
     SeparationFailed,
-    SingularInput,
 )
 from dispgeo.hyperbolic import _acr_cut, _as_delta
 from dispgeo.lattice import (
@@ -316,7 +315,6 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
     worst_dist = dist[rows, worst]
     margin = epsilon - worst_dist
     tested = np.count_nonzero(far, axis=1)
-    collapsed = np.any(far & (norms == 0.0), axis=1)
     for i in range(count):
         if errors[i] is None:
             errors[i] = normal_errors[i]
@@ -327,8 +325,6 @@ def certify_block_every_row(ms: np.ndarray, r: float, epsilon: float,
         elif tested[i] == 0:
             errors[i] = ValueError("no sample point clears the epsilon band; "
                                    "increase samples or decrease epsilon")
-        elif collapsed[i]:
-            errors[i] = SingularInput("sample collapsed to zero under g")
         elif margin[i] < 0.0:
             errors[i] = ContractionFailed(tuple(pts[worst[i]].tolist()),
                                           float(worst_dist[i]), epsilon)

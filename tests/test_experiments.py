@@ -496,6 +496,15 @@ class TestGapRunner:
         assert captured.out == ""
         assert captured.err == f"dispgeo ams-gap: ValueError: {message}\n"
 
+    def test_band_wider_than_r_is_refused(self, capsys):
+        message = "need r > 2 epsilon > 0, got r=0.1, epsilon=0.05"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            X.run_ams_gap(samples=3, seed=1, r=0.1)
+        assert main(["ams-gap", "--seed", "1", "--samples", "3",
+                     "--r", "0.1"]) == 1
+        assert capsys.readouterr().err == (
+            f"dispgeo ams-gap: ValueError: {message}\n")
+
     def test_separation_one_is_valid(self):
         # only draws with coincident eigenvector and normal certify at
         # r = 1: some diagonal ones, and no conjugated one here
@@ -1054,6 +1063,21 @@ class TestCli:
     def test_pingpong_find(self, capsys):
         assert main(["pingpong", "--find-f", "ab"]) == 0
         assert "power = " in capsys.readouterr().out
+
+    def test_pingpong_empty_find_f_is_searched(self, capsys):
+        # an empty --find-f is given, so it reaches find_ping_pong_pair,
+        # which refuses the identity
+        assert main(["pingpong", "--find-f", ""]) == 1
+        assert "f must have positive translation length" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("words", [["--u", "aab", "--v", "bba"],
+                                       ["--v", "bba"], ["--u", ""]])
+    def test_pingpong_both_modes_is_a_usage_error(self, capsys, words):
+        assert main(["pingpong", "--find-f", "ab", *words]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--find-f" in captured.err and "--u and --v" in captured.err
 
     def test_word_ops(self, capsys):
         assert main(["word", "multiply", "ab", "BA"]) == 0

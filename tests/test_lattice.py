@@ -255,6 +255,29 @@ class TestExactHelpers:
         # a fully cyclotomic polynomial gives exact zeros
         assert log_eigenvalue_moduli(E(3, 0, 2, 5)) == (0.0,) * 3
 
+    @pytest.mark.parametrize("n, num, k, box, members", [
+        (2, 167, 6, Fraction(167, 64), 11),
+        (3, 147, 7, Fraction(6, 5), 63),
+        (4, 147, 7, Fraction(6, 5), 1989)])
+    def test_least_houses_above_one(self, n, num, k, box, members):
+        # the least house h_n above 1 of a monic integer polynomial of
+        # degree n with constant term (-1)^n, as the characteristic
+        # polynomial of an element of SL(n, Z) has: if every root lies in
+        # |z| < num / 2^k <= box, then |a_m| <= C(n, m) box^m, so the
+        # polynomials counted below hold every one with house below
+        # num / 2^k; each that is not a product of cyclotomics keeps a
+        # root outside, so h_2 = (3 + sqrt 5)/2 > 167/64 and h_3, h_4 >
+        # 147/128
+        bounds = [math.floor(math.comb(n, m) * box ** m) for m in range(1, n)]
+        polys = [(1, *middle, (-1) ** n) for middle in iter_product(
+            *(range(-b, b + 1) for b in bounds))]
+        assert len(polys) == members
+        for poly in polys:
+            if _strip_cyclotomic(poly, n) != (1,):
+                assert _roots_inside(poly, num, k) < n, poly
+        # x^3 + x^2 - 1 (Boyd) has house 1.1509..., below 1179/1024
+        assert _roots_inside((1, 1, 0, -1), 1179, 10) == 3
+
     @staticmethod
     def count_roots_inside(monkeypatch):
         """Patch lattice._roots_inside to count its calls in the list
@@ -409,6 +432,13 @@ class TestGeneratorSet:
         with pytest.raises(ValueError):
             GeneratorSet.from_matrices([E(2, 0, 1, 1)])
 
+    def test_norm_bound_is_derived_not_set(self, gens2):
+        # a bound below the generators' norms would make
+        # translation_length_lower overstate word lengths
+        with pytest.raises(TypeError, match="norm_bound"):
+            GeneratorSet(elements=gens2.elements, norm_bound=1.01)
+        assert GeneratorSet(gens2.elements).norm_bound == gens2.norm_bound
+
     def test_frobenius_fallback(self):
         gs = GeneratorSet.from_matrices([FIB, inverse_unimodular(FIB)])
         # operator norm of FIB is (3 + sqrt 5)/2 = 2.618; Frobenius sqrt(7)
@@ -452,7 +482,7 @@ class TestGeneratorSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError,
                            match="generating set must be nonempty"):
-            GeneratorSet(elements=(), norm_bound=1.0)
+            GeneratorSet(elements=())
         with pytest.raises(ValueError,
                            match="generating set must be nonempty"):
             GeneratorSet.from_matrices([])

@@ -704,12 +704,14 @@ class TestCertifyProximal:
 
     @pytest.mark.parametrize("g", [
         [[1.0, 1e200, 0.0], [0.0, 0.5, 1e200], [0.0, 0.0, 0.25]],
-        [[1.0, 1.7e308, 1.7e308], [0.0, 0.5, 1e308], [0.0, 0.0, 0.25]]])
+        [[1.0, 1.7e308, 1.7e308], [0.0, 0.5, 1e308], [0.0, 0.0, 0.25]],
+        [[1.5e308, 1.5e308], [1.5e308, 1.5e308]]])
     def test_overflowing_minors_are_an_eigen_failure(self, g, capsys):
         # finite entries whose adjugate minors overflow give a NaN
         # repelling normal, which would fail every band test and read
-        # as "no sample point clears the epsilon band"; no overflow
-        # warning escapes
+        # as "no sample point clears the epsilon band"; so does a real
+        # top eigenvalue that eig gives as inf; no overflow warning
+        # escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EigenFailure,
@@ -719,6 +721,34 @@ class TestCertifyProximal:
                          json.dumps(g)]) == 1
         assert "EigenFailure: repelling normal is not finite" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("g, r, kind, message", [
+        ([[30.0, 0.0], [0.0, 1 / 30]], 1.5, ValueError,
+         "r must be <= 1, the largest separation, got 1.5"),
+        # the moduli overflow to inf, so only the reality test fires
+        ([[1.7e308, -1.7e308], [1.7e308, 1.7e308]], 0.5,
+         NoDominantEigenvalue, "is not real"),
+        # 1e-9 * radius underflows to 0, so only the reality test fires
+        ([[0.0, -1e-315], [1e-315, 0.0]], 0.5, NoDominantEigenvalue,
+         "is not real"),
+        # det is about -1, but eig gives the eigenvalues [0, 0]
+        ([[1e-300, 1e300], [1e-300, 1e-300]], 0.5, EigenFailure,
+         "eig gave spectral radius 0 for a nonsingular matrix"),
+        ([[0, 1], [0, 0]], 0.5, SingularInput, "zero spectral radius"),
+        ([[0, 0], [0, 0]], 0.5, SingularInput, "zero spectral radius")],
+        ids=["r-above-one", "overflowing-pair", "subnormal-rotation",
+             "radius-zero-nonsingular", "nilpotent", "zero"])
+    def test_verdicts_at_the_ends_of_the_float_range(self, g, r, kind,
+                                                     message, capsys):
+        # the library and the CLI give one verdict, and no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(kind, match=message):
+                certify_proximal(np.array(g, dtype=float), r, 0.05)
+            assert main(["matgeo", "proximal", "--matrix", json.dumps(g),
+                         f"--r={r}"]) == 1
+        err = capsys.readouterr().err
+        assert f"dispgeo matgeo: {kind.__name__}: " in err and message in err
 
     def test_cli_certificate_is_pinned(self, capsys):
         assert main(["matgeo", "proximal", "--matrix",
