@@ -5,7 +5,8 @@ and matrix queries.  Reports are written atomically when --out is given,
 otherwise to stdout; wall-clock timing goes to stderr so report bytes
 depend only on the config.  Exit status is 0 exactly when every assertion
 of the run passed, and 2 on usage errors.  A call that names a subcommand
-first builds that subparser alone; help and errors read the same.
+first builds that subparser alone; help and errors read the same.  Each
+subparser names its handler as its ``run`` default, and ``main`` calls it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "report"), default="csv")
 
 
+_WORD_ARITY = {"length": (1, 1), "multiply": (1, None), "invert": (1, 1),
+               "cyclic": (1, 1), "translation": (1, 1), "stable": (1, 1),
+               "gromov": (2, 3), "acr": (1, 1), "bound": (3, 3)}
+
+
 _COMMANDS = ("prop422", "prop507", "ams-gap", "depth-roots", "pingpong",
              "contortion", "word", "matgeo")
 
@@ -103,6 +109,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--max-ball", type=int, default=2_000_000,
                        help="error out (never truncate) beyond this ball size")
         _add_output_flags(p)
+        p.set_defaults(run=lambda a: _emit_report(experiments.run_prop422(
+            radius=a.radius, u=a.u, v=a.v, delta=a.delta,
+            alpha_override=a.alpha_override, max_ball=a.max_ball), a))
 
     if command in (None, "prop507"):
         p = sub.add_parser("prop507", help="zero displacement vs divergent "
@@ -118,6 +127,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="size cap of that half-radius ball table; a "
                        "larger ball is an error")
         _add_output_flags(p)
+        p.set_defaults(run=lambda a: _emit_report(experiments.run_prop507(
+            n=a.n, power_max=a.power_max, negative_control=a.negative_control,
+            word_radius=a.word_radius, max_ball=a.max_ball), a))
 
     if command in (None, "ams-gap"):
         p = sub.add_parser("ams-gap", help="Cartan-Jordan gap distribution "
@@ -131,6 +143,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--diagonal-only", action="store_true")
         p.add_argument("--gap-bound", type=float, default=None)
         _add_output_flags(p)
+        p.set_defaults(run=lambda a: _emit_report(experiments.run_ams_gap(
+            dimension=a.dim, samples=a.samples, r=a.r, epsilon=a.epsilon,
+            seed=a.seed, diagonal_only=a.diagonal_only,
+            gap_bound=a.gap_bound), a))
 
     if command in (None, "depth-roots"):
         p = sub.add_parser("depth-roots", help="bounded-depth-roots "
@@ -139,6 +155,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="JSON matrix or array of matrices")
         p.add_argument("--box-bound", type=int, default=None)
         _add_output_flags(p)
+        p.set_defaults(run=lambda a: _emit_report(experiments.run_depth_roots(
+            load_matrix_file(a.file, integer=True), box_bound=a.box_bound), a))
 
     if command in (None, "pingpong"):
         p = sub.add_parser("pingpong", help="certify a ping-pong pair or "
@@ -147,12 +165,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--v", help="second word (certify mode)")
         p.add_argument("--find-f", help="cyclically reduced word f "
                                         "(search mode)")
-        p.add_argument("--find-conjugator", default="a",
-                       help="generator a for the pair (f^N, a f^N a^-1)")
-        p.add_argument("--n-max", type=int, default=32)
+        p.add_argument("--find-conjugator",
+                       help="generator a for the pair (f^N, a f^N a^-1) "
+                            "(search mode; default a)")
+        p.add_argument("--n-max", type=int,
+                       help="largest power N tried (search mode; default 32)")
         p.add_argument("--delta", type=parse_rational, default=Fraction(0))
         p.add_argument("--rank", type=int, default=2)
         p.add_argument("--out")
+        p.set_defaults(run=_cmd_pingpong)
 
     if command in (None, "contortion"):
         p = sub.add_parser("contortion", help="finite-quotient witness that "
@@ -162,17 +183,17 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        help="JSON class representative (repeatable)")
         p.add_argument("--prime-cap", type=int, default=10_000)
         p.add_argument("--out")
+        p.set_defaults(run=_cmd_contortion)
 
     if command in (None, "word"):
         p = sub.add_parser("word", help="ad-hoc word-algebra queries")
-        p.add_argument("op", choices=("length", "multiply", "invert", "cyclic",
-                                      "translation", "stable", "gromov", "acr",
-                                      "bound"))
+        p.add_argument("op", choices=tuple(_WORD_ARITY))
         p.add_argument("args", nargs="*", help="word arguments in a..z/A..Z "
                                                "notation")
         p.add_argument("--rank", type=int, default=2)
         p.add_argument("--delta", type=parse_rational, default=Fraction(0))
         p.add_argument("--out")
+        p.set_defaults(run=_cmd_word)
 
     if command in (None, "matgeo"):
         p = sub.add_parser("matgeo", help="ad-hoc matrix projections")
@@ -186,6 +207,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=0.05)
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--out")
+        p.set_defaults(run=_cmd_matgeo)
     return parser
 
 
@@ -195,11 +217,17 @@ def _cmd_pingpong(args) -> int:
             sys.stderr.write("pingpong: --find-f excludes --u and --v\n")
             return 2
         f = parse_word(args.find_f, args.rank)
-        a = parse_word(args.find_conjugator, args.rank)
-        n, cert = find_ping_pong_pair(f, a, args.delta, args.n_max)
+        a = parse_word("a" if args.find_conjugator is None
+                       else args.find_conjugator, args.rank)
+        n, cert = find_ping_pong_pair(
+            f, a, args.delta, 32 if args.n_max is None else args.n_max)
         doc = f"power = {n}\n" + certificate_document(cert)
         _emit(doc, args.out)
         return 0
+    if args.find_conjugator is not None or args.n_max is not None:
+        sys.stderr.write("pingpong: --find-conjugator and --n-max need "
+                         "--find-f\n")
+        return 2
     if args.u is None or args.v is None:
         sys.stderr.write("pingpong: need --u and --v, or --find-f\n")
         return 2
@@ -220,11 +248,6 @@ def _cmd_contortion(args) -> int:
     witness = contortion_witness(gamma, reps, prime_cap=args.prime_cap)
     _emit(certificate_document(witness), args.out)
     return 0
-
-
-_WORD_ARITY = {"length": (1, 1), "multiply": (1, None), "invert": (1, 1),
-               "cyclic": (1, 1), "translation": (1, 1), "stable": (1, 1),
-               "gromov": (2, 3), "acr": (1, 1), "bound": (3, 3)}
 
 
 def _cmd_word(args) -> int:
@@ -317,37 +340,7 @@ def main(argv=None) -> int:
     args = build_parser(command).parse_args(argv)
     started = time.monotonic()
     try:
-        if args.command == "prop422":
-            report = experiments.run_prop422(
-                radius=args.radius, u=args.u, v=args.v, delta=args.delta,
-                alpha_override=args.alpha_override, max_ball=args.max_ball)
-            code = _emit_report(report, args)
-        elif args.command == "prop507":
-            report = experiments.run_prop507(
-                n=args.n, power_max=args.power_max,
-                negative_control=args.negative_control,
-                word_radius=args.word_radius, max_ball=args.max_ball)
-            code = _emit_report(report, args)
-        elif args.command == "ams-gap":
-            report = experiments.run_ams_gap(
-                dimension=args.dim, samples=args.samples, r=args.r,
-                epsilon=args.epsilon, seed=args.seed,
-                diagonal_only=args.diagonal_only,
-                gap_bound=args.gap_bound)
-            code = _emit_report(report, args)
-        elif args.command == "depth-roots":
-            matrices = load_matrix_file(args.file, integer=True)
-            report = experiments.run_depth_roots(matrices,
-                                                 box_bound=args.box_bound)
-            code = _emit_report(report, args)
-        elif args.command == "pingpong":
-            code = _cmd_pingpong(args)
-        elif args.command == "contortion":
-            code = _cmd_contortion(args)
-        elif args.command == "word":
-            code = _cmd_word(args)
-        else:
-            code = _cmd_matgeo(args)
+        code = args.run(args)
     except (DispgeoError, ValueError, OSError) as exc:
         sys.stderr.write(f"dispgeo {args.command}: "
                          f"{type(exc).__name__}: {exc}\n")

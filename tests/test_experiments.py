@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -1002,6 +1003,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.build_parser("word").parse_args(["prop507"])
 
+    def test_every_subparser_has_a_handler(self):
+        # main calls args.run; a subparser without set_defaults(run=...)
+        # would raise an AttributeError there, which main does not catch
+        for command in (None, *cli._COMMANDS):
+            parser = cli.build_parser(command)
+            sub, = (action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+            assert list(sub.choices) == (
+                list(cli._COMMANDS) if command is None else [command])
+            for name, subparser in sub.choices.items():
+                assert callable(subparser.get_default("run")), name
+
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         # the console script calls main() with no arguments
         monkeypatch.setattr(sys, "argv", ["dispgeo", "word", "length",
@@ -1060,9 +1073,42 @@ class TestCli:
         assert main(["pingpong", "--u", "ab"]) == 2
         assert "need --u and --v" in capsys.readouterr().err
 
+    FOUND_AB = ("power = 1\ntype = PingPongCertificate\nu = ab\nv = aabA\n"
+                "delta = 0\nmargin1 = 2\nmargin2 = 0\nmargin3 = 1\n")
+
     def test_pingpong_find(self, capsys):
+        # without --find-conjugator, search mode conjugates by a
         assert main(["pingpong", "--find-f", "ab"]) == 0
-        assert "power = " in capsys.readouterr().out
+        assert capsys.readouterr().out == self.FOUND_AB
+
+    def test_pingpong_find_readme_call(self, capsys):
+        assert main(["pingpong", "--find-f", "ab", "--find-conjugator", "a",
+                     "--n-max", "10"]) == 0
+        assert capsys.readouterr().out == self.FOUND_AB
+
+    def test_pingpong_find_tries_32_powers_by_default(self, capsys):
+        assert main(["pingpong", "--find-f", "ab", "--delta", "1"]) == 1
+        assert "no power up to 32 works at delta 1" in (
+            capsys.readouterr().err)
+
+    def test_pingpong_empty_find_conjugator_is_searched(self, capsys):
+        # an empty --find-conjugator is given, so it is the identity, and
+        # find_ping_pong_pair refuses it
+        assert main(["pingpong", "--find-f", "ab",
+                     "--find-conjugator", ""]) == 1
+        assert "a must be a single generator or inverse" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [
+        ["--find-conjugator", "b", "--n-max", "1"], ["--find-conjugator", ""],
+        ["--n-max", "32"]])
+    def test_pingpong_search_flags_in_certify_mode_is_a_usage_error(
+            self, capsys, flags):
+        assert main(["pingpong", "--u", "aab", "--v", "bba", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "pingpong: --find-conjugator and --n-max need --find-f\n")
 
     def test_pingpong_empty_find_f_is_searched(self, capsys):
         # an empty --find-f is given, so it reaches find_ping_pong_pair,
