@@ -237,11 +237,12 @@ def _dominant_real_eigenvector(ms: np.ndarray
 
     Returns ``(vecs, errors, moduli, left)``; ``errors[i]`` is None or an
     unraised EigenFailure (LAPACK failed or gave radius 0 for a nonsingular
-    matrix, or the left eigenvector's minors overflow to a non-finite
-    normal), SingularInput (zero radius, g singular) or
-    NoDominantEigenvalue (top modulus within 1e-9 * radius of the next, or
-    top eigenvalue not exactly real: LAPACK pairs conjugates exactly, so
-    that test decides only moduli that overflow or underflow), and
+    matrix with a simple exact top modulus, or the left eigenvector's
+    minors overflow to a non-finite normal), SingularInput (zero radius, g
+    singular) or NoDominantEigenvalue (top modulus within 1e-9 * radius of
+    the next, exactly so when LAPACK gave radius 0, or top eigenvalue not
+    exactly real: LAPACK pairs conjugates exactly, so that test decides
+    only moduli that overflow or underflow), and
     ``vecs[i]`` and ``left[i]`` are meaningful only when it is None.
     ``moduli`` are the eigenvalue moduli.  Each vector is scaled to make
     its entry of largest modulus positive, and ``left`` has no -0.0 entry.
@@ -278,10 +279,19 @@ def _dominant_real_eigenvector(ms: np.ndarray
         if errors[i] is not None:
             continue
         if radius[i] == 0.0:
-            errors[i] = (SingularInput("zero spectral radius")
-                         if det_exact(_exact_rows(ms[i])[0]) == 0 else
-                         EigenFailure("eig gave spectral radius 0 for a "
-                                      "nonsingular matrix"))
+            exact = _exact_rows(ms[i])[0]
+            if det_exact(exact) == 0:
+                errors[i] = SingularInput("zero spectral radius")
+                continue
+            # g is nonsingular, so eig lost its spectrum off the float
+            # range: compare the exact top moduli (g = M/D shifts each log
+            # by log D)
+            log_top, log_next, *_ = log_eigenvalue_moduli(exact)
+            errors[i] = (NoDominantEigenvalue("exact top moduli are not "
+                                              "separated")
+                         if math.exp(log_next - log_top) > 1 - _EIG_REL_TOL
+                         else EigenFailure("eig gave spectral radius 0 for a "
+                                           "nonsingular matrix"))
         elif second[i] > radius[i] - _EIG_REL_TOL * radius[i]:
             errors[i] = NoDominantEigenvalue(
                 f"top moduli {radius[i]:.6g} and {second[i]:.6g} "

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import math
@@ -1003,17 +1002,80 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.build_parser("word").parse_args(["prop507"])
 
-    def test_every_subparser_has_a_handler(self):
-        # main calls args.run; a subparser without set_defaults(run=...)
-        # would raise an AttributeError there, which main does not catch
-        for command in (None, *cli._COMMANDS):
-            parser = cli.build_parser(command)
-            sub, = (action for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-            assert list(sub.choices) == (
-                list(cli._COMMANDS) if command is None else [command])
-            for name, subparser in sub.choices.items():
-                assert callable(subparser.get_default("run")), name
+    def test_every_subparser_has_a_handler(self, capsys):
+        # main calls the handler of the subcommand's table entry; one that
+        # is not callable would raise there, outside main's error handling
+        for name, (_, run, _) in cli._COMMANDS.items():
+            assert callable(run), name
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0, name
+            assert capsys.readouterr().out.startswith(
+                f"usage: dispgeo {name} [-h]"), name
+
+    # argv -> exit code, stdout (sha256 when it is a report) and the last
+    # stderr line, timing dropped: usage errors in argparse's words, and
+    # the flag forms argparse accepts (prefixes, --flag=value, negative
+    # numbers as values, -r as the unique prefix of --rank)
+    PARSER_CONTRACT = [
+        ([], 2, "", "dispgeo: error: the following arguments are required: "
+         "command"),
+        (["bogus"], 2, "", "dispgeo: error: argument command: invalid choice:"
+         " 'bogus' (choose from 'prop422', 'prop507', 'ams-gap', "
+         "'depth-roots', 'pingpong', 'contortion', 'word', 'matgeo')"),
+        (["prop422", "--bogus"], 2, "",
+         "dispgeo: error: unrecognized arguments: --bogus"),
+        (["prop422", "x", "y"], 2, "",
+         "dispgeo: error: unrecognized arguments: x y"),
+        (["prop507", "--version"], 2, "",
+         "dispgeo: error: unrecognized arguments: --version"),
+        (["prop422", "--radius"], 2, "",
+         "dispgeo prop422: error: argument --radius: expected one argument"),
+        (["prop422", "--radius", "x"], 2, "",
+         "dispgeo prop422: error: argument --radius: invalid int value: 'x'"),
+        (["prop422", "--out", "--format", "csv"], 2, "",
+         "dispgeo prop422: error: argument --out: expected one argument"),
+        (["ams-gap"], 2, "", "dispgeo ams-gap: error: the following "
+         "arguments are required: --seed"),
+        (["ams-gap", "--seed", "1", "--dim", "4"], 2, "",
+         "dispgeo ams-gap: error: argument --dim: invalid choice: 4 "
+         "(choose from 2, 3)"),
+        (["ams-gap", "--seed", "1", "--r", "x"], 2, "",
+         "dispgeo ams-gap: error: argument --r: invalid float value: 'x'"),
+        (["prop507", "--format", "xml"], 2, "",
+         "dispgeo prop507: error: argument --format: invalid choice: 'xml' "
+         "(choose from 'csv', 'report')"),
+        (["word"], 2, "", "dispgeo word: error: the following arguments are "
+         "required: op, args"),
+        (["word", "x"], 2, "", "dispgeo word: error: argument op: invalid "
+         "choice: 'x' (choose from 'length', 'multiply', 'invert', 'cyclic', "
+         "'translation', 'stable', 'gromov', 'acr', 'bound')"),
+        (["matgeo"], 2, "", "dispgeo matgeo: error: the following arguments "
+         "are required: op"),
+        (["contortion"], 2, "", "dispgeo contortion: error: the following "
+         "arguments are required: --gamma, --rep"),
+        (["depth-roots"], 2, "", "dispgeo depth-roots: error: the following "
+         "arguments are required: --file"),
+        (["prop422", "--rad", "3"], 0, "6eb1535447428dd68ec36475b6159d66703"
+         "235cadd06c109bb94263cf2a8dbaf", ""),
+        (["prop422", "--radius=3"], 0, "6eb1535447428dd68ec36475b6159d66703"
+         "235cadd06c109bb94263cf2a8dbaf", ""),
+        (["prop422", "--radius", "1", "--alpha-override", "-100"], 1,
+         "454f811e22e454fc4b7cbd723aa3183fa1c584ff0efbbda032155cfbc3956b3b",
+         ""),
+        (["pingpong", "--r", "2", "--u", "ab", "--v", "ba"], 0,
+         "type = PingPongCertificate\nu = ab\nv = ba\ndelta = 0\n"
+         "margin1 = 2\nmargin2 = 1\nmargin3 = 1\n", "")]
+
+    @pytest.mark.parametrize("argv, code, out, last_err", PARSER_CONTRACT,
+                             ids=[" ".join(case[0]) or "no-args"
+                                  for case in PARSER_CONTRACT])
+    def test_parser_contract(self, argv, code, out, last_err, capsys):
+        got_code, got_out, got_err = _cli_result(argv, capsys)
+        if got_out.startswith("# dispgeo-report"):
+            got_out = hashlib.sha256(got_out.encode()).hexdigest()
+        assert (got_code, got_out, (got_err.splitlines() or [""])[-1]) == (
+            code, out, last_err)
 
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         # the console script calls main() with no arguments

@@ -120,6 +120,21 @@ def test_renormalized_cartan_average_leaves_mpmath_unimported():
     assert proc.stdout.split()[-2:] == ["2", "False"]
 
 
+def test_a_cli_run_imports_no_argparse_gettext_or_locale():
+    # argparse's messages go through gettext, whose first call imports
+    # locale: together 1-2 ms of each fresh-process CLI call.  A fresh
+    # interpreter, because pytest itself imports argparse
+    script = (
+        "import sys\n"
+        "from dispgeo.cli import main\n"
+        "code = main(['word', 'length', 'ab'])\n"
+        "print(code, [name for name in ('argparse', 'gettext', 'locale')\n"
+        "             if name in sys.modules])\n")
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["2", "0 []"]
+
+
 def test_commands_without_draws_leave_numpy_random_unimported(tmp_path):
     # numpy.random takes about 6 ms to import, which would land in the
     # set-up and every op of a benchmark run: only seeded draws load it

@@ -731,9 +731,10 @@ class TestCertifyProximal:
         # 1e-9 * radius underflows to 0, so only the reality test fires
         ([[0.0, -1e-315], [1e-315, 0.0]], 0.5, NoDominantEigenvalue,
          "is not real"),
-        # det is about -1, but eig gives the eigenvalues [0, 0]
-        ([[1e-300, 1e300], [1e-300, 1e-300]], 0.5, EigenFailure,
-         "eig gave spectral radius 0 for a nonsingular matrix"),
+        # det is about -1, but eig gives the eigenvalues [0, 0]; the exact
+        # moduli are both about 1 (eigenvalues about +-1)
+        ([[1e-300, 1e300], [1e-300, 1e-300]], 0.5, NoDominantEigenvalue,
+         "exact top moduli are not separated"),
         ([[0, 1], [0, 0]], 0.5, SingularInput, "zero spectral radius"),
         ([[0, 0], [0, 0]], 0.5, SingularInput, "zero spectral radius")],
         ids=["r-above-one", "overflowing-pair", "subnormal-rotation",
@@ -749,6 +750,23 @@ class TestCertifyProximal:
                          f"--r={r}"]) == 1
         err = capsys.readouterr().err
         assert f"dispgeo matgeo: {kind.__name__}: " in err and message in err
+
+    @pytest.mark.parametrize("g, kind, message", [
+        ([[2.0, 0.0], [0.0, 0.5]], EigenFailure,
+         "eig gave spectral radius 0 for a nonsingular matrix"),
+        ([[0.0, 2.0], [0.5, 0.0]], NoDominantEigenvalue,
+         "exact top moduli are not separated")])
+    def test_zero_radius_from_eig_reads_the_exact_moduli(self, g, kind,
+                                                         message,
+                                                         monkeypatch):
+        # eig patched to lose the spectrum, as it does off the float
+        # range: exact moduli 2 and 1/2 leave LAPACK at fault, while the
+        # eigenvalues +-1 have no dominant one
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (
+            np.zeros_like(eig(a)[0]), eig(a)[1]))
+        with pytest.raises(kind, match=message):
+            certify_proximal(np.array(g), 0.5, 0.05)
 
     def test_cli_certificate_is_pinned(self, capsys):
         assert main(["matgeo", "proximal", "--matrix",
