@@ -5,13 +5,17 @@ and matrix queries.  Reports are written atomically when --out is given,
 otherwise to stdout; wall-clock timing goes to stderr so report bytes
 depend only on the config.  Exit status is 0 exactly when every assertion
 of the run passed, and 2 on usage errors.  ``_COMMANDS`` gives each
-subcommand its help line, handler and flag table; ``_scan`` reads argv
-against the tables as the standard library's option parser would, and
-``_help`` renders them.
+subcommand its help line, handler and flag table.  ``build_parser`` reads
+argv once, through ``_scan``, against the tables as the standard
+library's option parser would, and ``_help`` renders them.
+``_WORD_OPS`` and ``_MATGEO_OPS`` name each op once, with its arity or
+matrix kind and its output.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 import sys
 import time
@@ -38,13 +42,12 @@ from .matgeo import (
 )
 from .serialize import (
     _real_rows,
+    _render_value,
     certificate_document,
     load_matrix_file,
     parse_int_matrix_text,
     parse_matrix_text,
     parse_rational,
-    render_rational,
-    render_real,
     write_atomic,
 )
 from .words import (
@@ -69,11 +72,6 @@ def _emit(text: str, out: str | None) -> None:
 def _emit_report(report, args) -> int:
     _emit(experiments.render_report(report, args.format), args.out)
     return 0 if report.passed else 1
-
-
-_WORD_ARITY = {"length": (1, 1), "multiply": (1, None), "invert": (1, 1),
-               "cyclic": (1, 1), "translation": (1, 1), "stable": (1, 1),
-               "gromov": (2, 3), "acr": (1, 1), "bound": (3, 3)}
 
 
 def _cmd_pingpong(args) -> int:
@@ -115,52 +113,50 @@ def _cmd_contortion(args) -> int:
     return 0
 
 
+def _lines(value, *fields) -> str:
+    """The value's line as a certificate field prints it, a flag as
+    true/false; given field names, one ``field = value`` line each."""
+    if fields:
+        return "".join(f"{name} = {_lines(getattr(value, name))}"
+                       for name in fields)
+    if isinstance(value, bool):
+        return ("true" if value else "false") + "\n"
+    return _render_value(value) + "\n"
+
+
+# word op -> (fewest words, most words or None, output of the parsed
+# words and the args)
+_WORD_OPS = {
+    "length": (1, 1, lambda w, a: _lines(len(w[0]))),
+    "multiply": (1, None, lambda w, a: _lines(
+        functools.reduce(operator.mul, w, Word.identity(a.rank)))),
+    "invert": (1, 1, lambda w, a: _lines(w[0].inverse())),
+    "cyclic": (1, 1, lambda w, a: _lines(cyclic_reduce(w[0]), "core",
+                                         "conjugator")),
+    "translation": (1, 1, lambda w, a: _lines(translation_length(w[0]))),
+    "stable": (1, 1, lambda w, a: _lines(stable_norm(w[0]))),
+    "gromov": (2, 3, lambda w, a: _lines(gromov_product(*w).value)),
+    "acr": (1, 1, lambda w, a: _lines(is_almost_cyclically_reduced(
+        w[0], a.delta), "product", "threshold", "is_acr")),
+    "bound": (3, 3, lambda w, a: _lines(stable_norm_length_bound(
+        w[0], certify_ping_pong(w[1], w[2], a.delta)), "lhs", "rhs",
+        "holds")),
+}
+
+
 def _cmd_word(args) -> int:
-    rank = args.rank
-    low, high = _WORD_ARITY[args.op]
-    if len(args.args) < low or (high is not None and len(args.args) > high):
-        bounds = str(low) if high == low else (
-            f"{low}+" if high is None else f"{low}-{high}")
+    low, high, output = _WORD_OPS[args.op]
+    if not low <= len(args.args) <= (high or len(args.args)):
+        bounds = low if high == low else f"{low}-{high}" if high else f"{low}+"
         sys.stderr.write(f"word {args.op}: expected {bounds} word "
                          f"argument(s), got {len(args.args)}\n")
         return 2
-    words = [parse_word(a, rank) for a in args.args]
-    op = args.op
-    if op == "length":
-        out = str(len(words[0]))
-    elif op == "multiply":
-        acc = Word.identity(rank)
-        for w in words:
-            acc = acc * w
-        out = acc.to_str() or "<identity>"
-    elif op == "invert":
-        out = words[0].inverse().to_str() or "<identity>"
-    elif op == "cyclic":
-        dec = cyclic_reduce(words[0])
-        out = (f"core = {dec.core.to_str() or '<identity>'}\n"
-               f"conjugator = {dec.conjugator.to_str() or '<identity>'}")
-    elif op == "translation":
-        out = str(translation_length(words[0]))
-    elif op == "stable":
-        out = str(stable_norm(words[0]))
-    elif op == "gromov":
-        base = words[2] if len(words) > 2 else None
-        out = render_rational(gromov_product(words[0], words[1], base).value)
-    elif op == "acr":
-        v = is_almost_cyclically_reduced(words[0], args.delta)
-        out = (f"product = {render_rational(v.product)}\n"
-               f"threshold = {render_rational(v.threshold)}\n"
-               f"is_acr = {'true' if v.is_acr else 'false'}")
-    else:  # bound
-        pair = certify_ping_pong(words[1], words[2], args.delta)
-        res = stable_norm_length_bound(words[0], pair)
-        out = (f"lhs = {res.lhs}\nrhs = {render_rational(res.rhs)}\n"
-               f"holds = {'true' if res.holds else 'false'}")
-    _emit(out + "\n", args.out)
+    _emit(output([parse_word(a, args.rank) for a in args.args], args),
+          args.out)
     return 0
 
 
-def _load_one_matrix(args, integer: bool = False):
+def _load_one_matrix(args, integer: bool):
     if args.file is None:
         if integer:
             return parse_int_matrix_text(args.matrix)
@@ -171,31 +167,24 @@ def _load_one_matrix(args, integer: bool = False):
     return matrices[0]
 
 
+# matgeo op -> (reads an integer matrix, output of the matrix and the
+# args)
+_MATGEO_OPS = {
+    "cartan": (False, lambda m, a: _lines(tuple(cartan_projection(m)))),
+    "jordan": (False, lambda m, a: _lines(tuple(jordan_projection(m)))),
+    "norm": (False, lambda m, a: _lines(symmetric_space_norm(m))),
+    "displacement": (False, lambda m, a: _lines(
+        symmetric_space_displacement(m))),
+    "gap": (False, lambda m, a: _lines(cartan_jordan_gap(m))),
+    "unipotent": (True, lambda m, a: _lines(is_unipotent(m))),
+    "proximal": (False, lambda m, a: certificate_document(certify_proximal(
+        m, a.r, a.epsilon, a.samples))),
+}
+
+
 def _cmd_matgeo(args) -> int:
-    op = args.op
-    if op == "unipotent":
-        m = _load_one_matrix(args, integer=True)
-        _emit(("true" if is_unipotent(m) else "false") + "\n", args.out)
-        return 0
-    m = _load_one_matrix(args)
-    if op == "proximal":
-        cert = certify_proximal(m, args.r, args.epsilon, args.samples)
-        _emit(certificate_document(cert), args.out)
-        return 0
-    if op == "cartan":
-        vec = cartan_projection(m)
-    elif op == "jordan":
-        vec = jordan_projection(m)
-    elif op == "norm":
-        _emit(render_real(symmetric_space_norm(m)) + "\n", args.out)
-        return 0
-    elif op == "displacement":
-        _emit(render_real(symmetric_space_displacement(m)) + "\n", args.out)
-        return 0
-    else:  # gap
-        _emit(render_real(cartan_jordan_gap(m)) + "\n", args.out)
-        return 0
-    _emit("[" + ", ".join(render_real(x) for x in vec) + "]\n", args.out)
+    integer, output = _MATGEO_OPS[args.op]
+    _emit(output(_load_one_matrix(args, integer), args), args.out)
     return 0
 
 
@@ -208,9 +197,17 @@ def _cmd_matgeo(args) -> int:
 _REQUIRED, _ONE_OF = object(), object()
 _ABOUT = ("Displacement geometry toolkit: word metrics, ping-pong certificates,"
           " matrix projections, and the experiments built on them.")
-_OUTPUT = {"--out": (str, None, "write the report to this path "
-                     "(atomic temp-file + rename)"),
-           "--format": (("csv", "report"), "csv", "")}
+_OUT = (str, None, "write to this path, not stdout (atomic temp-file + "
+        "rename)")
+_OUTPUT = {"--out": _OUT, "--format": (("csv", "report"), "csv", "csv with "
+                                       "#-prefixed header and summary lines, "
+                                       "or an indented text report")}
+_DELTA = (parse_rational, Fraction(0), "hyperbolicity constant, an exact "
+          "rational such as 1/2")
+_RANK = (int, 2, "rank k of the free group F_k (letters a..z)")
+_R = (float, 0.5, "separation r of (r, epsilon)-proximality, at most 1")
+_EPSILON = (float, 0.05, "contraction epsilon of (r, epsilon)-proximality, "
+            "below r/2")
 
 _COMMANDS = {
     "prop422": (
@@ -218,8 +215,10 @@ _COMMANDS = {
         "ball", lambda a: _emit_report(experiments.run_prop422(
             radius=a.radius, u=a.u, v=a.v, delta=a.delta,
             alpha_override=a.alpha_override, max_ball=a.max_ball), a),
-        {"--radius": (int, 12, ""), "--u": (str, "aab", ""),
-         "--v": (str, "bba", ""), "--delta": (parse_rational, Fraction(0), ""),
+        {"--radius": (int, 12, "scan every word of F_2 up to this length"),
+         "--u": (str, "aab", "first word of the ping-pong pair (u, v)"),
+         "--v": (str, "bba", "second word of the ping-pong pair (u, v)"),
+         "--delta": _DELTA,
          "--alpha-override": (parse_rational, None, "negative-control hook: "
                               "replace the derived additive offset"),
          "--max-ball": (int, 2_000_000, "error out (never truncate) beyond "
@@ -229,8 +228,11 @@ _COMMANDS = {
         "powers", lambda a: _emit_report(experiments.run_prop507(
             n=a.n, power_max=a.power_max, negative_control=a.negative_control,
             word_radius=a.word_radius, max_ball=a.max_ball), a),
-        {"--n": (int, 3, ""), "--power-max": (int, 2 ** 20, ""),
-         "--negative-control": (bool, False, ""),
+        {"--n": (int, 3, "size n of the unipotent shear E_1n(1) in SL(n,Z)"),
+         "--power-max": (int, 2 ** 20, "last power checked; the rows are "
+                         "the powers 1, 2, 4, ... up to it"),
+         "--negative-control": (bool, False, "replace the shear by a "
+                                "hyperbolic element, which displaces"),
          "--word-radius": (int, 4, "word lengths up to this radius give the "
                            "word_length column (rows p <= 16), from one ball "
                            "table of half the radius, rounded up"),
@@ -242,17 +244,22 @@ _COMMANDS = {
             dimension=a.dim, samples=a.samples, r=a.r, epsilon=a.epsilon,
             seed=a.seed, diagonal_only=a.diagonal_only,
             gap_bound=a.gap_bound), a),
-        {"--dim": ((2, 3), 2, ""), "--samples": (int, 1000, ""),
-         "--r": (float, 0.5, ""), "--epsilon": (float, 0.05, ""),
+        {"--dim": ((2, 3), 2, "dimension d of the SL(d,R) draws"),
+         "--samples": (int, 1000, "number of random draws"),
+         "--r": _R, "--epsilon": _EPSILON,
          "--seed": (int, _REQUIRED, "mandatory: the run is randomized"),
-         "--diagonal-only": (bool, False, ""),
-         "--gap-bound": (float, None, ""), **_OUTPUT}),
+         "--diagonal-only": (bool, False, "draw diagonal matrices, with no "
+                             "random conjugator"),
+         "--gap-bound": (float, None, "pass bound on the largest gap "
+                         "(default: calibrated per dimension)"), **_OUTPUT}),
     "depth-roots": (
         "bounded-depth-roots certificates for integer matrices from a file",
         lambda a: _emit_report(experiments.run_depth_roots(
             load_matrix_file(a.file, integer=True), box_bound=a.box_bound), a),
         {"--file": (str, _REQUIRED, "JSON matrix or array of matrices"),
-         "--box-bound": (int, None, ""), **_OUTPUT}),
+         "--box-bound": (int, None, "entry bound of the exhaustive root "
+                         "search (default: min(ceil(K) + 1, b_max(n)))"),
+         **_OUTPUT}),
     "pingpong": (
         "certify a ping-pong pair or search for a certified power",
         _cmd_pingpong,
@@ -263,27 +270,31 @@ _COMMANDS = {
                                "(f^N, a f^N a^-1) (search mode; default a)"),
          "--n-max": (int, None, "largest power N tried (search mode; "
                      "default 32)"),
-         "--delta": (parse_rational, Fraction(0), ""), "--rank": (int, 2, ""),
-         "--out": (str, None, "")}),
+         "--delta": _DELTA, "--rank": _RANK, "--out": _OUT}),
     "contortion": (
         "finite-quotient witness that a power escapes the given conjugacy "
         "classes", _cmd_contortion,
         {"--gamma": (str, _REQUIRED, "JSON integer matrix"),
          "--rep": (list, _REQUIRED, "JSON class representative (repeatable)"),
-         "--prime-cap": (int, 10_000, ""), "--out": (str, None, "")}),
+         "--prime-cap": (int, 10_000, "largest prime modulus tried"),
+         "--out": _OUT}),
     "word": (
         "ad-hoc word-algebra queries", _cmd_word,
-        {"--rank": (int, 2, ""), "--delta": (parse_rational, Fraction(0), ""),
-         "--out": (str, None, ""), "op": (tuple(_WORD_ARITY), _REQUIRED, ""),
+        {"--rank": _RANK, "--delta": _DELTA, "--out": _OUT,
+         "op": (tuple(_WORD_OPS), _REQUIRED, "multiply takes one or more "
+                "words, gromov two and an optional base point, bound three "
+                "(g u v), the others one"),
          "args": (list, _REQUIRED, "word arguments in a..z/A..Z notation")}),
     "matgeo": (
         "ad-hoc matrix projections", _cmd_matgeo,
         {"--matrix": (str, _ONE_OF, "JSON rows, entries int/float/'p/q'"),
          "--file": (str, _ONE_OF, "read the matrix from this JSON file"),
-         "--r": (float, 0.5, ""), "--epsilon": (float, 0.05, ""),
-         "--samples": (int, 1000, ""), "--out": (str, None, ""),
-         "op": (("cartan", "jordan", "norm", "displacement", "gap",
-                 "unipotent", "proximal"), _REQUIRED, "")}),
+         "--r": _R, "--epsilon": _EPSILON,
+         "--samples": (int, 1000, "projective sample points that proximal "
+                       "tests"), "--out": _OUT,
+         "op": (tuple(_MATGEO_OPS), _REQUIRED, "cartan and jordan print a "
+                "vector, norm, displacement and gap a real, unipotent "
+                "true/false of an integer matrix, proximal a certificate")}),
 }
 
 
@@ -293,9 +304,7 @@ def _help(prog: str, about: str, flags: dict) -> str:
     rows = [("-h, --help", "show this help message and exit")]
     for name, (conv, default, text) in flags.items():
         if isinstance(conv, (tuple, dict)):
-            # a parser built for one subcommand still shows every name
-            choices = _COMMANDS if isinstance(conv, dict) else conv
-            meta = "{" + ",".join(map(str, choices)) + "}"
+            meta = "{" + ",".join(map(str, conv)) + "}"
         else:
             meta = name.lstrip("-").upper().replace("-", "_")
         if name[0] == "-":
@@ -309,7 +318,7 @@ def _help(prog: str, about: str, flags: dict) -> str:
             usage.append(shown if default is _REQUIRED or name[0] != "-"
                          else f"[{shown}]")
         if isinstance(conv, dict):
-            rows += [(command, spec[0]) for command, spec in _COMMANDS.items()]
+            rows += [(command, spec[0]) for command, spec in conv.items()]
         else:
             rows.append((shown, text))
     if either:
@@ -414,25 +423,19 @@ def _scan(prog: str, about: str, flags: dict, argv: list) -> tuple:
     return {**defaults, **values}, extras
 
 
-def build_parser(command: str | None = None) -> SimpleNamespace:
-    """The CLI parser; given a subcommand name, with that subcommand only.
-    Its ``parse_args(argv)`` returns the namespace the handlers read."""
-    commands = _COMMANDS if command is None else {command: _COMMANDS[command]}
+def build_parser(argv) -> SimpleNamespace:
+    """The namespace the handlers read, from one scan of argv against the
+    command table.  It parses rather than builds a parser; the name stays
+    because ``perfbench/tracer.py`` traces the parse under it."""
     top = {"--version": (bool, False, "show program's version number and "
-                         "exit"), "command": (commands, _REQUIRED, "")}
-
-    def parse_args(argv) -> SimpleNamespace:
-        values = _scan("dispgeo", _ABOUT, top, list(argv))[0]
-        return SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
-                                  for name, value in values.items()})
-
-    return SimpleNamespace(parse_args=parse_args)
+                         "exit"), "command": (_COMMANDS, _REQUIRED, "")}
+    values = _scan("dispgeo", _ABOUT, top, list(argv))[0]
+    return SimpleNamespace(**{name.lstrip("-").replace("-", "_"): value
+                              for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(sys.argv[1:] if argv is None else argv)
     started = time.monotonic()
     try:
         code = _COMMANDS[args.command][1](args)

@@ -398,13 +398,16 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
     r > 1 is refused: no draw could certify.  The run passes when at
     least one draw certifies and the maximum observed gap is at most the
     finite, nonnegative ``gap_bound``, by default calibrated for the
-    dimension.
+    dimension.  The seed is an integer >= 0, checked before any draw.
     """
     if dimension not in DEFAULT_GAP_BOUNDS:
         raise ValueError("gap experiment supports dimensions 2 and 3")
     _check_proximal_params(r, epsilon)
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if gap_bound is not None and not 0.0 <= gap_bound < math.inf:
         raise ValueError(f"gap_bound must be finite and >= 0, got {gap_bound}")
     bound = DEFAULT_GAP_BOUNDS[dimension] if gap_bound is None else gap_bound

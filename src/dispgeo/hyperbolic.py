@@ -194,8 +194,10 @@ def find_ping_pong_pair(f: Word, a: Word, delta=0,
 
     f must be cyclically reduced with positive translation length, and a a
     generator that does not commute with f.  Existence for large N is a
-    theorem; n_max is only a resource cap.
+    theorem; n_max >= 1 is only a resource cap.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if translation_length(f) == 0:
         raise ValueError("f must have positive translation length")
     if not f.is_cyclically_reduced():

@@ -496,6 +496,20 @@ class TestGapRunner:
         assert captured.out == ""
         assert captured.err == f"dispgeo ams-gap: ValueError: {message}\n"
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_bad_seed_is_refused_before_drawing(self, seed, capsys,
+                                                monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew from a bad seed")
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            X.run_ams_gap(2, 3, seed=seed)
+        if seed == -1:
+            assert main(["ams-gap", "--seed", "-1", "--samples", "3"]) == 1
+            assert capsys.readouterr().err == (
+                f"dispgeo ams-gap: ValueError: {message}\n")
+
     def test_band_wider_than_r_is_refused(self, capsys):
         message = "need r > 2 epsilon > 0, got r=0.1, epsilon=0.05"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -965,13 +979,144 @@ class TestDeterminism:
         assert data[0].split(",")[0] == "power"
 
 
+# one valid call of each word and matgeo op
+OP_ARGVS = [
+    ["word", "length", "bbbbaBBBB"], ["word", "multiply", "ab", "ba", "AB"],
+    ["word", "invert", "aab"], ["word", "cyclic", "bAabaB"],
+    ["word", "translation", "bbbbaBBBB"], ["word", "stable", "bbbbaBBBB"],
+    ["word", "gromov", "aab", "bba", "ab"],
+    ["word", "acr", "aab", "--delta", "1/2"],
+    ["word", "bound", "bbbbaBBBB", "aab", "bba"],
+    ["matgeo", "cartan", "--matrix", "[[2,1],[1,1]]"],
+    ["matgeo", "jordan", "--matrix", "[[1,1],[0,1]]"],
+    ["matgeo", "norm", "--matrix", "[[1,1],[0,1]]"],
+    ["matgeo", "displacement", "--matrix", "[[2,1],[1,1]]"],
+    ["matgeo", "gap", "--matrix", "[[1,1],[0,1]]"],
+    ["matgeo", "unipotent", "--matrix", "[[1,1],[0,1]]"],
+    ["matgeo", "proximal", "--matrix", '[[30,0],[0,"1/30"]]']]
 # every subcommand's help, usage errors, stray top-level flag and bare
-# run, and the top-level calls that need the full parser
+# run, the top-level calls, and each word and matgeo op
 CLI_ARGVS = [[name, *tail] for name in cli._COMMANDS
              for tail in (["--help"], ["--bogus"], ["x", "y"], ["--version"],
                           [])] + [
     [], ["--help"], ["--version"], ["-h", "prop507"],
-    ["--version", "prop507"], ["bogus"]]
+    ["--version", "prop507"], ["bogus"]] + OP_ARGVS
+# " ".join(argv) -> exit code, the first 16 hex digits of stdout's sha256
+# ("" for no stdout) and the last stderr line, timing dropped
+CLI_PINS = {
+    "prop422 --help": (0, "a0ecdd5850ef4ceb", ""),
+    "prop422 --bogus": (2, "",
+        "dispgeo: error: unrecognized arguments: --bogus"),
+    "prop422 x y": (2, "", "dispgeo: error: unrecognized arguments: x y"),
+    "prop422 --version": (2, "",
+        "dispgeo: error: unrecognized arguments: --version"),
+    "prop422": (0, "b3db919964584110", ""),
+    "prop507 --help": (0, "2469c7befbd69f4f", ""),
+    "prop507 --bogus": (2, "",
+        "dispgeo: error: unrecognized arguments: --bogus"),
+    "prop507 x y": (2, "", "dispgeo: error: unrecognized arguments: x y"),
+    "prop507 --version": (2, "",
+        "dispgeo: error: unrecognized arguments: --version"),
+    "prop507": (0, "5f04fe9af8cea980", ""),
+    "ams-gap --help": (0, "c6b1815a74abc4cd", ""),
+    "ams-gap --bogus": (2, "",
+        "dispgeo ams-gap: error: the following arguments are required: "
+        "--seed"),
+    "ams-gap x y": (2, "",
+        "dispgeo ams-gap: error: the following arguments are required: "
+        "--seed"),
+    "ams-gap --version": (2, "",
+        "dispgeo ams-gap: error: the following arguments are required: "
+        "--seed"),
+    "ams-gap": (2, "",
+        "dispgeo ams-gap: error: the following arguments are required: "
+        "--seed"),
+    "depth-roots --help": (0, "f317e743c35b27d3", ""),
+    "depth-roots --bogus": (2, "",
+        "dispgeo depth-roots: error: the following arguments are required: "
+        "--file"),
+    "depth-roots x y": (2, "",
+        "dispgeo depth-roots: error: the following arguments are required: "
+        "--file"),
+    "depth-roots --version": (2, "",
+        "dispgeo depth-roots: error: the following arguments are required: "
+        "--file"),
+    "depth-roots": (2, "",
+        "dispgeo depth-roots: error: the following arguments are required: "
+        "--file"),
+    "pingpong --help": (0, "528ac4b5b13a57d1", ""),
+    "pingpong --bogus": (2, "",
+        "dispgeo: error: unrecognized arguments: --bogus"),
+    "pingpong x y": (2, "", "dispgeo: error: unrecognized arguments: x y"),
+    "pingpong --version": (2, "",
+        "dispgeo: error: unrecognized arguments: --version"),
+    "pingpong": (2, "", "pingpong: need --u and --v, or --find-f"),
+    "contortion --help": (0, "9597ff0f8ebb8fa0", ""),
+    "contortion --bogus": (2, "",
+        "dispgeo contortion: error: the following arguments are required: "
+        "--gamma, --rep"),
+    "contortion x y": (2, "",
+        "dispgeo contortion: error: the following arguments are required: "
+        "--gamma, --rep"),
+    "contortion --version": (2, "",
+        "dispgeo contortion: error: the following arguments are required: "
+        "--gamma, --rep"),
+    "contortion": (2, "",
+        "dispgeo contortion: error: the following arguments are required: "
+        "--gamma, --rep"),
+    "word --help": (0, "b65a36b74132a662", ""),
+    "word --bogus": (2, "",
+        "dispgeo word: error: the following arguments are required: op, "
+        "args"),
+    "word x y": (2, "",
+        "dispgeo word: error: argument op: invalid choice: 'x' (choose "
+        "from 'length', 'multiply', 'invert', 'cyclic', 'translation', "
+        "'stable', 'gromov', 'acr', 'bound')"),
+    "word --version": (2, "",
+        "dispgeo word: error: the following arguments are required: op, "
+        "args"),
+    "word": (2, "",
+        "dispgeo word: error: the following arguments are required: op, "
+        "args"),
+    "matgeo --help": (0, "3e8fb151063abcf0", ""),
+    "matgeo --bogus": (2, "",
+        "dispgeo matgeo: error: the following arguments are required: op"),
+    "matgeo x y": (2, "",
+        "dispgeo matgeo: error: argument op: invalid choice: 'x' (choose "
+        "from 'cartan', 'jordan', 'norm', 'displacement', 'gap', "
+        "'unipotent', 'proximal')"),
+    "matgeo --version": (2, "",
+        "dispgeo matgeo: error: the following arguments are required: op"),
+    "matgeo": (2, "",
+        "dispgeo matgeo: error: the following arguments are required: op"),
+    "": (2, "",
+        "dispgeo: error: the following arguments are required: command"),
+    "--help": (0, "7d3f55fe2b12ebed", ""),
+    "--version": (0, "b09cf68fcdf26b09", ""),
+    "-h prop507": (0, "7d3f55fe2b12ebed", ""),
+    "--version prop507": (0, "b09cf68fcdf26b09", ""),
+    "bogus": (2, "",
+        "dispgeo: error: argument command: invalid choice: 'bogus' (choose "
+        "from 'prop422', 'prop507', 'ams-gap', 'depth-roots', 'pingpong', "
+        "'contortion', 'word', 'matgeo')"),
+    "word length bbbbaBBBB": (0, "2e6d31a5983a9125", ""),
+    "word multiply ab ba AB": (0, "a63d8014dba89134", ""),
+    "word invert aab": (0, "0382c0d11b12ccfd", ""),
+    "word cyclic bAabaB": (0, "f295c2393abfb708", ""),
+    "word translation bbbbaBBBB": (0, "4355a46b19d348dc", ""),
+    "word stable bbbbaBBBB": (0, "4355a46b19d348dc", ""),
+    "word gromov aab bba ab": (0, "4355a46b19d348dc", ""),
+    "word acr aab --delta 1/2": (0, "b1595d58da4c04e8", ""),
+    "word bound bbbbaBBBB aab bba": (0, "e9e3dcc5463a555b", ""),
+    "matgeo cartan --matrix [[2,1],[1,1]]": (0, "246b49f14cd2162d", ""),
+    "matgeo jordan --matrix [[1,1],[0,1]]": (0, "7211ad359c55dcd7", ""),
+    "matgeo norm --matrix [[1,1],[0,1]]": (0, "f91f961ed3b159a2", ""),
+    "matgeo displacement --matrix [[2,1],[1,1]]": (0, "ecb62a39f2e8ef3d", ""),
+    "matgeo gap --matrix [[1,1],[0,1]]": (0, "f91f961ed3b159a2", ""),
+    "matgeo unipotent --matrix [[1,1],[0,1]]": (0, "a17fcf0a2f50e2d4", ""),
+    'matgeo proximal --matrix [[30,0],[0,"1/30"]]': (0, "4c1391c8ec8e3dc6",
+        ""),
+}
 TIMING = re.compile(r"^\[dispgeo\] .* finished in .*\n", re.M)
 
 
@@ -987,20 +1132,22 @@ def _cli_result(argv, capsys) -> tuple:
 
 class TestCli:
     @pytest.mark.parametrize("argv", CLI_ARGVS, ids=" ".join)
-    def test_filtered_parser_is_invisible(self, argv, capsys, monkeypatch):
-        # the one-subparser parser of a named subcommand prints what the
-        # full parser prints, byte for byte
-        filtered = _cli_result(argv, capsys)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: full())
-        assert _cli_result(argv, capsys) == filtered
+    def test_pinned_calls(self, argv, capsys):
+        code, out, err = _cli_result(argv, capsys)
+        digest = hashlib.sha256(out.encode()).hexdigest()[:16] if out else ""
+        assert (code, digest, (err.splitlines() or [""])[-1]) == CLI_PINS[
+            " ".join(argv)]
 
-    def test_named_subcommand_parser_holds_only_that_subparser(self):
-        assert cli.build_parser("word").parse_args(
-            ["word", "length", "ab"]).command == "word"
+    @pytest.mark.parametrize("name", [None, *cli._COMMANDS])
+    def test_every_help_row_has_text(self, name, capsys):
+        # below the usage and help lines, each row is a flag, positional or
+        # subcommand, two or more spaces, then its help text
         with pytest.raises(SystemExit):
-            cli.build_parser("word").parse_args(["prop507"])
+            main(["--help"] if name is None else [name, "--help"])
+        rows = capsys.readouterr().out.split("\n\n", 2)[2].splitlines()
+        assert rows
+        for row in rows:
+            assert len(re.split(r"\s{2,}", row.strip())) == 2, row
 
     def test_every_subparser_has_a_handler(self, capsys):
         # main calls the handler of the subcommand's table entry; one that

@@ -206,6 +206,13 @@ class TestFindPingPongPair:
         with pytest.raises(PingPongNotFound):
             find_ping_pong_pair(W("ab"), W("a"), 50, n_max=3)
 
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_cap_below_one_is_refused(self, n_max):
+        # a cap that tries no power is a bad argument, not a failed search
+        with pytest.raises(ValueError, match=f"n_max must be >= 1, got "
+                           f"{n_max}"):
+            find_ping_pong_pair(W("ab"), W("a"), 0, n_max=n_max)
+
 
 class TestSelectAcr:
     def test_repairs_deep_conjugate(self, pair):
