@@ -7,7 +7,9 @@ depend only on the config.  Exit status is 0 exactly when every assertion
 of the run passed, and 2 on usage errors.  ``_COMMANDS`` gives each
 subcommand its help line, handler and flag table.  ``build_parser`` reads
 argv once, through ``_scan``, against the tables as the standard
-library's option parser would, and ``_help`` renders them.
+library's option parser would, and ``_help`` renders them.  ``_fail``
+refuses every bad call, from the scan or a handler, before any run: the
+usage line of the subcommand, ``dispgeo NAME: error: ...``, exit 2.
 ``_WORD_OPS`` and ``_MATGEO_OPS`` name each op once, with its arity or
 matrix kind and its output.
 """
@@ -75,10 +77,11 @@ def _emit_report(report, args) -> int:
 
 
 def _cmd_pingpong(args) -> int:
+    fail = functools.partial(_fail, "dispgeo pingpong",
+                             _COMMANDS["pingpong"][2])
     if args.find_f is not None:
         if args.u is not None or args.v is not None:
-            sys.stderr.write("pingpong: --find-f excludes --u and --v\n")
-            return 2
+            fail("--find-f excludes --u and --v")
         f = parse_word(args.find_f, args.rank)
         a = parse_word("a" if args.find_conjugator is None
                        else args.find_conjugator, args.rank)
@@ -88,12 +91,9 @@ def _cmd_pingpong(args) -> int:
         _emit(doc, args.out)
         return 0
     if args.find_conjugator is not None or args.n_max is not None:
-        sys.stderr.write("pingpong: --find-conjugator and --n-max need "
-                         "--find-f\n")
-        return 2
+        fail("--find-conjugator and --n-max need --find-f")
     if args.u is None or args.v is None:
-        sys.stderr.write("pingpong: need --u and --v, or --find-f\n")
-        return 2
+        fail("need --u and --v, or --find-f")
     try:
         cert = certify_ping_pong(parse_word(args.u, args.rank),
                                  parse_word(args.v, args.rank), args.delta)
@@ -108,7 +108,7 @@ def _cmd_pingpong(args) -> int:
 def _cmd_contortion(args) -> int:
     gamma = parse_int_matrix_text(args.gamma)
     reps = [parse_int_matrix_text(r) for r in args.rep]
-    witness = contortion_witness(gamma, reps, prime_cap=args.prime_cap)
+    witness = contortion_witness(gamma, reps)
     _emit(certificate_document(witness), args.out)
     return 0
 
@@ -147,16 +147,20 @@ _WORD_OPS = {
 def _cmd_word(args) -> int:
     low, high, output = _WORD_OPS[args.op]
     if not low <= len(args.args) <= (high or len(args.args)):
-        bounds = low if high == low else f"{low}-{high}" if high else f"{low}+"
-        sys.stderr.write(f"word {args.op}: expected {bounds} word "
-                         f"argument(s), got {len(args.args)}\n")
-        return 2
+        bounds = low if high == low else f"{low}-{high}"
+        _fail("dispgeo word", _COMMANDS["word"][2], f"{args.op} expects "
+              f"{bounds} word argument(s), got {len(args.args)}")
     _emit(output([parse_word(a, args.rank) for a in args.args], args),
           args.out)
     return 0
 
 
 def _load_one_matrix(args, integer: bool):
+    if (args.matrix is None) == (args.file is None):
+        _fail("dispgeo matgeo", _COMMANDS["matgeo"][2],
+              "one of the arguments --matrix --file is required"
+              if args.matrix is None
+              else "argument --file: not allowed with argument --matrix")
     if args.file is None:
         if integer:
             return parse_int_matrix_text(args.matrix)
@@ -190,11 +194,11 @@ def _cmd_matgeo(args) -> int:
 
 # Each flag maps to (converter, default, help).  The converter is a
 # callable, a tuple of choices (of its first entry's type), bool for a
-# switch or list for a repeatable flag; the default may be _REQUIRED, or
-# _ONE_OF for each flag of a required either/or group.  Names without
-# dashes are positionals, after the flags: a list one takes the values
-# left, and a dict one names the subcommand, whose table reads the rest.
-_REQUIRED, _ONE_OF = object(), object()
+# switch or list for a repeatable flag; the default may be _REQUIRED.
+# Names without dashes are positionals, after the flags: a list one takes
+# the values left, and a dict one names the subcommand, whose table reads
+# the rest.
+_REQUIRED = object()
 _ABOUT = ("Displacement geometry toolkit: word metrics, ping-pong certificates,"
           " matrix projections, and the experiments built on them.")
 _OUT = (str, None, "write to this path, not stdout (atomic temp-file + "
@@ -276,7 +280,6 @@ _COMMANDS = {
         "classes", _cmd_contortion,
         {"--gamma": (str, _REQUIRED, "JSON integer matrix"),
          "--rep": (list, _REQUIRED, "JSON class representative (repeatable)"),
-         "--prime-cap": (int, 10_000, "largest prime modulus tried"),
          "--out": _OUT}),
     "word": (
         "ad-hoc word-algebra queries", _cmd_word,
@@ -287,8 +290,8 @@ _COMMANDS = {
          "args": (list, _REQUIRED, "word arguments in a..z/A..Z notation")}),
     "matgeo": (
         "ad-hoc matrix projections", _cmd_matgeo,
-        {"--matrix": (str, _ONE_OF, "JSON rows, entries int/float/'p/q'"),
-         "--file": (str, _ONE_OF, "read the matrix from this JSON file"),
+        {"--matrix": (str, None, "JSON rows, entries int/float/'p/q'"),
+         "--file": (str, None, "read the matrix from this JSON file"),
          "--r": _R, "--epsilon": _EPSILON,
          "--samples": (int, 1000, "projective sample points that proximal "
                        "tests"), "--out": _OUT,
@@ -300,7 +303,7 @@ _COMMANDS = {
 
 def _help(prog: str, about: str, flags: dict) -> str:
     """The --help text of one flag table; its first line is the usage."""
-    usage, either = ["[-h]"], []
+    usage = ["[-h]"]
     rows = [("-h, --help", "show this help message and exit")]
     for name, (conv, default, text) in flags.items():
         if isinstance(conv, (tuple, dict)):
@@ -312,20 +315,22 @@ def _help(prog: str, about: str, flags: dict) -> str:
         else:
             shown = (f"[{name} ...]" if conv is list else f"{meta} ..."
                      if isinstance(conv, dict) else meta)
-        if default is _ONE_OF:
-            either.append(shown)
-        else:
-            usage.append(shown if default is _REQUIRED or name[0] != "-"
-                         else f"[{shown}]")
+        usage.append(shown if default is _REQUIRED or name[0] != "-"
+                     else f"[{shown}]")
         if isinstance(conv, dict):
             rows += [(command, spec[0]) for command, spec in conv.items()]
         else:
             rows.append((shown, text))
-    if either:
-        usage.insert(1, f"({' | '.join(either)})")
     width = max(len(left) for left, _ in rows) + 2
     return f"usage: {prog} {' '.join(usage)}\n\n{about}\n\n" + "".join(
         f"  {left:{width}}{right}".rstrip() + "\n" for left, right in rows)
+
+
+def _fail(prog: str, flags: dict, message: str):
+    """Refuse a call: the table's usage line, the error, exit 2."""
+    usage = _help(prog, "", flags).partition("\n")[0]
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
 
 
 def _scan(prog: str, about: str, flags: dict, argv: list) -> tuple:
@@ -336,12 +341,7 @@ def _scan(prog: str, about: str, flags: dict, argv: list) -> tuple:
     that parser's words; -h, --help and --version print and exit 0 where
     they are read."""
     names = ["-h", "--help", *(name for name in flags if name[0] == "-")]
-    either = [name for name, spec in flags.items() if spec[1] is _ONE_OF]
-
-    def fail(message: str):
-        usage = _help(prog, about, flags).partition("\n")[0]
-        sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
-        raise SystemExit(2)
+    fail = functools.partial(_fail, prog, flags)
 
     def read(arg: str):  # None for a value, else (flag, its =value or None)
         flag, eq, value = arg.partition("=")
@@ -392,20 +392,15 @@ def _scan(prog: str, about: str, flags: dict, argv: list) -> tuple:
         try:
             converted = kind(value)
         except (TypeError, ValueError):
-            fail(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+            fail(f"argument {name}: invalid "
+                 f"{kind.__name__.removeprefix('parse_')} value: {value!r}")
         if isinstance(conv, (tuple, dict)) and converted not in conv:
             fail(f"argument {name}: invalid choice: {converted!r} (choose "
                  f"from {', '.join(map(repr, conv))})")
-        rivals = [other for other in either if other != name
-                  and other in values]
-        if name in either and rivals:
-            fail(f"argument {name}: not allowed with argument {rivals[0]}")
         values[name] = (values.get(name, []) + [converted] if conv is list
                         else converted)
         if hit is None and conv is not list:
             places.pop(0)
-            if places and flags[places[0]][0] is list:
-                values[places[0]] = []  # given now, even if it stays empty
         if isinstance(conv, dict):  # the subcommand reads the rest
             found, rest = _scan(f"{prog} {value}", conv[value][0],
                                 conv[value][2], argv[i:])
@@ -416,10 +411,7 @@ def _scan(prog: str, about: str, flags: dict, argv: list) -> tuple:
                if spec[1] is _REQUIRED and name not in values]
     if missing:
         fail("the following arguments are required: " + ", ".join(missing))
-    if either and not any(name in values for name in either):
-        fail(f"one of the arguments {' '.join(either)} is required")
-    defaults = {name: None if spec[1] is _ONE_OF else spec[1]
-                for name, spec in flags.items()}
+    defaults = {name: spec[1] for name, spec in flags.items()}
     return {**defaults, **values}, extras
 
 

@@ -1212,6 +1212,9 @@ def sl_group_order(n: int, m: int) -> int:
     return order
 
 
+_PRIME_CAP = 10_000  # largest prime modulus contortion_witness tries
+
+
 def _primes(cap: int):
     sieve = [True] * (cap + 1)
     for p in range(2, cap + 1):
@@ -1237,10 +1240,9 @@ class ContortionWitness:
     k: int
 
 
-def contortion_witness(gamma, class_reps,
-                       prime_cap: int = 10_000) -> ContortionWitness:
-    """Smallest prime modulus separating the class reps from the
-    identity, and the resulting escaping power gamma^k.
+def contortion_witness(gamma, class_reps) -> ContortionWitness:
+    """Smallest prime modulus up to ``_PRIME_CAP`` separating the class
+    reps from the identity, and the resulting escaping power gamma^k.
 
     gamma must be non-torsion (else its powers cycle) and no class
     representative may be the identity.
@@ -1262,12 +1264,12 @@ def contortion_witness(gamma, class_reps,
             raise ValueError("the identity is not a valid class "
                              "representative")
     modulus = None
-    for p in _primes(prime_cap):
+    for p in _primes(_PRIME_CAP):
         if all(mat_mod(r, p) != mat_mod(ident, p) for r in reps):
             modulus = p
             break
     if modulus is None:
-        raise NoModulusFound(f"no prime <= {prime_cap} separates the "
+        raise NoModulusFound(f"no prime <= {_PRIME_CAP} separates the "
                              "representatives from the identity")
     one = mat_mod(ident, modulus)
     k = sl_group_order(n, modulus)

@@ -994,13 +994,36 @@ OP_ARGVS = [
     ["matgeo", "gap", "--matrix", "[[1,1],[0,1]]"],
     ["matgeo", "unipotent", "--matrix", "[[1,1],[0,1]]"],
     ["matgeo", "proximal", "--matrix", '[[30,0],[0,"1/30"]]']]
+# calls a handler refuses, and refusals of the scan that no other row
+# reaches: no words for an op, a converter's error, a dropped flag
+REFUSAL_ARGVS = [
+    ["pingpong", "--u", "ab"],
+    ["matgeo", "cartan", "--matrix", "[[2,1],[1,1]]", "--file", "m.json"],
+    ["matgeo", "cartan", "--file", "m.json", "--matrix", "[[2,1],[1,1]]"],
+    ["word", "gromov", "a"], ["word", "length"],
+    ["word", "acr", "bbbbaBBBB", "--delta", "x"],
+    ["contortion", "--gamma", "[[1,1],[0,1]]", "--rep", "[[1,1],[0,1]]",
+     "--prime-cap", "3"]]
 # every subcommand's help, usage errors, stray top-level flag and bare
-# run, the top-level calls, and each word and matgeo op
+# run, the top-level calls, each word and matgeo op, and the refusals
 CLI_ARGVS = [[name, *tail] for name in cli._COMMANDS
              for tail in (["--help"], ["--bogus"], ["x", "y"], ["--version"],
                           [])] + [
     [], ["--help"], ["--version"], ["-h", "prop507"],
-    ["--version", "prop507"], ["bogus"]] + OP_ARGVS
+    ["--version", "prop507"], ["bogus"]] + OP_ARGVS + REFUSAL_ARGVS
+# usage errors in argparse's words, and the flag forms argparse accepts
+# (prefixes, --flag=value, negative numbers as values, -r as the unique
+# prefix of --rank)
+CONTRACT_ARGVS = [
+    [], ["bogus"], ["prop422", "--bogus"], ["prop422", "x", "y"],
+    ["prop507", "--version"], ["prop422", "--radius"],
+    ["prop422", "--radius", "x"], ["prop422", "--out", "--format", "csv"],
+    ["ams-gap"], ["ams-gap", "--seed", "1", "--dim", "4"],
+    ["ams-gap", "--seed", "1", "--r", "x"], ["prop507", "--format", "xml"],
+    ["word"], ["word", "x"], ["matgeo"], ["contortion"], ["depth-roots"],
+    ["prop422", "--rad", "3"], ["prop422", "--radius=3"],
+    ["prop422", "--radius", "1", "--alpha-override", "-100"],
+    ["pingpong", "--r", "2", "--u", "ab", "--v", "ba"]]
 # " ".join(argv) -> exit code, the first 16 hex digits of stdout's sha256
 # ("" for no stdout) and the last stderr line, timing dropped
 CLI_PINS = {
@@ -1050,8 +1073,9 @@ CLI_PINS = {
     "pingpong x y": (2, "", "dispgeo: error: unrecognized arguments: x y"),
     "pingpong --version": (2, "",
         "dispgeo: error: unrecognized arguments: --version"),
-    "pingpong": (2, "", "pingpong: need --u and --v, or --find-f"),
-    "contortion --help": (0, "9597ff0f8ebb8fa0", ""),
+    "pingpong": (2, "",
+        "dispgeo pingpong: error: need --u and --v, or --find-f"),
+    "contortion --help": (0, "f9b098fb6aa13c59", ""),
     "contortion --bogus": (2, "",
         "dispgeo contortion: error: the following arguments are required: "
         "--gamma, --rep"),
@@ -1078,7 +1102,7 @@ CLI_PINS = {
     "word": (2, "",
         "dispgeo word: error: the following arguments are required: op, "
         "args"),
-    "matgeo --help": (0, "3e8fb151063abcf0", ""),
+    "matgeo --help": (0, "5e9bef09aeb6553b", ""),
     "matgeo --bogus": (2, "",
         "dispgeo matgeo: error: the following arguments are required: op"),
     "matgeo x y": (2, "",
@@ -1116,27 +1140,66 @@ CLI_PINS = {
     "matgeo unipotent --matrix [[1,1],[0,1]]": (0, "a17fcf0a2f50e2d4", ""),
     'matgeo proximal --matrix [[30,0],[0,"1/30"]]': (0, "4c1391c8ec8e3dc6",
         ""),
+    "pingpong --u ab": (2, "",
+        "dispgeo pingpong: error: need --u and --v, or --find-f"),
+    "matgeo cartan --matrix [[2,1],[1,1]] --file m.json": (2, "",
+        "dispgeo matgeo: error: argument --file: not allowed with argument "
+        "--matrix"),
+    "matgeo cartan --file m.json --matrix [[2,1],[1,1]]": (2, "",
+        "dispgeo matgeo: error: argument --file: not allowed with argument "
+        "--matrix"),
+    "word gromov a": (2, "",
+        "dispgeo word: error: gromov expects 2-3 word argument(s), got 1"),
+    "word length": (2, "",
+        "dispgeo word: error: the following arguments are required: args"),
+    "word acr bbbbaBBBB --delta x": (2, "",
+        "dispgeo word: error: argument --delta: invalid rational value: 'x'"),
+    "contortion --gamma [[1,1],[0,1]] --rep [[1,1],[0,1]] --prime-cap 3": (
+        2, "", "dispgeo: error: unrecognized arguments: --prime-cap 3"),
+    "prop422 --radius": (2, "",
+        "dispgeo prop422: error: argument --radius: expected one argument"),
+    "prop422 --radius x": (2, "",
+        "dispgeo prop422: error: argument --radius: invalid int value: 'x'"),
+    "prop422 --out --format csv": (2, "",
+        "dispgeo prop422: error: argument --out: expected one argument"),
+    "ams-gap --seed 1 --dim 4": (2, "",
+        "dispgeo ams-gap: error: argument --dim: invalid choice: 4 (choose "
+        "from 2, 3)"),
+    "ams-gap --seed 1 --r x": (2, "",
+        "dispgeo ams-gap: error: argument --r: invalid float value: 'x'"),
+    "prop507 --format xml": (2, "",
+        "dispgeo prop507: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'csv', 'report')"),
+    "word x": (2, "",
+        "dispgeo word: error: argument op: invalid choice: 'x' (choose "
+        "from 'length', 'multiply', 'invert', 'cyclic', 'translation', "
+        "'stable', 'gromov', 'acr', 'bound')"),
+    "prop422 --rad 3": (0, "6eb1535447428dd6", ""),
+    "prop422 --radius=3": (0, "6eb1535447428dd6", ""),
+    "prop422 --radius 1 --alpha-override -100": (1, "454f811e22e454fc", ""),
+    "pingpong --r 2 --u ab --v ba": (0, "16f06bbb58f3185f", ""),
 }
 TIMING = re.compile(r"^\[dispgeo\] .* finished in .*\n", re.M)
 
 
-def _cli_result(argv, capsys) -> tuple:
-    """Exit code, stdout and stderr of one CLI call, timing line dropped."""
+def _pinned(argv, capsys) -> tuple:
+    """Exit code, the first 16 hex digits of stdout's sha256 ("" for no
+    stdout) and the last stderr line of one CLI call, timing dropped.  A
+    refused call (exit 2) starts no run, so it prints no timing line."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
-    return code, out, TIMING.sub("", err)
+    assert code != 2 or not TIMING.search(err), err
+    digest = hashlib.sha256(out.encode()).hexdigest()[:16] if out else ""
+    return code, digest, (TIMING.sub("", err).splitlines() or [""])[-1]
 
 
 class TestCli:
     @pytest.mark.parametrize("argv", CLI_ARGVS, ids=" ".join)
     def test_pinned_calls(self, argv, capsys):
-        code, out, err = _cli_result(argv, capsys)
-        digest = hashlib.sha256(out.encode()).hexdigest()[:16] if out else ""
-        assert (code, digest, (err.splitlines() or [""])[-1]) == CLI_PINS[
-            " ".join(argv)]
+        assert _pinned(argv, capsys) == CLI_PINS[" ".join(argv)]
 
     @pytest.mark.parametrize("name", [None, *cli._COMMANDS])
     def test_every_help_row_has_text(self, name, capsys):
@@ -1160,69 +1223,10 @@ class TestCli:
             assert capsys.readouterr().out.startswith(
                 f"usage: dispgeo {name} [-h]"), name
 
-    # argv -> exit code, stdout (sha256 when it is a report) and the last
-    # stderr line, timing dropped: usage errors in argparse's words, and
-    # the flag forms argparse accepts (prefixes, --flag=value, negative
-    # numbers as values, -r as the unique prefix of --rank)
-    PARSER_CONTRACT = [
-        ([], 2, "", "dispgeo: error: the following arguments are required: "
-         "command"),
-        (["bogus"], 2, "", "dispgeo: error: argument command: invalid choice:"
-         " 'bogus' (choose from 'prop422', 'prop507', 'ams-gap', "
-         "'depth-roots', 'pingpong', 'contortion', 'word', 'matgeo')"),
-        (["prop422", "--bogus"], 2, "",
-         "dispgeo: error: unrecognized arguments: --bogus"),
-        (["prop422", "x", "y"], 2, "",
-         "dispgeo: error: unrecognized arguments: x y"),
-        (["prop507", "--version"], 2, "",
-         "dispgeo: error: unrecognized arguments: --version"),
-        (["prop422", "--radius"], 2, "",
-         "dispgeo prop422: error: argument --radius: expected one argument"),
-        (["prop422", "--radius", "x"], 2, "",
-         "dispgeo prop422: error: argument --radius: invalid int value: 'x'"),
-        (["prop422", "--out", "--format", "csv"], 2, "",
-         "dispgeo prop422: error: argument --out: expected one argument"),
-        (["ams-gap"], 2, "", "dispgeo ams-gap: error: the following "
-         "arguments are required: --seed"),
-        (["ams-gap", "--seed", "1", "--dim", "4"], 2, "",
-         "dispgeo ams-gap: error: argument --dim: invalid choice: 4 "
-         "(choose from 2, 3)"),
-        (["ams-gap", "--seed", "1", "--r", "x"], 2, "",
-         "dispgeo ams-gap: error: argument --r: invalid float value: 'x'"),
-        (["prop507", "--format", "xml"], 2, "",
-         "dispgeo prop507: error: argument --format: invalid choice: 'xml' "
-         "(choose from 'csv', 'report')"),
-        (["word"], 2, "", "dispgeo word: error: the following arguments are "
-         "required: op, args"),
-        (["word", "x"], 2, "", "dispgeo word: error: argument op: invalid "
-         "choice: 'x' (choose from 'length', 'multiply', 'invert', 'cyclic', "
-         "'translation', 'stable', 'gromov', 'acr', 'bound')"),
-        (["matgeo"], 2, "", "dispgeo matgeo: error: the following arguments "
-         "are required: op"),
-        (["contortion"], 2, "", "dispgeo contortion: error: the following "
-         "arguments are required: --gamma, --rep"),
-        (["depth-roots"], 2, "", "dispgeo depth-roots: error: the following "
-         "arguments are required: --file"),
-        (["prop422", "--rad", "3"], 0, "6eb1535447428dd68ec36475b6159d66703"
-         "235cadd06c109bb94263cf2a8dbaf", ""),
-        (["prop422", "--radius=3"], 0, "6eb1535447428dd68ec36475b6159d66703"
-         "235cadd06c109bb94263cf2a8dbaf", ""),
-        (["prop422", "--radius", "1", "--alpha-override", "-100"], 1,
-         "454f811e22e454fc4b7cbd723aa3183fa1c584ff0efbbda032155cfbc3956b3b",
-         ""),
-        (["pingpong", "--r", "2", "--u", "ab", "--v", "ba"], 0,
-         "type = PingPongCertificate\nu = ab\nv = ba\ndelta = 0\n"
-         "margin1 = 2\nmargin2 = 1\nmargin3 = 1\n", "")]
-
-    @pytest.mark.parametrize("argv, code, out, last_err", PARSER_CONTRACT,
-                             ids=[" ".join(case[0]) or "no-args"
-                                  for case in PARSER_CONTRACT])
-    def test_parser_contract(self, argv, code, out, last_err, capsys):
-        got_code, got_out, got_err = _cli_result(argv, capsys)
-        if got_out.startswith("# dispgeo-report"):
-            got_out = hashlib.sha256(got_out.encode()).hexdigest()
-        assert (got_code, got_out, (got_err.splitlines() or [""])[-1]) == (
-            code, out, last_err)
+    @pytest.mark.parametrize("argv", CONTRACT_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "no-args")
+    def test_parser_contract(self, argv, capsys):
+        assert _pinned(argv, capsys) == CLI_PINS[" ".join(argv)]
 
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         # the console script calls main() with no arguments
@@ -1279,8 +1283,8 @@ class TestCli:
         assert "not a ping-pong pair: condition 1" in capsys.readouterr().err
 
     def test_pingpong_missing_word_is_a_usage_error(self, capsys):
-        assert main(["pingpong", "--u", "ab"]) == 2
-        assert "need --u and --v" in capsys.readouterr().err
+        assert _pinned(["pingpong", "--v", "ab"], capsys) == (
+            2, "", "dispgeo pingpong: error: need --u and --v, or --find-f")
 
     FOUND_AB = ("power = 1\ntype = PingPongCertificate\nu = ab\nv = aabA\n"
                 "delta = 0\nmargin1 = 2\nmargin2 = 0\nmargin3 = 1\n")
@@ -1313,11 +1317,10 @@ class TestCli:
         ["--n-max", "32"]])
     def test_pingpong_search_flags_in_certify_mode_is_a_usage_error(
             self, capsys, flags):
-        assert main(["pingpong", "--u", "aab", "--v", "bba", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "pingpong: --find-conjugator and --n-max need --find-f\n")
+        assert _pinned(["pingpong", "--u", "aab", "--v", "bba", *flags],
+                       capsys) == (2, "", "dispgeo pingpong: error: "
+                                   "--find-conjugator and --n-max need "
+                                   "--find-f")
 
     def test_pingpong_empty_find_f_is_searched(self, capsys):
         # an empty --find-f is given, so it reaches find_ping_pong_pair,
@@ -1329,10 +1332,8 @@ class TestCli:
     @pytest.mark.parametrize("words", [["--u", "aab", "--v", "bba"],
                                        ["--v", "bba"], ["--u", ""]])
     def test_pingpong_both_modes_is_a_usage_error(self, capsys, words):
-        assert main(["pingpong", "--find-f", "ab", *words]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--find-f" in captured.err and "--u and --v" in captured.err
+        assert _pinned(["pingpong", "--find-f", "ab", *words], capsys) == (
+            2, "", "dispgeo pingpong: error: --find-f excludes --u and --v")
 
     def test_word_ops(self, capsys):
         assert main(["word", "multiply", "ab", "BA"]) == 0
@@ -1424,7 +1425,7 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid parse_rational value: '1/0'" in err
+        assert "invalid rational value: '1/0'" in err
         assert "Traceback" not in err
 
     def test_seed_required_for_gap(self, capsys):

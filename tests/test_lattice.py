@@ -1545,8 +1545,12 @@ class TestQuotient:
             contortion_witness(((0, -1), (1, 0)), [E(2, 0, 1, 1)])
 
     def test_no_modulus_found(self):
-        with pytest.raises(NoModulusFound):
-            contortion_witness(E(2, 0, 1, 1), [E(2, 0, 1, 6)], prime_cap=3)
+        # E_12(P), P the product of the primes up to the 10 000 cap, is the
+        # identity mod every prime the search tries
+        primes = [p for p in range(2, 10_001)
+                  if all(p % q for q in range(2, math.isqrt(p) + 1))]
+        with pytest.raises(NoModulusFound, match="no prime <= 10000 "):
+            contortion_witness(E(2, 0, 1, 1), [E(2, 0, 1, math.prod(primes))])
 
 
 class TestZpConjugation:
