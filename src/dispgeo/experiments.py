@@ -26,6 +26,7 @@ from .errors import (
     ResourceExceeded,
     SeparationFailed,
     SoundnessFailure,
+    TorsionInput,
 )
 from .hyperbolic import (
     _range_scan,
@@ -33,7 +34,6 @@ from .hyperbolic import (
     pair_offset,
 )
 from .lattice import (
-    TorsionInput,
     depth_root_bound,
     elementary_generators,
     enumerate_ball,

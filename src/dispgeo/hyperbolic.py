@@ -105,7 +105,6 @@ class AcrVerdict:
     |g|/3 - delta, and ``is_acr`` iff product <= threshold.
     """
 
-    element: Word
     product: Fraction
     threshold: Fraction
     is_acr: bool
@@ -120,7 +119,7 @@ def is_almost_cyclically_reduced(g: Word, delta=0) -> AcrVerdict:
     """
     d = _as_delta(delta)
     num, den = d.numerator, d.denominator
-    return AcrVerdict(element=g, product=Fraction(_peel(g.letters)),
+    return AcrVerdict(product=Fraction(_peel(g.letters)),
                       threshold=Fraction(den * len(g) - 3 * num, 3 * den),
                       is_acr=_first_acr((g.letters,), d) == 0)
 

@@ -106,11 +106,13 @@ def _exact_rows(g) -> tuple[list[list[int]], int]:
 
     Integers and integral floats give D = 1; other entries are rounded to
     float, each an integer over a power of two.  Raises ValueError, before
-    splitting an entry, unless g is square and nonempty.
+    splitting an entry, unless g is square and at least 2x2.
     """
     shape = np.shape(g)
-    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("matrices must be at least 2x2")
     ratios = []
     for x in np.asarray(g, dtype=object).ravel().tolist():
         if isinstance(x, (int, np.integer)):
@@ -596,8 +598,6 @@ def _log_singular_values(rows: list[list[int]], denom: int,
     absolute error, 10^-60 max |S|.  A zero determinant, or a squaring
     that cancels more than half the working digits, raises SingularInput.
     """
-    if len(rows) < 2:
-        raise ValueError("matrices must be at least 2x2")
     powers = _exterior_powers(rows)
     if powers[-1][0][0] == 0:
         raise SingularInput("matrix is singular")

@@ -245,7 +245,6 @@ class CyclicDecomposition:
 
     core: Word
     conjugator: Word
-    original: Word
 
 
 def _peel(letters: tuple[int, ...]) -> int:
@@ -268,7 +267,7 @@ def cyclic_reduce(g: Word) -> CyclicDecomposition:
     i = _peel(ls)
     core = Word._trusted(ls[i:len(ls) - i], g.rank)
     conjugator = Word._trusted(ls[:i], g.rank)
-    return CyclicDecomposition(core=core, conjugator=conjugator, original=g)
+    return CyclicDecomposition(core=core, conjugator=conjugator)
 
 
 def translation_length(g: Word) -> int:

@@ -182,27 +182,31 @@ class TestCartanProjection:
                     else:
                         assert x == y
 
-    @pytest.mark.parametrize("denom, cartan_last, jordan_last", [
-        (1, "-20.2156538052", "-19.4944993778"),
-        (1024, "-27.1471256108", "-26.4259711834"),
+    # the vectors as `dispgeo matgeo cartan|jordan` prints them
+    @pytest.mark.parametrize("denom, cartan, jordan", [
+        (1, "[11.5314863249, 8.68416748027, -20.2156538052]",
+         "[9.74724968892, 9.74724968892, -19.4944993778]"),
+        (1024, "[4.60001451935, 1.75269567467, -27.1471256108]",
+         "[2.81577788332, 2.81577788332, -26.4259711834]"),
     ], ids=["M17", "M17_over_1024"])
-    def test_integer_power_below_lapack_conditioning(self, denom,
-                                                     cartan_last,
-                                                     jordan_last):
-        # M^17/1024 is a float matrix, exact in binary: LAPACK put its
-        # smallest components at -27.1485377332 and -26.4276539585
+    def test_integer_power_below_lapack_conditioning(self, denom, cartan,
+                                                     jordan):
+        # M^17 has singular-value ratio 1.6e-14; M^17/1024 is a float
+        # matrix, exact in binary, split exactly as M^17 over 1024: LAPACK
+        # put its smallest components at -27.1485377332 and -26.4276539585
         g = mat_pow(M, 17)
         assert max(abs(x) for row in g for x in row) < 6 * 10 ** 4
         gap = cartan_jordan_gap(g)
         if denom > 1:
             g = np.array(g, dtype=float) / denom
-        mu = cartan_projection(g)
-        assert render_real(mu[-1]) == cartan_last
+        mu, lam = cartan_projection(g), jordan_projection(g)
+        assert "[" + ", ".join(map(render_real, mu)) + "]" == cartan
         assert abs(mu.sum() + 3 * math.log(denom)) < 1e-12
-        assert render_real(jordan_projection(g)[-1]) == jordan_last
+        assert "[" + ", ".join(map(render_real, lam)) + "]" == jordan
         # the gap does not change under scaling
-        assert abs(cartan_jordan_gap(g) - gap) <= 1e-12
-        assert render_real(gap) == "2.19856950398"
+        scaled_gap = cartan_jordan_gap(g)
+        assert abs(scaled_gap - gap) <= 1e-12
+        assert render_real(gap) == render_real(scaled_gap) == "2.19856950398"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_float_route_matches_lapack(self, n):
@@ -1057,3 +1061,16 @@ class TestValidation:
         for projection in (cartan_projection, jordan_projection):
             with pytest.raises(ValueError):
                 projection([1, 2])
+
+    @pytest.mark.parametrize("g", [[[5]], [[5.0]]], ids=["int", "float"])
+    @pytest.mark.parametrize("projection", [
+        cartan_projection, jordan_projection, symmetric_space_norm,
+        symmetric_space_displacement, cartan_jordan_gap, is_unipotent,
+        lambda g: renormalized_cartan_average(g, 0),
+        lambda g: certify_proximal(g, 0.5, 0.1)],
+        ids=["cartan", "jordan", "norm", "displacement", "gap", "unipotent",
+             "average", "proximal"])
+    def test_one_by_one_is_refused(self, projection, g):
+        # one shape rule for every projection, exact and LAPACK alike
+        with pytest.raises(ValueError, match="matrices must be at least 2x2"):
+            projection(g)
