@@ -336,6 +336,9 @@ class TestProp422Runner:
         (dict(radius=7, u="a", v="b", delta=Fraction(1, 300),
               alpha_override=Fraction(5, 2)),
          "1769055ed8399c1046f85557e26a2339cdc131734ba43356e44cf824005de1bf"),
+        # the README config
+        (dict(radius=12),
+         "b3db919964584110e3f770f8bd05643d3b6f4db5bbf9303deacd6ab5b01e3ab5"),
     ])
     def test_pinned_report_bytes(self, cfg, digest):
         # digests of the reports of the Fraction-based scan this one replaced
@@ -1403,6 +1406,34 @@ class TestCli:
             assert exc.value.code == 0, name
             assert capsys.readouterr().out.startswith(
                 f"usage: dispgeo {name} [-h]"), name
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["prop422", "--bogus"], ["prop422", "x", "y"],
+        ["prop507", "--version"], ["ams-gap"], ["word"], ["matgeo"],
+        ["contortion"], ["depth-roots"]],
+        ids=lambda argv: " ".join(argv) or "no-args")
+    def test_parser_contract(self, argv, capsys):
+        # a bare or malformed call is refused by the parser it reached: the
+        # usage line first, the error line last, both under one prog
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        usage, *_, error = err.splitlines()
+        prog = error.split(": error: ")[0]
+        assert (exc.value.code, out) == (2, "")
+        assert usage.startswith(f"usage: {prog} [-h]"), err
+        assert error == CLI_PINS[" ".join(argv)][2]
+
+    def test_seed_required_for_gap(self, capsys):
+        # every other ams-gap flag given: --seed alone is still required
+        for argv in (["ams-gap"],
+                     ["ams-gap", "--dim", "3", "--samples", "1", "--r", "2",
+                      "--epsilon", "0.1", "--diagonal-only"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                "error: the following arguments are required: --seed\n")
 
     def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
         # the console script calls main() with no arguments
