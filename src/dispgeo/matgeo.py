@@ -62,12 +62,18 @@ _RCA_DIGITS = 80  # decimal working precision of renormalized_cartan_average
 _SAMPLE_CHUNK = 32
 
 
+def _square_size(shape: tuple) -> int:
+    """n, for the shape of an n x n matrix with n >= 2; else ValueError."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    if shape[0] < 2:
+        raise ValueError("matrices must be at least 2x2")
+    return shape[0]
+
+
 def _as_matrix(g) -> np.ndarray:
     m = np.asarray(g, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 2:
-        raise ValueError("matrices must be at least 2x2")
+    _square_size(m.shape)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -108,11 +114,7 @@ def _exact_rows(g) -> tuple[list[list[int]], int]:
     float, each an integer over a power of two.  Raises ValueError, before
     splitting an entry, unless g is square and at least 2x2.
     """
-    shape = np.shape(g)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {shape}")
-    if shape[0] < 2:
-        raise ValueError("matrices must be at least 2x2")
+    n = _square_size(np.shape(g))
     ratios = []
     for x in np.asarray(g, dtype=object).ravel().tolist():
         if isinstance(x, (int, np.integer)):
@@ -122,7 +124,6 @@ def _exact_rows(g) -> tuple[list[list[int]], int]:
         else:
             raise ValueError("matrix entries must be finite")
     denom = max(d for _, d in ratios)
-    n = shape[0]
     ints = [num * (denom // d) for num, d in ratios]
     return [ints[i * n:(i + 1) * n] for i in range(n)], denom
 

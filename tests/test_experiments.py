@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -417,7 +418,7 @@ class TestProp507Runner:
             for p, d in zip(powers, disp):
                 assert d == pytest.approx(p * disp[0], rel=1e-6)
 
-    @pytest.mark.parametrize("cfg, digest", [
+    PINNED = [
         (dict(power_max=4),
          "f71daa6412471d3288bcf03bf1e95de21d7bdf8677e749574f2b2be095ae62e0"),
         (dict(power_max=2 ** 8),
@@ -434,7 +435,13 @@ class TestProp507Runner:
          "2e0a16e24f22c58d5c92bc293dbb594d59e1bdc026c87e3ab91fa37625b1a907"),
         (dict(n=4, word_radius=4),
          "f3dc1f33756632b8a23a6de6c715fde8841aedf7d48fe87559c8c6cb32963f13"),
-    ])
+    ]
+
+    # cfg2, (n=4, word_radius=3), is pinned by perfbench/digests.json;
+    # the other rows keep their ids
+    @pytest.mark.parametrize("cfg, digest", PINNED, ids=[
+        f"cfg{i}-{digest}" for i, (_, digest) in zip((0, 1, 3, 4, 5, 6, 7),
+                                                     PINNED)])
     def test_pinned_report_bytes(self, cfg, digest):
         # digests of the reports of the one-search-per-row runner this one
         # replaced
@@ -916,7 +923,9 @@ class TestDepthRootsRunner:
     def test_large_spectral_radius_finishes(self):
         # K1 = 3 * 30^2 = 2700, a family of 5401^2 polynomials: the closed-
         # form minimum and the log start of q make it milliseconds
+        started = time.perf_counter()
         rep = X.run_depth_roots([((30, 1, 0), (-1, 0, 0), (0, 0, 1))])
+        assert time.perf_counter() - started < 60
         assert rep.passed
         assert [line for line in X.render_report(rep, "csv").splitlines()
                 if line.startswith("0,")] == [
@@ -1012,14 +1021,10 @@ RECORDED = {key: want for key, want in json.loads(
     .read_text(encoding="utf-8")).items() if want is not None}
 
 
-def _recorded_ids(keys) -> list:
-    seen = Counter()
-    ids = []
-    for key in keys:
-        kind = key.partition(" ")[0]
-        ids.append(f"{kind}-{seen[kind]}")
-        seen[kind] += 1
-    return ids
+def _recorded_id(key: str) -> str:
+    # from the key alone, so an id stays when other keys come or go
+    digest = hashlib.sha256(key.encode()).hexdigest()[:8]
+    return f"{key.partition(' ')[0]}-{digest}"
 
 
 class TestRecordedDigests:
@@ -1040,8 +1045,7 @@ class TestRecordedDigests:
     configs.
     """
 
-    @pytest.mark.parametrize("key", list(RECORDED),
-                             ids=_recorded_ids(RECORDED))
+    @pytest.mark.parametrize("key", list(RECORDED), ids=_recorded_id)
     def test_digest(self, key, tmp_path, capsys):
         kind, _, rest = key.partition(" ")
         if kind == "renormalized_cartan_average":
