@@ -44,7 +44,7 @@ from .matgeo import (
 )
 from .serialize import (
     _real_rows,
-    _render_value,
+    _value_text,
     certificate_document,
     load_matrix_file,
     parse_int_matrix_text,
@@ -113,45 +113,31 @@ def _cmd_contortion(args) -> int:
     return 0
 
 
-def _lines(value, *fields) -> str:
-    """The value's line as a certificate field prints it, a flag as
-    true/false; given field names, one ``field = value`` line each."""
-    if fields:
-        return "".join(f"{name} = {_lines(getattr(value, name))}"
-                       for name in fields)
-    if isinstance(value, bool):
-        return ("true" if value else "false") + "\n"
-    return _render_value(value) + "\n"
-
-
-# word op -> (fewest words, most words or None, output of the parsed
-# words and the args)
+# word op -> (fewest words, most words or None, value of the parsed
+# words and the args, printed by _value_text)
 _WORD_OPS = {
-    "length": (1, 1, lambda w, a: _lines(len(w[0]))),
-    "multiply": (1, None, lambda w, a: _lines(
-        functools.reduce(operator.mul, w, Word.identity(a.rank)))),
-    "invert": (1, 1, lambda w, a: _lines(w[0].inverse())),
-    "cyclic": (1, 1, lambda w, a: _lines(cyclic_reduce(w[0]), "core",
-                                         "conjugator")),
-    "translation": (1, 1, lambda w, a: _lines(translation_length(w[0]))),
-    "stable": (1, 1, lambda w, a: _lines(stable_norm(w[0]))),
-    "gromov": (2, 3, lambda w, a: _lines(gromov_product(*w).value)),
-    "acr": (1, 1, lambda w, a: _lines(is_almost_cyclically_reduced(
-        w[0], a.delta), "product", "threshold", "is_acr")),
-    "bound": (3, 3, lambda w, a: _lines(stable_norm_length_bound(
-        w[0], certify_ping_pong(w[1], w[2], a.delta)), "lhs", "rhs",
-        "holds")),
+    "length": (1, 1, lambda w, a: len(w[0])),
+    "multiply": (1, None, lambda w, a: functools.reduce(
+        operator.mul, w, Word.identity(a.rank))),
+    "invert": (1, 1, lambda w, a: w[0].inverse()),
+    "cyclic": (1, 1, lambda w, a: cyclic_reduce(w[0])),
+    "translation": (1, 1, lambda w, a: translation_length(w[0])),
+    "stable": (1, 1, lambda w, a: stable_norm(w[0])),
+    "gromov": (2, 3, lambda w, a: gromov_product(*w)),
+    "acr": (1, 1, lambda w, a: is_almost_cyclically_reduced(w[0], a.delta)),
+    "bound": (3, 3, lambda w, a: stable_norm_length_bound(
+        w[0], certify_ping_pong(w[1], w[2], a.delta))),
 }
 
 
 def _cmd_word(args) -> int:
-    low, high, output = _WORD_OPS[args.op]
+    low, high, value = _WORD_OPS[args.op]
     if not low <= len(args.args) <= (high or len(args.args)):
         bounds = low if high == low else f"{low}-{high}"
         _fail("dispgeo word", _COMMANDS["word"][2], f"{args.op} expects "
               f"{bounds} word argument(s), got {len(args.args)}")
-    _emit(output([parse_word(a, args.rank) for a in args.args], args),
-          args.out)
+    _emit(_value_text(value([parse_word(a, args.rank) for a in args.args],
+                            args)), args.out)
     return 0
 
 
@@ -174,13 +160,13 @@ def _load_one_matrix(args, integer: bool):
 # matgeo op -> (reads an integer matrix, output of the matrix and the
 # args)
 _MATGEO_OPS = {
-    "cartan": (False, lambda m, a: _lines(tuple(cartan_projection(m)))),
-    "jordan": (False, lambda m, a: _lines(tuple(jordan_projection(m)))),
-    "norm": (False, lambda m, a: _lines(symmetric_space_norm(m))),
-    "displacement": (False, lambda m, a: _lines(
+    "cartan": (False, lambda m, a: _value_text(tuple(cartan_projection(m)))),
+    "jordan": (False, lambda m, a: _value_text(tuple(jordan_projection(m)))),
+    "norm": (False, lambda m, a: _value_text(symmetric_space_norm(m))),
+    "displacement": (False, lambda m, a: _value_text(
         symmetric_space_displacement(m))),
-    "gap": (False, lambda m, a: _lines(cartan_jordan_gap(m))),
-    "unipotent": (True, lambda m, a: _lines(is_unipotent(m))),
+    "gap": (False, lambda m, a: _value_text(cartan_jordan_gap(m))),
+    "unipotent": (True, lambda m, a: _value_text(is_unipotent(m))),
     "proximal": (False, lambda m, a: certificate_document(certify_proximal(
         m, a.r, a.epsilon, a.samples))),
 }

@@ -49,7 +49,7 @@ from .matgeo import (
     cartan_jordan_gap,
     symmetric_space_displacement,
 )
-from .serialize import render_rational, render_real
+from .serialize import render_flag, render_rational, render_real
 from .words import _SCAN_ROWS, Word, _LayerTables, ball_size, parse_word
 
 __all__ = [
@@ -98,7 +98,7 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
             lines.append(",".join(row))
         for k in sorted(report.summary):
             lines.append(f"# summary {k} = {report.summary[k]}")
-        lines.append(f"# passed: {'true' if report.passed else 'false'}")
+        lines.append(f"# passed: {render_flag(report.passed)}")
         return "\n".join(lines) + "\n"
     if fmt == "report":
         lines = [f"dispgeo report: {report.name}",
@@ -113,7 +113,7 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
         lines.append("summary:")
         for k in sorted(report.summary):
             lines.append(f"  {k} = {report.summary[k]}")
-        lines.append(f"passed: {'true' if report.passed else 'false'}")
+        lines.append(f"passed: {render_flag(report.passed)}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r} (use csv or report)")
 
@@ -153,7 +153,7 @@ def run_prop422(radius: int = 12, u: str | Word = "aab",
         "radius": str(radius), "u": uw.to_str(), "v": vw.to_str(),
         "delta": render_rational(delta),
         "alpha": render_rational(alpha),
-        "alpha_overridden": "true" if alpha_override is not None else "false",
+        "alpha_overridden": render_flag(alpha_override is not None),
     }
     # the bound holds iff excess = |g| - 3 best <= alpha, i.e. excess <=
     # floor(alpha), so min_slack is alpha minus the largest excess; the
@@ -250,7 +250,7 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
 
     config = {
         "n": str(n), "power_max": str(power_max),
-        "negative_control": "true" if negative_control else "false",
+        "negative_control": render_flag(negative_control),
         "word_radius": str(word_radius),
         "norm_bound": render_real(gens.norm_bound),
     }
@@ -284,9 +284,9 @@ def run_prop507(n: int = 3, power_max: int = 2 ** 20,
         "displacement_column": ("all_positive" if negative_control
                                 else "all_zero")
         if displacements_ok else "unexpected",
-        "lower_bound_strictly_increasing": "true" if increasing else "false",
+        "lower_bound_strictly_increasing": render_flag(increasing),
         "max_lower_bound": render_real(max(lower_values)),
-        "well_displacing_falsified": "true" if falsified else "false",
+        "well_displacing_falsified": render_flag(falsified),
     }
     return ExperimentReport(
         name="prop507", config=config,
@@ -416,7 +416,7 @@ def run_ams_gap(dimension: int = 2, samples: int = 1000, r: float = 0.5,
         "dimension": str(dimension), "samples": str(samples),
         "r": render_real(r), "epsilon": render_real(epsilon),
         "seed": str(seed),
-        "diagonal_only": "true" if diagonal_only else "false",
+        "diagonal_only": render_flag(diagonal_only),
         "gap_bound": render_real(bound),
         "prng": "numpy-default-PCG64",
     }

@@ -172,9 +172,9 @@ def certify_ping_pong(u: Word, v: Word, delta=0) -> PingPongCertificate:
     if margin1 < 0 or not shorter:
         raise NotPingPong(1, margin1)
 
-    cross = max(gromov_product(x, y).doubled
+    cross = max(gromov_product(x, y)
                 for x in (u, u.inverse()) for y in (v, v.inverse()))
-    margin2 = shorter / 2 - 20 * d - Fraction(cross, 2)
+    margin2 = shorter / 2 - 20 * d - cross
     if margin2 < 0:
         raise NotPingPong(2, margin2)
 

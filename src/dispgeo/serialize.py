@@ -1,9 +1,11 @@
 """Text formats: exact rationals, matrix documents, certificates.
 
 Matrices parse from JSON arrays of rows; entries may be integers,
-decimals, or exact rationals written "p/q".  Certificates render to flat
-key = value documents with rationals kept exact and reals printed with 12
-significant digits, so identical inputs always produce identical bytes.
+decimals, or exact rationals written "p/q".  This module owns every
+printed form of a value: flags print true/false, rationals exactly, reals
+with 12 significant digits, and a record (certificates and the CLI's
+answers) one ``name = value`` line per field, so identical inputs always
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "render_rational",
     "parse_rational",
     "render_real",
+    "render_flag",
     "parse_matrix_text",
     "parse_int_matrix_text",
     "load_matrix_file",
@@ -44,6 +47,11 @@ def parse_rational(text: str) -> Fraction:
 
 def render_real(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def render_flag(x) -> str:
+    """true or false, by the truth of x."""
+    return "true" if x else "false"
 
 
 def _entry_value(entry, row_index: int):
@@ -132,7 +140,10 @@ def load_matrix_file(path: str, integer: bool = False) -> list:
 
 
 def _render_value(v) -> str:
-    """A certificate field: a Fraction, float, int, Word or tuple of them."""
+    """A certificate field: a Fraction, float, flag, int, Word or tuple of
+    them."""
+    if isinstance(v, bool):
+        return render_flag(v)
     if isinstance(v, Fraction):
         return render_rational(v)
     if isinstance(v, float):
@@ -146,18 +157,23 @@ def _render_value(v) -> str:
     raise TypeError(f"no certificate rendering for {type(v).__name__}")
 
 
-def certificate_document(cert) -> str:
-    """Flat ``key = value`` document for any certificate dataclass.
+def _value_text(v) -> str:
+    """The lines a value prints as: a record one ``name = value`` line per
+    field, in declaration order; any other value one line."""
+    if is_dataclass(v):
+        return "".join(f"{f.name} = {_render_value(getattr(v, f.name))}\n"
+                       for f in fields(v))
+    return _render_value(v) + "\n"
 
-    The first line carries the certificate type; field order follows the
-    dataclass definition, so output is deterministic.
+
+def certificate_document(cert) -> str:
+    """Flat ``key = value`` document for any certificate dataclass: a
+    ``type = `` line naming it, then its fields as ``_value_text`` prints
+    them, so output is deterministic.
     """
     if not is_dataclass(cert):
         raise TypeError(f"expected a dataclass, got {type(cert)}")
-    lines = [f"type = {type(cert).__name__}"]
-    for f in fields(cert):
-        lines.append(f"{f.name} = {_render_value(getattr(cert, f.name))}")
-    return "\n".join(lines) + "\n"
+    return f"type = {type(cert).__name__}\n" + _value_text(cert)
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -3,8 +3,8 @@
 Elements are freely reduced words over the generators of F_k, stored as flat
 tuples of signed integers: ``+i`` is the i-th generator (1-based), ``-i`` its
 inverse.  Every public operation keeps words reduced, so word length is just
-``len(word)`` and all metric quantities below are exact integers (Gromov
-products are exact half-integers, stored doubled).
+``len(word)`` and all metric quantities below are exact integers, Gromov
+products included: in a free group d(g,u) + d(h,u) - d(g,h) is even.
 
 The text format maps generators 1..k to ``a..z`` and their inverses to
 ``A..Z``; the empty string is the identity.  ``"bAb"`` is b a^-1 b.
@@ -19,7 +19,6 @@ read the ``_peel`` of every product g*w off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -28,7 +27,6 @@ from .errors import InvalidGenerator, RankMismatch
 
 __all__ = [
     "Word",
-    "GromovProduct",
     "CyclicDecomposition",
     "multiply",
     "word_length",
@@ -195,47 +193,21 @@ def distance(g: Word, h: Word) -> int:
         g.letters, h.letters)
 
 
-@dataclass(frozen=True)
-class GromovProduct:
-    """An exact Gromov product, stored doubled to stay in the integers.
-
-    In a free group the doubled value is always even, so ``value`` is an
-    integral Fraction.
-    """
-
-    doubled: int
-
-    def __post_init__(self):
-        if self.doubled < 0:
-            raise ValueError(f"negative Gromov product {self.doubled}/2")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __repr__(self) -> str:
-        v = self.value
-        return f"GromovProduct({v.numerator}" + (
-            ")" if v.denominator == 1 else f"/{v.denominator})")
-
-
-def gromov_product(g: Word, h: Word, base: Word | None = None) -> GromovProduct:
+def gromov_product(g: Word, h: Word, base: Word | None = None) -> int:
     """(d(g,u) + d(h,u) - d(g,h)) / 2 with u the base point (default e).
 
     Based at the identity this is the longest common prefix of the two
-    reduced words.
+    reduced words.  In a free group the numerator is always even, so the
+    product is an integer.
 
-    >>> gromov_product(parse_word("aab"), parse_word("abb")).value
-    Fraction(1, 1)
+    >>> gromov_product(parse_word("aab"), parse_word("abb"))
+    1
     """
     if g.rank != h.rank:
         raise RankMismatch(f"rank {g.rank} vs {h.rank}")
     if base is None:
-        doubled = (len(g.letters) + len(h.letters)
-                   - distance(g, h))
-    else:
-        doubled = (distance(g, base) + distance(h, base) - distance(g, h))
-    return GromovProduct(doubled)
+        return _common_prefix(g.letters, h.letters)
+    return (distance(g, base) + distance(h, base) - distance(g, h)) // 2
 
 
 @dataclass(frozen=True)

@@ -96,16 +96,16 @@ def reduce_word(letters: Sequence[int], rank: int) -> Word:
 
 def four_point_holds(g: Word, h: Word, k: Word, delta) -> bool:
     """The four-point condition <g,k> >= min(<g,h>, <h,k>) - delta at the
-    identity; exact comparison (delta may be int or Fraction), made on
-    doubled products scaled by den with delta = num/den."""
+    identity; exact comparison (delta may be int or Fraction), made on the
+    integer products scaled by den with delta = num/den."""
     if not (g.rank == h.rank == k.rank):
         raise RankMismatch("mixed ranks in four-point check")
-    gk = gromov_product(g, k).doubled
-    gh = gromov_product(g, h).doubled
-    hk = gromov_product(h, k).doubled
+    gk = gromov_product(g, k)
+    gh = gromov_product(g, h)
+    hk = gromov_product(h, k)
     d = Fraction(delta)
     num, den = d.numerator, d.denominator
-    return den * gk >= den * min(gh, hk) - 2 * num
+    return den * gk >= den * min(gh, hk) - num
 
 
 def layer_words(rank: int, n: int) -> np.ndarray:

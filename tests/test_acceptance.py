@@ -211,8 +211,8 @@ def test_criterion_4_free_group_identities():
             break
     words3 = list(ball(2, 3))
     api_ok = all(
-        gromov_product(multiply(u, g), multiply(u, h), base=u).doubled
-        == gromov_product(g, h).doubled
+        gromov_product(multiply(u, g), multiply(u, h), base=u)
+        == gromov_product(g, h)
         for u in words3 for g in words3 for h in words3)
 
     # (c) four-point condition at delta = 0, exhaustively at radius 5

@@ -214,6 +214,39 @@ class TestSerialize:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
 
+    def test_write_atomic_failure_leaves_the_target(self, tmp_path):
+        # a lone surrogate fails the utf-8 write: the old bytes stay and
+        # the temp file goes
+        target = tmp_path / "report.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(str(target), "x\ud800y")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    @pytest.mark.parametrize("text, call, exc, message", [
+        (None, lambda path: parse_matrix_text("[[true, 1], [0, 1]]"),
+         ParseError, "row 0: boolean entry"),
+        (None, lambda path: parse_matrix_text('[[1, 1], [{"a": 1}, 1]]'),
+         ParseError, "row 1: unsupported entry {{'a': 1}}"),
+        (None, lambda path: parse_matrix_text("[]"), ParseError,
+         "matrix document must be a nonempty array of rows"),
+        ("[[1, 2],\n [3, ]]", load_matrix_file, ParseError,
+         "{path}: line 2, column 6: Expecting value"),
+        ('{"a": 1}', load_matrix_file, ParseError,
+         "{path}: expected a matrix or array of matrices"),
+    ], ids=["bool-entry", "dict-entry", "empty-document", "bad-json",
+            "not-a-matrix"])
+    def test_refusals(self, text, call, exc, message, tmp_path):
+        # each call reads the file m.json, which holds text; the message
+        # is a format string of its path
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(exc) as info:
+            call(str(path))
+        assert str(info.value) == message.format(path=path)
+
     def test_certificate_document(self):
         from dispgeo.hyperbolic import certify_ping_pong
         from dispgeo.words import parse_word
@@ -222,6 +255,18 @@ class TestSerialize:
         assert "type = PingPongCertificate" in doc
         assert "margin2 = 3/2" in doc
         assert doc.endswith("\n")
+
+    @pytest.mark.parametrize("word, flag", [("aab", "true"),
+                                            ("abaBA", "false")])
+    def test_certificate_document_prints_flags(self, word, flag, capsys):
+        # a bool field prints true/false, as the word op prints it; the
+        # op prints the document's lines without its type line
+        from dispgeo.hyperbolic import is_almost_cyclically_reduced
+        doc = certificate_document(
+            is_almost_cyclically_reduced(parse_word(word)))
+        assert doc.splitlines()[-1] == f"is_acr = {flag}"
+        assert main(["word", "acr", word]) == 0
+        assert "type = AcrVerdict\n" + capsys.readouterr().out == doc
 
     @pytest.mark.parametrize("value", [None, "text", {"a": 1}, [1, 2]])
     def test_certificate_document_rejects_other_fields(self, value):
@@ -251,6 +296,23 @@ def _oracle_prop422(radius, u, v, alpha):
                       f"rhs={render_rational(n - int(excess[i]) + alpha)}")
                      for i in bad[:20].tolist()]
     return rows, examples[:20]
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: X.render_report(X.run_prop422(radius=1), "xml"), ValueError,
+     "unknown format 'xml' (use csv or report)"),
+    (lambda: X.run_prop507(n=1), ValueError, "n must be >= 2"),
+    (lambda: X.run_prop507(power_max=0), ValueError,
+     "power_max must be >= 1"),
+    (lambda: X.run_ams_gap(dimension=4), ValueError,
+     "gap experiment supports dimensions 2 and 3"),
+    (lambda: X.run_ams_gap(samples=-1), ValueError, "samples must be >= 0"),
+], ids=["report-format", "prop507-n1", "prop507-power-max0", "ams-gap-dim4",
+        "ams-gap-negative-samples"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestProp422Runner:
@@ -1086,7 +1148,8 @@ class TestRecordedDigests:
 
 
 # one valid call of each word and matgeo op; then ab * BA is the
-# identity, <aab, aba> = 1, and an integer unipotent's displacement is 0
+# identity, <aab, aba> = 1, and an integer unipotent's displacement is 0;
+# then the README contortion call, and with a second --rep
 OP_ARGVS = [
     ["word", "length", "bbbbaBBBB"], ["word", "multiply", "ab", "ba", "AB"],
     ["word", "invert", "aab"], ["word", "cyclic", "bAabaB"],
@@ -1102,7 +1165,10 @@ OP_ARGVS = [
     ["matgeo", "unipotent", "--matrix", "[[1,1],[0,1]]"],
     ["matgeo", "proximal", "--matrix", '[[30,0],[0,"1/30"]]'],
     ["word", "multiply", "ab", "BA"], ["word", "gromov", "aab", "aba"],
-    ["matgeo", "displacement", "--matrix", "[[1, 9], [0, 1]]"]]
+    ["matgeo", "displacement", "--matrix", "[[1, 9], [0, 1]]"],
+    ["contortion", "--gamma", "[[1,1],[0,1]]", "--rep", "[[1,1],[0,1]]"],
+    ["contortion", "--gamma", "[[1,1],[0,1]]", "--rep", "[[1,1],[0,1]]",
+     "--rep", "[[1,0],[2,1]]"]]
 # pingpong's two modes: a pair that fails condition 2, an empty word that
 # reaches the certifier and fails condition 1, the search with its
 # default conjugator a, the README search call, the default 32 powers,
@@ -1118,7 +1184,8 @@ PINGPONG_ARGVS = [
 # calls a handler refuses, and refusals of the scan that no other row
 # reaches: a missing or doubled source, search flags in certify mode, a
 # missing flag value, no words for an op, a converter's or a choice's
-# error, a zero denominator, a dropped flag
+# error, a zero denominator, a dropped flag, an ambiguous prefix, and an
+# explicit value on a switch
 REFUSAL_ARGVS = [
     ["pingpong", "--u", "ab"], ["pingpong", "--v", "ab"],
     *(["pingpong", "--u", "aab", "--v", "bba", *flags] for flags in (
@@ -1141,7 +1208,9 @@ REFUSAL_ARGVS = [
     ["ams-gap", "--seed", "1", "--dim", "4"],
     ["ams-gap", "--seed", "1", "--r", "x"],
     ["contortion", "--gamma", "[[1,1],[0,1]]", "--rep", "[[1,1],[0,1]]",
-     "--prime-cap", "3"]]
+     "--prime-cap", "3"],
+    ["pingpong", "--find", "ab"], ["prop507", "--negative-control=yes"],
+    ["prop507", "--help=x"], ["--version=1"]]
 # the flag forms argparse accepts: a prefix, --flag=value, a negative
 # number as a value, -r as the unique prefix of --rank
 FORM_ARGVS = [
@@ -1288,10 +1357,25 @@ CLI_PINS = {
         "dispgeo word: error: argument --delta: invalid rational value: 'x'"),
     "contortion --gamma [[1,1],[0,1]] --rep [[1,1],[0,1]] --prime-cap 3": (
         2, "", "dispgeo: error: unrecognized arguments: --prime-cap 3"),
+    "pingpong --find ab": (2, "",
+        "dispgeo pingpong: error: ambiguous option: --find could match "
+        "--find-f, --find-conjugator"),
+    "prop507 --negative-control=yes": (2, "",
+        "dispgeo prop507: error: argument --negative-control: ignored "
+        "explicit argument 'yes'"),
+    "prop507 --help=x": (2, "",
+        "dispgeo prop507: error: argument -h/--help: ignored explicit "
+        "argument 'x'"),
+    "--version=1": (2, "",
+        "dispgeo: error: argument --version: ignored explicit argument '1'"),
     "word multiply ab BA": (0, "f3346a06df41ddae", ""),
     "word gromov aab aba": (0, "4355a46b19d348dc", ""),
     "matgeo displacement --matrix [[1, 9], [0, 1]]": (0, "9a271f2a916b0b6e",
         ""),
+    "contortion --gamma [[1,1],[0,1]] --rep [[1,1],[0,1]]": (
+        0, "0103289bcc29ce7b", ""),
+    "contortion --gamma [[1,1],[0,1]] --rep [[1,1],[0,1]] --rep "
+    "[[1,0],[2,1]]": (0, "50b6fd30538d320d", ""),
     "pingpong --u ab --v ab": (1, "",
         "not a ping-pong pair: condition 2, margin -1"),
     "pingpong --u  --v b": (1, "",

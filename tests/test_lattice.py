@@ -24,10 +24,12 @@ from dispgeo.errors import (
     NoModulusFound,
     ResourceExceeded,
     SingularInput,
+    SoundnessFailure,
     TorsionInput,
 )
 from dispgeo.lattice import (
     GeneratorSet,
+    _certified_log_moduli,
     _commutant_points,
     _digits,
     _family_min_expanding,
@@ -173,7 +175,44 @@ def oracle_bareiss_det(a):
     return sign * m[n - 1][n - 1]
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: as_int_matrix(np.array([[1.5]])), ValueError,
+     "matrix entries must be integers"),
+    (lambda: GeneratorSet.from_matrices([((2, 0), (0, 1))]), ValueError,
+     "generator ((2, 0), (0, 1)) has determinant != 1"),
+    (lambda: elementary_generators(1), ValueError, "n must be >= 2"),
+    (lambda: enumerate_ball(elementary_generators(2), -1), ValueError,
+     "radius must be >= 0"),
+    (lambda: translation_length_upper(((2, 0), (0, 1)),
+                                      elementary_generators(2), 1, 1),
+     ValueError, "translation length needs determinant 1"),
+    (lambda: depth_root_bound(((2, 0), (0, 1))), ValueError,
+     "input must have determinant 1"),
+    (lambda: unipotence_exponent(0), ValueError, "n must be >= 1"),
+    (lambda: find_roots_in_box(FIB, 0, 1), ValueError,
+     "need k >= 1 and box >= 1"),
+    (lambda: sl_group_order(1, 2), ValueError, "need n >= 2 and m >= 2"),
+    (lambda: contortion_witness(((2, 0), (0, 1)), [E(2, 0, 1, 1)]),
+     ValueError, "gamma must have determinant 1"),
+    (lambda: contortion_witness(E(2, 0, 1, 1), []), ValueError,
+     "need at least one conjugacy class representative"),
+    (lambda: contortion_witness(E(2, 0, 1, 1), [E(3, 0, 1, 1)]), ValueError,
+     "class representatives must match gamma's size"),
+], ids=["fractional-entry", "generator-det", "elementary-n1", "ball-radius",
+        "translation-det", "depth-det", "unipotence-n0", "box-k0",
+        "group-order-n1", "contortion-det", "contortion-no-reps",
+        "contortion-rep-size"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestExactHelpers:
+    def test_negative_power_is_the_inverse_power(self):
+        assert mat_pow(FIB, -3) == mat_pow(inverse_unimodular(FIB), 3)
+        assert mat_mul(mat_pow(FIB, -3), mat_pow(FIB, 3)) == identity(2)
+
     @given(st.lists(st.integers(0, 3), max_size=10))
     def test_generator_word_properties(self, picks):
         gens = elementary_generators(2)
@@ -234,6 +273,23 @@ class TestExactHelpers:
         assert log_eigenvalue_moduli(E(4, 0, 3, 7)) == (0.0,) * 4
         with pytest.raises(SingularInput):
             log_eigenvalue_moduli(((1, 2), (2, 4)))
+
+    def test_a_singular_count_steps_to_another_radius(self, monkeypatch):
+        # the certified loop's retry: a count that raises at the first
+        # split radius is taken again at a smaller one, and the logs are
+        # those of the unpatched route
+        cubic = (1, -5, 2, -1)
+        want = _certified_log_moduli(cubic)
+        count, radii = lattice._roots_inside, []
+
+        def singular_once(poly, num, k):
+            radii.append((num, k))
+            if len(radii) == 1:
+                raise ArithmeticError("singular Schur-Cohn step")
+            return count(poly, num, k)
+        monkeypatch.setattr(lattice, "_roots_inside", singular_once)
+        assert _certified_log_moduli(cubic) == want
+        assert radii[1] != radii[0]
 
     def test_log_eigenvalue_moduli_raises_without_fallback(self):
         # a root on the circle makes the Schur-Cohn count singular, and it
@@ -1259,6 +1315,22 @@ class TestDepthRootBound:
             for k, root in cert.roots_found:
                 assert k < cert.depth
                 assert mat_pow(root, k) == m
+
+
+    def test_a_root_at_the_depth_is_a_soundness_failure(self, monkeypatch):
+        # the raise inside depth_root_bound itself: a box walk that
+        # reports a root at k = depth
+        depth = depth_root_bound(FIB).depth
+        walk = lattice._roots_by_power
+
+        def planted(a, powers, box):
+            roots = walk(a, powers, box)
+            roots[depth].append(FIB)
+            return roots
+        monkeypatch.setattr(lattice, "_roots_by_power", planted)
+        with pytest.raises(SoundnessFailure,
+                           match=f"despite certified depth {depth}$"):
+            depth_root_bound(FIB)
 
 
 class TestFindRootsInBox:

@@ -1048,6 +1048,19 @@ class TestRandomSpecialLinear:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("call, exc, message", [
+        (lambda: certify_proximal([[math.inf, 0], [0, 1]], 0.5, 0.05),
+         ValueError, "matrix entries must be finite"),
+        (lambda: random_special_linear(1, np.random.default_rng(0)),
+         ValueError, "n must be >= 2"),
+        (lambda: cartan_projection([[math.inf, 0], [0, 1]]), ValueError,
+         "matrix entries must be finite"),
+    ], ids=["proximal-infinite", "random-n1", "cartan-infinite"])
+    def test_refusals(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
+
     def test_check_special_linear(self):
         check_special_linear(np.diag([2.0, 0.5]))
         with pytest.raises(ValueError):

@@ -153,6 +153,29 @@ class TestMultiplyInvert:
         assert g ** n == expected
 
 
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda: setattr(W("ab"), "letters", (1,)), AttributeError,
+     "Word is immutable"),
+    (lambda: distance(W("a", 2), W("a", 3)), RankMismatch, "rank 2 vs 3"),
+    (lambda: gromov_product(W("a", 2), W("a", 3)), RankMismatch,
+     "rank 2 vs 3"),
+    (lambda: list(ball(2, -1)), ValueError, "radius must be >= 0"),
+    (lambda: ball_size(2, -1), ValueError, "radius must be >= 0"),
+], ids=["assign-letters", "distance-ranks", "gromov-ranks", "ball-radius",
+        "ball-size-radius"])
+def test_refusals(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_equal_words_hash_alike():
+    # equal words collapse to one set entry; ~w is w's inverse
+    w = W("abA")
+    assert {w, W("abA"), Word((1, 2, 2, -2, -1), 2)} == {w}
+    assert ~w == w.inverse() == W("aBA")
+
+
 class TestWordLength:
     def test_examples(self):
         assert word_length(Word.identity(2)) == 0
@@ -163,27 +186,34 @@ class TestWordLength:
 class TestGromovProduct:
     def test_common_prefix(self):
         # rank 3 so that "ac" parses; product = common prefix length
-        assert gromov_product(W("ab", 3), W("ac", 3)).value == 1
+        assert gromov_product(W("ab", 3), W("ac", 3)) == 1
 
     def test_self_product(self):
         g = W("abA")
-        assert gromov_product(g, g).value == word_length(g)
+        assert gromov_product(g, g) == word_length(g)
 
     def test_no_overlap(self):
         u, v = W("aab"), W("bba")
         assert distance(u, v) == 6  # |u^-1 v|, no cancellation
-        assert gromov_product(u, v).value == 0
+        assert gromov_product(u, v) == 0
 
     def test_nonneg_and_bounded(self):
         for g in ball(2, 4):
             for h in (W("ab"), W("bA"), W("")):
-                p = gromov_product(g, h).value
+                p = gromov_product(g, h)
                 assert 0 <= p <= min(word_length(g), word_length(h))
 
     def test_doubled_always_even_in_free_group(self):
+        # the theorem that makes gromov_product an integer: d(g,b) +
+        # d(h,b) - d(g,h) is even, at e and at other base points b, and
+        # the product is half of it
         words = list(ball(2, 3))
-        for g, h in itertools.product(words[:30], words[:30]):
-            assert gromov_product(g, h).doubled % 2 == 0
+        for g, h, b in itertools.product(words[:30], words[:30],
+                                         (Word.identity(2), *words[1:30:4])):
+            doubled = distance(g, b) + distance(h, b) - distance(g, h)
+            assert doubled % 2 == 0
+            assert gromov_product(g, h, base=b) == doubled // 2
+            assert type(gromov_product(g, h, base=b)) is int
 
 
 class TestCyclicReduce:
@@ -470,8 +500,7 @@ class TestBaseInvariance:
             for g in sub:
                 for h in sub:
                     lhs = gromov_product(u * g, u * h, base=u)
-                    rhs = gromov_product(g, h)
-                    assert lhs.doubled == rhs.doubled
+                    assert lhs == gromov_product(g, h)
 
 
 @settings(max_examples=50)
