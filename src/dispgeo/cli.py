@@ -17,6 +17,7 @@ matrix kind and its output.
 from __future__ import annotations
 
 import functools
+import gc
 import operator
 import re
 import sys
@@ -413,17 +414,23 @@ def build_parser(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = build_parser(sys.argv[1:] if argv is None else argv)
-    started = time.monotonic()
+    # the command's collections skip the heap that importing built; the
+    # unfreeze hands it back on every exit, SystemExit included
+    gc.freeze()
     try:
-        code = _COMMANDS[args.command][1](args)
-    except (DispgeoError, ValueError, OSError) as exc:
-        sys.stderr.write(f"dispgeo {args.command}: "
-                         f"{type(exc).__name__}: {exc}\n")
-        return 1
-    sys.stderr.write(f"[dispgeo] {args.command} finished in "
-                     f"{time.monotonic() - started:.2f}s\n")
-    return code
+        args = build_parser(sys.argv[1:] if argv is None else argv)
+        started = time.monotonic()
+        try:
+            code = _COMMANDS[args.command][1](args)
+        except (DispgeoError, ValueError, OSError) as exc:
+            sys.stderr.write(f"dispgeo {args.command}: "
+                             f"{type(exc).__name__}: {exc}\n")
+            return 1
+        sys.stderr.write(f"[dispgeo] {args.command} finished in "
+                         f"{time.monotonic() - started:.2f}s\n")
+        return code
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ break byte-for-byte reproducibility); the CLI prints it to stderr.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,15 +74,14 @@ _PROXIMAL_REJECTIONS = (NoDominantEigenvalue, SeparationFailed,
                         ContractionFailed)
 
 
-@dataclass
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     """Deterministic record of one experiment run."""
 
     name: str
     config: dict[str, str]
     columns: tuple[str, ...]
-    rows: list[tuple[str, ...]] = field(default_factory=list)
-    summary: dict[str, str] = field(default_factory=dict)
+    rows: list[tuple[str, ...]]
+    summary: dict[str, str]
     passed: bool = True
 
 

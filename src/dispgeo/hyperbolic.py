@@ -15,9 +15,8 @@ functions return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,8 +96,7 @@ def _range_scan(tables: _LayerTables, L: int, lo: int, hi: int,
     return L - 3 * np.maximum.reduce([n - 2 * p for n, p in words]), first
 
 
-@dataclass(frozen=True)
-class AcrVerdict:
+class AcrVerdict(NamedTuple):
     """Outcome of the almost-cyclically-reduced test.
 
     ``product`` is <g, g^-1> based at the identity, ``threshold`` is
@@ -134,8 +132,7 @@ def stable_length_lower_bound(g: Word, delta=0) -> Fraction:
     return Fraction(len(g), 3)
 
 
-@dataclass(frozen=True)
-class PingPongCertificate:
+class PingPongCertificate(NamedTuple):
     """A certified ping-pong pair (u, v) at a given delta.
 
     margin1 = min(|u|, |v|) - 100 delta
@@ -252,8 +249,7 @@ def pair_offset(pair: PingPongCertificate) -> Fraction:
     return Fraction(3 * longer * den + 100 * num, den)
 
 
-@dataclass(frozen=True)
-class LengthBound:
+class LengthBound(NamedTuple):
     """|g| versus 3 max([g], [gu], [gv]) + offset (stable norms)."""
 
     lhs: int

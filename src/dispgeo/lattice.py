@@ -26,12 +26,12 @@ in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -223,7 +223,6 @@ def _operator_norm_upper(m: IntMatrix) -> float:
     return frob * (1.0 + 1e-12)
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """Symmetric generating set with a certified operator-norm bound.
 
@@ -231,22 +230,18 @@ class GeneratorSet:
     operator norm of every generator, so a word of length L has norm <= c^L.
     ``inverse_index[k]`` is the position of the inverse of element k:
     2I - g for an elementary g = I + t e_ij, else Faddeev-LeVerrier's.
+    Read-only: both are derived from ``elements``, never set.
     """
 
-    elements: tuple[IntMatrix, ...]
-    norm_bound: float = field(init=False)
-    inverse_index: tuple[int, ...] = field(init=False, repr=False,
-                                           compare=False)
-
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, elements: tuple[IntMatrix, ...]):
+        if not elements:
             raise ValueError("generating set must be nonempty")
-        n = len(self.elements[0])
-        position = {g: k for k, g in enumerate(self.elements)}
+        n = len(elements[0])
+        position = {g: k for k, g in enumerate(elements)}
         if identity(n) in position:
             raise ValueError("generating set must not contain the identity")
         inverse_index = []
-        for g in self.elements:
+        for g in elements:
             det, inverse = (
                 _det_and_inverse(g) if _is_elementary(g) is None else
                 (1, _shift(tuple(tuple(-x for x in row) for row in g), 2)))
@@ -256,9 +251,12 @@ class GeneratorSet:
                 raise ValueError(f"generating set not closed under "
                                  f"inversion: missing inverse of {g}")
             inverse_index.append(position[inverse])
-        object.__setattr__(self, "inverse_index", tuple(inverse_index))
-        object.__setattr__(self, "norm_bound", max(
-            map(_operator_norm_upper, self.elements)))
+        vars(self).update(
+            elements=elements, inverse_index=tuple(inverse_index),
+            norm_bound=max(map(_operator_norm_upper, elements)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GeneratorSet is read-only: cannot set {name}")
 
     @property
     def dimension(self) -> int:
@@ -325,7 +323,6 @@ def _row_keys(*stacks: np.ndarray,
     return [flat.view(void).ravel() for flat in flats]
 
 
-@dataclass(frozen=True, eq=False)
 class BallTable:
     """Exact word length for every element of length <= radius.
 
@@ -337,10 +334,13 @@ class BallTable:
     answers word lengths out to twice the radius, by meet in the middle.
     """
 
-    radius: int
-    elements: np.ndarray
-    inverses: np.ndarray
-    offsets: tuple[int, ...]
+    def __init__(self, radius: int, elements: np.ndarray,
+                 inverses: np.ndarray, offsets: tuple[int, ...]):
+        vars(self).update(radius=radius, elements=elements,
+                          inverses=inverses, offsets=offsets)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BallTable is read-only: cannot set {name}")
 
     @cached_property
     def index(self) -> dict[IntMatrix, int]:
@@ -927,8 +927,7 @@ def _family_min_expanding(n: int, k1: int) -> float:
     return math.exp(min(x for x in _log_root_moduli(poly) if x > 0))
 
 
-@dataclass(frozen=True)
-class DepthBound:
+class DepthBound(NamedTuple):
     """Certificate that eta^k = matrix has no solution for k >= depth.
 
     Hyperbolic branch: K is the spectral radius, K1 the coefficient bound
@@ -1224,8 +1223,7 @@ def _primes(cap: int):
                 sieve[q] = False
 
 
-@dataclass(frozen=True)
-class ContortionWitness:
+class ContortionWitness(NamedTuple):
     """gamma^k escapes every listed conjugacy class.
 
     Reduction mod the prime ``modulus`` sends gamma^k to the identity

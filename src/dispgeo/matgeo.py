@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations
 from typing import NamedTuple
@@ -335,8 +334,7 @@ def _dominant_real_eigenvector(ms: np.ndarray
     return scaled / _row_norms(scaled)[:, None], errors, moduli, left
 
 
-@dataclass(frozen=True)
-class ProximalityCertificate:
+class ProximalityCertificate(NamedTuple):
     """Witnesses that g attracts the far-from-hyperplane part of P(V).
 
     ``separation`` is the distance from the attracting point to the

@@ -4,15 +4,14 @@ Matrices parse from JSON arrays of rows; entries may be integers,
 decimals, or exact rationals written "p/q".  This module owns every
 printed form of a value: flags print true/false, rationals exactly, reals
 with 12 significant digits, and a record (certificates and the CLI's
-answers) one ``name = value`` line per field, so identical inputs always
-produce identical bytes.
+answers, each a NamedTuple) one ``name = value`` line per field, so
+identical inputs always produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .errors import ParseError
@@ -157,22 +156,27 @@ def _render_value(v) -> str:
     raise TypeError(f"no certificate rendering for {type(v).__name__}")
 
 
+def _is_record(v) -> bool:
+    """A record is a NamedTuple: a tuple with ``_fields``."""
+    return isinstance(v, tuple) and hasattr(v, "_fields")
+
+
 def _value_text(v) -> str:
     """The lines a value prints as: a record one ``name = value`` line per
-    field, in declaration order; any other value one line."""
-    if is_dataclass(v):
-        return "".join(f"{f.name} = {_render_value(getattr(v, f.name))}\n"
-                       for f in fields(v))
+    field, in ``_fields`` order; any other value one line."""
+    if _is_record(v):
+        return "".join(f"{name} = {_render_value(x)}\n"
+                       for name, x in zip(v._fields, v))
     return _render_value(v) + "\n"
 
 
 def certificate_document(cert) -> str:
-    """Flat ``key = value`` document for any certificate dataclass: a
+    """Flat ``key = value`` document for any certificate record: a
     ``type = `` line naming it, then its fields as ``_value_text`` prints
     them, so output is deterministic.
     """
-    if not is_dataclass(cert):
-        raise TypeError(f"expected a dataclass, got {type(cert)}")
+    if not _is_record(cert):
+        raise TypeError(f"expected a record, got {type(cert)}")
     return f"type = {type(cert).__name__}\n" + _value_text(cert)
 
 

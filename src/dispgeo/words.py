@@ -18,8 +18,7 @@ read the ``_peel`` of every product g*w off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -210,8 +209,7 @@ def gromov_product(g: Word, h: Word, base: Word | None = None) -> int:
     return (distance(g, base) + distance(h, base) - distance(g, h)) // 2
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(NamedTuple):
     """g written as conjugator * core * conjugator^-1 with core cyclically
     reduced, so |g| = |core| + 2 |conjugator|."""
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dispgeo import experiments as X
 from dispgeo import matgeo
 from dispgeo.cli import main
 from dispgeo.errors import (
+    DispgeoError,
     EigenFailure,
     NotPingPong,
     ParseError,
@@ -271,10 +274,16 @@ class TestSerialize:
     @pytest.mark.parametrize("value", [None, "text", {"a": 1}, [1, 2]])
     def test_certificate_document_rejects_other_fields(self, value):
         # certificates hold Fractions, floats, ints, Words and tuples
-        from dataclasses import make_dataclass
-        cert = make_dataclass("Odd", [("field", object)])(value)
+        cert = NamedTuple("Odd", [("field", object)])(value)
         with pytest.raises(TypeError, match="no certificate rendering"):
             certificate_document(cert)
+
+    def test_certificate_document_refuses_a_dataclass(self):
+        # a certificate is a record, a NamedTuple; fields alone do not make
+        # one
+        from dataclasses import make_dataclass
+        with pytest.raises(TypeError, match="expected a record"):
+            certificate_document(make_dataclass("Odd", [("field", int)])(1))
 
 
 def _oracle_prop422(radius, u, v, alpha):
@@ -1511,6 +1520,33 @@ class TestCli:
         assert (exc.value.code, out) == (2, "")
         assert usage.startswith(f"usage: {prog} [-h]"), err
         assert error == CLI_PINS[" ".join(argv)][2]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["word", "length", "a"], 0), (["word", "invert", "a"], 1),
+        (["word", "bogus", "a"], 2)], ids=["ran", "refused", "usage"])
+    def test_command_runs_on_a_frozen_heap(self, argv, code, monkeypatch,
+                                           capsys):
+        # the handler sees the import heap frozen; main unfreezes it on
+        # every exit, or the suite's later garbage cycles would be kept
+        seen = []
+
+        def run(args):
+            seen.append(gc.get_freeze_count())
+            if args.op == "invert":
+                raise DispgeoError("refused")
+            return 0
+
+        help_line, _, flags = cli._COMMANDS["word"]
+        monkeypatch.setitem(cli._COMMANDS, "word", (help_line, run, flags))
+        before = gc.get_freeze_count()
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert (exc.value.code, seen) == (2, [])
+        else:
+            assert main(argv) == code
+            assert len(seen) == 1 and seen[0] > 0
+        assert gc.get_freeze_count() == before
 
     def test_seed_required_for_gap(self, capsys):
         # every other ams-gap flag given: --seed alone is still required

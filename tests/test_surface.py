@@ -1,5 +1,6 @@
-"""The package's public surface: every public name has a caller, and every
-name the benchmark tracer wraps still exists.
+"""The package's public surface: every public name has a caller, every
+name the benchmark tracer wraps still exists, and the result records are
+read-only tuples whose fields print in a fixed order.
 
 A reference is an AST name, attribute or imported name in the code of
 ``src/`` or ``perfbench/``; in ``perfbench/`` a string constant that is
@@ -10,9 +11,14 @@ tests alone run belong in ``tests/oracles.py``, not in ``dispgeo``.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from dispgeo import experiments, hyperbolic, lattice, matgeo, words
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dispgeo"
@@ -86,3 +92,73 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"dispgeo.{layer}")
         for name in names:
             assert callable(getattr(module, name)), f"{layer}.{name}"
+
+
+def test_import_leaves_dataclasses_out():
+    # records are NamedTuples or plain classes: no generated code at import
+    code = ("import sys; from dispgeo import cli, experiments, hyperbolic, "
+            "lattice, matgeo, serialize, words; "
+            "print('dataclasses' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
+def _records():
+    """One instance of each result record, by the call that returns it,
+    and the field order its printed form follows."""
+    aab, bba = words.parse_word("aab"), words.parse_word("bba")
+    pair = hyperbolic.certify_ping_pong(aab, bba)
+    fib = ((2, 1), (1, 1))
+    return [
+        (words.cyclic_reduce(words.parse_word("Bab")),
+         ("core", "conjugator")),
+        (hyperbolic.is_almost_cyclically_reduced(aab),
+         ("product", "threshold", "is_acr")),
+        (pair, ("u", "v", "delta", "margin1", "margin2", "margin3")),
+        (hyperbolic.stable_norm_length_bound(aab, pair),
+         ("lhs", "rhs", "holds")),
+        (lattice.depth_root_bound(fib, box_bound=1),
+         ("matrix", "branch", "K", "K1", "b", "q", "M", "depth",
+          "box_bound", "checked_powers", "roots_found")),
+        (lattice.contortion_witness(((1, 1), (0, 1)), [((1, 1), (0, 1))]),
+         ("gamma", "class_reps", "modulus", "k")),
+        (matgeo.certify_proximal([[30.0, 0.0], [0.0, 1 / 30]], 0.5, 0.05),
+         ("r", "epsilon", "attracting", "repelling_normal", "separation",
+          "contraction_margin", "samples_tested")),
+        (experiments.run_depth_roots([fib], box_bound=1),
+         ("name", "config", "columns", "rows", "summary", "passed")),
+    ]
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("record, fields", RECORDS,
+                         ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_read_only_tuples(record, fields):
+    # a record unpacks and compares as the tuple of its values, in the
+    # order certificate_document prints them
+    assert record._fields == fields
+    assert record == tuple(record)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_generator_set_and_ball_table_are_read_only():
+    gens = lattice.elementary_generators(2)
+    table = lattice.enumerate_ball(gens, 2)
+    for obj, name in ((gens, "norm_bound"), (gens, "elements"),
+                      (table, "radius"), (table, "index")):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(obj, name, None)
+
+
+def test_ball_index_is_built_on_first_read():
+    # perfbench/tracer.py counts a ball's states through ``index``
+    table = lattice.enumerate_ball(lattice.elementary_generators(2), 3)
+    assert "index" not in vars(table)
+    assert len(table.index) == table.offsets[-1] == 47
+    assert vars(table)["index"] is table.index
